@@ -1,8 +1,8 @@
 """Benchmark T-1 — fast training engine on the 5k-node synthetic graph.
 
 Pins the acceptance claim of the training-engine PR: end-to-end
-``fit_detect`` in fast mode (float32 + batched view encoding + in-place
-optimizers + fused loss) is **≥3× faster than the seed training loop**
+``fit_detect`` in fast mode (float32 + in-place optimizers + fused
+kernels) is **≥3× faster than the seed training loop**
 on the ~5 000-node benchmark graph, while detecting the identical
 anomalous groups.
 
@@ -14,8 +14,9 @@ Three arms are timed:
   kept-seed-baseline pattern as ``test_scaling_sparse.py``.
 * ``float64`` — today's default path (fused loss + in-place optimizers,
   still bit-identical to the seed trajectory).
-* ``float32`` — ``config.accelerated()``: float32 weights, block-diagonal
-  batched TPGCL views, in-place everything.
+* ``float32`` — ``config.accelerated()``: float32 weights on both learned
+  stages (TPGCL views go through the same fused encoder kernel as
+  float64), in-place everything.
 
 Writes ``BENCH_train.json`` (the artifact the CI train job uploads);
 set ``BENCH_TRAIN_JSON`` to redirect it.
@@ -135,7 +136,7 @@ def test_fast_mode_at_least_3x_faster_than_seed_loop(benchmark):
     f64_result = f64_detector.fit_detect(graph)
     f64_seconds = time.perf_counter() - start
 
-    # Arm 3: fast mode (float32 + batched views + everything above).
+    # Arm 3: fast mode (float32 + everything above).
     start = time.perf_counter()
     fast_result = benchmark.pedantic(
         lambda: TPGrGAD(config.accelerated()).fit_detect(graph), rounds=1, iterations=1

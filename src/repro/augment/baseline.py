@@ -26,7 +26,7 @@ class NodeDropping(Augmentation):
             raise ValueError("drop rate must be in (0, 1)")
         self.rate = rate
 
-    def __call__(self, group_graph: Graph, rng: np.random.Generator) -> Graph:
+    def __call__(self, group_graph: Graph, rng: np.random.Generator, patterns=None) -> Graph:
         n = group_graph.n_nodes
         n_drop = max(1, int(round(self.rate * n)))
         if n - n_drop < 2:
@@ -45,7 +45,7 @@ class EdgeRemoving(Augmentation):
             raise ValueError("removal rate must be in (0, 1)")
         self.rate = rate
 
-    def __call__(self, group_graph: Graph, rng: np.random.Generator) -> Graph:
+    def __call__(self, group_graph: Graph, rng: np.random.Generator, patterns=None) -> Graph:
         edges = list(group_graph.edges)
         if len(edges) <= 1:
             return group_graph
@@ -66,7 +66,7 @@ class FeatureMasking(Augmentation):
             raise ValueError("masking rate must be in (0, 1)")
         self.rate = rate
 
-    def __call__(self, group_graph: Graph, rng: np.random.Generator) -> Graph:
+    def __call__(self, group_graph: Graph, rng: np.random.Generator, patterns=None) -> Graph:
         features = group_graph.features.copy()
         n_mask = max(1, int(round(self.rate * group_graph.n_features)))
         columns = rng.choice(group_graph.n_features, size=min(n_mask, group_graph.n_features), replace=False)

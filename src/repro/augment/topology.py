@@ -22,11 +22,22 @@ from repro.graph import Graph
 
 
 class Augmentation:
-    """Base class: an augmentation maps a group subgraph to a perturbed copy."""
+    """Base class: an augmentation maps a group subgraph to a perturbed copy.
+
+    ``patterns`` may carry the subgraph's :func:`find_topology_patterns`
+    result so a caller that augments the same subgraph repeatedly searches
+    it once; augmentations with ``uses_patterns = False`` ignore it.
+    """
 
     name = "identity"
+    uses_patterns = False
 
-    def __call__(self, group_graph: Graph, rng: np.random.Generator) -> Graph:
+    def __call__(
+        self,
+        group_graph: Graph,
+        rng: np.random.Generator,
+        patterns: Optional[TopologyPatterns] = None,
+    ) -> Graph:
         raise NotImplementedError
 
     @staticmethod
@@ -42,9 +53,16 @@ class PatternBreakingAugmentation(Augmentation):
     """PBA: generate the negative view by destroying intrinsic patterns."""
 
     name = "PBA"
+    uses_patterns = True
 
-    def __call__(self, group_graph: Graph, rng: np.random.Generator) -> Graph:
-        patterns = find_topology_patterns(group_graph)
+    def __call__(
+        self,
+        group_graph: Graph,
+        rng: np.random.Generator,
+        patterns: Optional[TopologyPatterns] = None,
+    ) -> Graph:
+        if patterns is None:
+            patterns = find_topology_patterns(group_graph)
         if patterns.is_empty:
             # Without explicit patterns, fall back to dropping a random node,
             # which is the strongest generic structural perturbation.
@@ -69,9 +87,16 @@ class PatternPreservingAugmentation(Augmentation):
     """PPA: generate the positive view by extending intrinsic patterns."""
 
     name = "PPA"
+    uses_patterns = True
 
-    def __call__(self, group_graph: Graph, rng: np.random.Generator) -> Graph:
-        patterns = find_topology_patterns(group_graph)
+    def __call__(
+        self,
+        group_graph: Graph,
+        rng: np.random.Generator,
+        patterns: Optional[TopologyPatterns] = None,
+    ) -> Graph:
+        if patterns is None:
+            patterns = find_topology_patterns(group_graph)
         if patterns.is_empty:
             return group_graph
 

@@ -138,18 +138,16 @@ class TPGrGADConfig:
     def accelerated(
         self,
         dtype: str = "float32",
-        batch_views: bool = True,
         patience: int = 0,
         min_delta: float = 0.0,
     ) -> "TPGrGADConfig":
         """A deep copy of this config switched to the fast training engine.
 
-        Sets the training ``dtype`` on both learned stages, enables
-        block-diagonal view batching in TPGCL, and (optionally) turns on
-        convergence-based early stopping.  The receiver is untouched: the
-        float64 reference config and its accelerated twin can run side by
-        side, which is exactly what the parity tests and the training
-        benchmark do.  Note the two configs hash differently
+        Sets the training ``dtype`` on both learned stages and (optionally)
+        turns on convergence-based early stopping.  The receiver is
+        untouched: the float64 reference config and its accelerated twin can
+        run side by side, which is exactly what the parity tests and the
+        training benchmark do.  Note the two configs hash differently
         (``content_hash`` covers every field), so artifacts and cache
         entries of the two modes never collide.
         """
@@ -160,5 +158,4 @@ class TPGrGADConfig:
             stage.dtype = dtype
             stage.patience = patience
             stage.min_delta = min_delta
-        clone.tpgcl.batch_views = batch_views
         return clone

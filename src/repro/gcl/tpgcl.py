@@ -19,8 +19,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.augment import Augmentation, PatternBreakingAugmentation, PatternPreservingAugmentation
-from repro.gcl.encoder import GroupEncoder
+from repro.augment import (
+    Augmentation,
+    PatternBreakingAugmentation,
+    PatternPreservingAugmentation,
+    TopologyPatterns,
+    find_topology_patterns,
+)
+from repro.gcl.encoder import GroupEncoder, GroupView
 from repro.gcl.mine import MINEStatisticsNetwork, mine_mutual_information
 from repro.graph import Graph, Group
 from repro.nn import Adam, EarlyStopping
@@ -39,12 +45,10 @@ class TPGCLConfig:
 
     Fast-training-engine knobs: ``dtype`` selects the training precision
     (``"float64"`` is the bit-reproducible reference, ``"float32"`` the
-    fast mode); ``batch_views`` packs each view batch into one
-    block-diagonal sparse graph so encoding runs as a single SpMM forward
-    instead of a per-subgraph Python loop (mathematically identical,
-    differs only by BLAS summation order — hence opt-in);
-    ``patience``/``min_delta`` stop training early once the epoch loss
-    plateaus (``patience = 0`` disables).
+    fast mode); ``patience``/``min_delta`` stop training early once the
+    epoch loss plateaus (``patience = 0`` disables).  Every view batch is
+    encoded by the fused ``group_encode`` kernel
+    (:meth:`~repro.gcl.encoder.GroupEncoder.encode_batch`) in either dtype.
     """
 
     hidden_dim: int = 64
@@ -57,7 +61,6 @@ class TPGCLConfig:
     positive_augmentation: str = "PPA"
     negative_augmentation: str = "PBA"
     dtype: str = "float64"
-    batch_views: bool = False
     patience: int = 0
     min_delta: float = 0.0
     # None means "unset": standalone use resolves to 0, while a parent
@@ -128,11 +131,21 @@ class TPGCL:
     def _group_subgraphs(self, graph: Graph, groups: Sequence[Group]) -> List[Graph]:
         return [graph.group_subgraph(group) for group in groups]
 
-    def _generate_views(self, subgraphs: Sequence[Graph]) -> Tuple[List[Graph], List[Graph]]:
-        positive_augmentation, negative_augmentation = self._augmentations()
-        positive_views = [positive_augmentation(sub, self._rng) for sub in subgraphs]
-        negative_views = [negative_augmentation(sub, self._rng) for sub in subgraphs]
-        return positive_views, negative_views
+    def _generate_views(
+        self,
+        subgraphs: Sequence[Graph],
+        patterns: Sequence[Optional[TopologyPatterns]],
+        augmentations: Tuple[Augmentation, Augmentation],
+    ) -> Tuple[List[GroupView], List[GroupView]]:
+        """Draw a (positive, negative) view per subgraph, prepared for the encoder."""
+        # All positive views are drawn before any negative one: that order
+        # of RNG draws is what keeps views reproducible.
+        prepare = self.encoder.prepare
+        positive, negative = (
+            [prepare(augmentation(sub, self._rng, found)) for sub, found in zip(subgraphs, patterns)]
+            for augmentation in augmentations
+        )
+        return positive, negative
 
     # ------------------------------------------------------------------
     # Training
@@ -162,8 +175,13 @@ class TPGCL:
                 )
 
                 subgraphs = self._group_subgraphs(graph, groups)
+                augmentations = self._augmentations()
                 with tracer.span("tpgcl.augment") as view_span:
-                    positive_views, negative_views = self._generate_views(subgraphs)
+                    # Pattern search is deterministic and draws no randomness, so
+                    # one pass serves both augmentations and every view refresh.
+                    search = any(augmentation.uses_patterns for augmentation in augmentations)
+                    patterns = [find_topology_patterns(sub) if search else None for sub in subgraphs]
+                    positive_views, negative_views = self._generate_views(subgraphs, patterns, augmentations)
                     view_span.add("n_views", 2 * len(subgraphs))
 
                 self.training_result = TPGCLTrainingResult()
@@ -172,7 +190,9 @@ class TPGCL:
                 for epoch in range(config.epochs):
                     if epoch > 0 and config.view_refresh_every > 0 and epoch % config.view_refresh_every == 0:
                         with tracer.span("tpgcl.augment") as view_span:
-                            positive_views, negative_views = self._generate_views(subgraphs)
+                            positive_views, negative_views = self._generate_views(
+                                subgraphs, patterns, augmentations
+                            )
                             view_span.add("n_views", 2 * len(subgraphs))
 
                     with tracer.span("tpgcl.epoch") as epoch_span:
@@ -184,12 +204,8 @@ class TPGCL:
                             if len(batch) < 2:
                                 continue
                             optimizer.zero_grad()
-                            positive_batch = self.encoder.encode_batch(
-                                [positive_views[i] for i in batch], batched=config.batch_views
-                            )
-                            negative_batch = self.encoder.encode_batch(
-                                [negative_views[i] for i in batch], batched=config.batch_views
-                            )
+                            positive_batch = self.encoder.encode_batch([positive_views[i] for i in batch])
+                            negative_batch = self.encoder.encode_batch([negative_views[i] for i in batch])
                             # Eqn. (8): minimise the estimated MI between view embeddings.
                             loss = mine_mutual_information(self.statistics_network, positive_batch, negative_batch)
                             loss.backward()
@@ -265,4 +281,4 @@ class TPGCL:
             raise RuntimeError("call fit() before embedding groups")
         subgraphs = self._group_subgraphs(graph, list(groups))
         with no_grad():
-            return self.encoder.encode_batch(subgraphs, batched=self.config.batch_views).numpy()
+            return self.encoder.encode_batch(subgraphs).numpy()

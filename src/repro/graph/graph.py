@@ -268,6 +268,15 @@ class Graph:
             When True return the cached ``scipy.sparse.csr_matrix`` (shared,
             treat as read-only); otherwise a dense ``numpy`` array.
         """
+        if not sparse and self._adjacency_cache is None:
+            # Fill the array straight from the edge index rather than build
+            # a CSR only to densify it (group subgraphs hit this on every
+            # view); ``np.add.at`` sums repeated entries as the CSR would.
+            dense = np.zeros((self.n_nodes, self.n_nodes))
+            u, v = self._edge_index
+            np.add.at(dense, (u, v), 1.0)
+            np.add.at(dense, (v, u), 1.0)
+            return dense
         if self._adjacency_cache is None:
             u, v = self._edge_index
             rows = np.concatenate([u, v])

@@ -17,8 +17,9 @@ engine (DESIGN.md, "Fast training engine"):
   residuals and writes one backward product per term, while reproducing
   the unfused float64 forward value and gradients *bit for bit* (it
   applies the identical scalar operations in the identical order).
-* :func:`segment_mean` — sparse-matrix mean readout over row segments,
-  the batched replacement for per-subgraph ``mean(axis=0)`` + concat.
+
+The TPGCL group encoder keeps its fused kernel next to its parameters,
+in :meth:`repro.gcl.encoder.GroupEncoder.encode_batch`.
 """
 
 from __future__ import annotations
@@ -52,30 +53,6 @@ def spmm(matrix: Union[sp.spmatrix, np.ndarray], x: Tensor) -> Tensor:
         x_t._accumulate(np.asarray(csr.T @ np.asarray(grad)), owned=True)
 
     return Tensor._make(data, (x_t,), backward, "spmm")
-
-
-def segment_mean(x: Tensor, segment_sizes: Sequence[int]) -> Tensor:
-    """Mean over consecutive row segments of ``x``; returns ``(m, d)``.
-
-    Segment ``i`` covers rows ``[offset_i, offset_i + segment_sizes[i])``.
-    Implemented as one sparse averaging product ``M @ x`` (rows of ``M``
-    hold ``1/n_i`` at the segment's positions), so a block-diagonal batch
-    of group subgraphs reads out every group embedding in a single
-    SpMM-backed tape node instead of a per-group mean + concatenate loop.
-    """
-    sizes = np.asarray(segment_sizes, dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size == 0 or (sizes <= 0).any():
-        raise ValueError("segment_sizes must be a non-empty sequence of positive ints")
-    x_t = x if isinstance(x, Tensor) else Tensor(x)
-    total = int(sizes.sum())
-    if x_t.data.shape[0] != total:
-        raise ValueError(f"x has {x_t.data.shape[0]} rows but segments cover {total}")
-    rows = np.repeat(np.arange(sizes.size), sizes)
-    values = np.repeat(1.0 / sizes, sizes).astype(x_t.data.dtype, copy=False)
-    averaging = sp.csr_matrix(
-        (values, (rows, np.arange(total))), shape=(sizes.size, total)
-    )
-    return spmm(averaging, x_t)
 
 
 def _workspace_buffer(workspace, key: str, shape, dtype) -> np.ndarray:

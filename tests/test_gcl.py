@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.gcl.tpgcl as tpgcl_module
+from repro.augment import PatternBreakingAugmentation, PatternPreservingAugmentation, find_topology_patterns
 from repro.gcl import GroupEncoder, MINEStatisticsNetwork, TPGCL, TPGCLConfig, mine_mutual_information
 from repro.graph import Group
 from repro.tensor import Tensor
+
+from encoder_oracle import AutodiffGroupEncoder
 
 
 @pytest.fixture
@@ -41,6 +45,18 @@ class TestGroupEncoder:
         a = encoder(example_graph.subgraph(nodes)).numpy()
         b = encoder(example_graph.subgraph(list(reversed(nodes)))).numpy()
         assert a == pytest.approx(b)
+
+    def test_fused_kernel_matches_autodiff_oracle_bitwise(self, example_graph, candidate_groups):
+        subgraphs = [example_graph.group_subgraph(g) for g in candidate_groups]
+        weights = np.random.default_rng(5).normal(size=(len(subgraphs), 12))
+        outputs = []
+        for cls in (GroupEncoder, AutodiffGroupEncoder):
+            encoder = cls(example_graph.n_features, hidden_dim=16, embedding_dim=12)
+            embeddings = encoder.encode_batch(subgraphs)
+            (embeddings * Tensor(weights)).sum().backward()
+            outputs.append([embeddings.data] + [p.grad for p in encoder.parameters()])
+        for fused, oracle in zip(*outputs):
+            assert np.array_equal(fused, oracle)
 
 
 class TestMINE:
@@ -124,3 +140,37 @@ class TestTPGCL:
             example_graph, candidate_groups
         ).embed_groups(example_graph, candidate_groups)
         assert a == pytest.approx(b)
+
+    def _count_pattern_searches(self, monkeypatch):
+        calls = []
+
+        def counting(group_graph):
+            calls.append(group_graph)
+            return find_topology_patterns(group_graph)
+
+        monkeypatch.setattr(tpgcl_module, "find_topology_patterns", counting)
+        return calls
+
+    def test_patterns_searched_once_per_subgraph(self, example_graph, candidate_groups, monkeypatch):
+        calls = self._count_pattern_searches(monkeypatch)
+        config = TPGCLConfig(epochs=5, batch_size=4, hidden_dim=8, embedding_dim=8, view_refresh_every=2)
+        TPGCL(config).fit(example_graph, candidate_groups)
+        assert len(calls) == len(candidate_groups)  # three view generations, one search each
+
+    def test_baseline_augmentations_skip_pattern_search(self, example_graph, candidate_groups, monkeypatch):
+        calls = self._count_pattern_searches(monkeypatch)
+        config = TPGCLConfig(epochs=1, batch_size=4, hidden_dim=8, embedding_dim=8,
+                             positive_augmentation="FM", negative_augmentation="ND")
+        TPGCL(config).fit(example_graph, candidate_groups)
+        assert calls == []
+
+    @pytest.mark.parametrize("augmentation", [PatternPreservingAugmentation(), PatternBreakingAugmentation()])
+    def test_shared_patterns_leave_views_and_rng_unchanged(self, example_graph, candidate_groups, augmentation):
+        for group in candidate_groups:
+            subgraph = example_graph.group_subgraph(group)
+            rng_own, rng_shared = np.random.default_rng(9), np.random.default_rng(9)
+            own = augmentation(subgraph, rng_own)
+            shared = augmentation(subgraph, rng_shared, find_topology_patterns(subgraph))
+            assert np.array_equal(own.edge_index, shared.edge_index)
+            assert np.array_equal(own.features, shared.features)
+            assert rng_own.bit_generator.state == rng_shared.bit_generator.state

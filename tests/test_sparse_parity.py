@@ -112,6 +112,27 @@ class TestTransformParity:
         assert sp.issparse(csr)
         assert np.abs(csr.toarray() - oracle).max() <= TOLERANCE
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dense_adjacency_fast_path_matches_csr(self, seed):
+        # The dense request on a graph without a CSR cache is filled straight
+        # from the edge index; it must equal the densified CSR bit for bit,
+        # repeated edge-index columns (summed) and edgeless graphs included.
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(1, 30))
+        n_pairs = 0 if seed % 4 == 0 else int(rng.integers(1, 3 * n_nodes + 1))
+        canonical = Graph(n_nodes, rng.integers(0, n_nodes, size=(n_pairs, 2))).edge_index
+        repeats = rng.integers(1, 3, size=canonical.shape[1])
+        edge_index = np.repeat(canonical, repeats, axis=1)
+
+        def build():
+            return Graph.from_canonical(n_nodes, edge_index)
+
+        via_csr = build()
+        expected = via_csr.adjacency(sparse=True).toarray()
+        assert np.array_equal(build().adjacency(), expected)
+        assert np.array_equal(via_csr.adjacency(), expected)
+        assert np.array_equal(normalized_adjacency(build()), normalized_adjacency(via_csr))
+
     @pytest.mark.parametrize("seed", GRAPH_SEEDS)
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_k_hop_matrix_matches_seed(self, seed, k):

@@ -16,19 +16,22 @@ Four oracle families:
   rounding — so score closeness is pinned on the inference path, decisions
   on the end-to-end path.)
 * **Kernel equivalence** — the fused GAE loss matches the unfused autodiff
-  graph bit for bit in float64; block-diagonal batched encoding matches
-  the looped reference to 1e-8.
+  graph bit for bit in float64; the fused group-encoder kernel matches the
+  per-subgraph autodiff encoder (``tests/encoder_oracle.py``) bit for bit
+  in float64, embeddings and gradients, and within 1e-5 in float32.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro.gcl.tpgcl as tpgcl_module
 from repro.core import TPGrGAD, TPGrGADConfig
 from repro.datasets import make_example_graph
 from repro.gae import GAEConfig, GraphAutoEncoder, MHGAEConfig, MultiHopGAE
-from repro.gcl import GroupEncoder, TPGCL, TPGCLConfig
+from repro.gcl import GroupEncoder, MINEStatisticsNetwork, TPGCL, TPGCLConfig, mine_mutual_information
 from repro.graph import Graph, Group
 from repro.nn import Adam, EarlyStopping, Parameter, SGD
 from repro.nn.optim import Optimizer
@@ -37,11 +40,14 @@ from repro.tensor import (
     Tensor,
     default_dtype,
     get_default_dtype,
+    no_grad,
     reset_tape_node_count,
     set_default_dtype,
     tape_node_count,
 )
-from repro.tensor.functional import gae_reconstruction_loss, segment_mean, spmm
+from repro.tensor.functional import gae_reconstruction_loss, spmm
+
+from encoder_oracle import AutodiffGroupEncoder
 
 
 # ======================================================================
@@ -272,49 +278,87 @@ class TestFusedKernels:
                 first_buffers = buffers
             assert buffers == first_buffers  # no reallocation epoch to epoch
 
-    def test_segment_mean_matches_manual_means(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
-        out = segment_mean(x, [2, 3, 4])
-        expected = np.stack(
-            [x.data[0:2].mean(axis=0), x.data[2:5].mean(axis=0), x.data[5:9].mean(axis=0)]
+
+# ======================================================================
+# Fused group-encoder kernel vs the autodiff oracle (tests/encoder_oracle.py)
+# ======================================================================
+def _group_graphs(rng, sizes, n_features=5):
+    graphs = []
+    for n in sizes:
+        pairs = rng.integers(0, n, size=(2 * n, 2))
+        edges = [(int(u), int(v)) for u, v in pairs if u != v]
+        graphs.append(Graph(n, edges, rng.normal(size=(n, n_features))))
+    return graphs
+
+
+def _encode_and_backprop(encoder_cls, positive, negative, dtype):
+    """Embeddings plus every parameter gradient after one MINE step."""
+    with default_dtype(dtype):
+        encoder = encoder_cls(5, hidden_dim=8, embedding_dim=6, rng=np.random.default_rng(1))
+        statistics = MINEStatisticsNetwork(6, 8, rng=np.random.default_rng(2))
+    positive_batch = encoder.encode_batch(positive)
+    negative_batch = encoder.encode_batch(negative)
+    mine_mutual_information(statistics, positive_batch, negative_batch).backward()
+    return [positive_batch.data, negative_batch.data] + [p.grad for p in encoder.parameters()]
+
+
+class TestFusedGroupEncoder:
+    # Small dense groups, a one-node group, and a >=256-node subgraph per
+    # batch (the CSR branch).  Both batches feed one loss, so gradients
+    # from two kernel nodes accumulate into the same parameters.
+    POSITIVE_SIZES = [3, 7, 1, 300, 12]
+    NEGATIVE_SIZES = [4, 2, 9, 5, 260]
+
+    def _batches(self):
+        rng = np.random.default_rng(0)
+        return _group_graphs(rng, self.POSITIVE_SIZES), _group_graphs(rng, self.NEGATIVE_SIZES)
+
+    def test_float64_embeddings_and_gradients_bitwise(self):
+        positive, negative = self._batches()
+        fused = _encode_and_backprop(GroupEncoder, positive, negative, "float64")
+        oracle = _encode_and_backprop(AutodiffGroupEncoder, positive, negative, "float64")
+        assert len(fused) == 6  # two embedding batches + W1, b1, W2, b2
+        for got, want in zip(fused, oracle):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_float32_embeddings_and_gradients_within_1e5(self):
+        positive, negative = self._batches()
+        fused = _encode_and_backprop(GroupEncoder, positive, negative, "float32")
+        oracle = _encode_and_backprop(AutodiffGroupEncoder, positive, negative, "float32")
+        for got, want in zip(fused, oracle):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    def test_prepared_views_match_graphs(self):
+        positive, _ = self._batches()
+        encoder = GroupEncoder(5, hidden_dim=8, embedding_dim=6)
+        views = [encoder.prepare(graph) for graph in positive]
+        assert all(sp.issparse(v.propagation) == (g.n_nodes >= 256) for v, g in zip(views, positive))
+        assert np.array_equal(encoder.encode_batch(views).data, encoder.encode_batch(positive).data)
+
+    def test_one_tape_node_per_batch_and_none_without_grad(self):
+        positive, _ = self._batches()
+        encoder = GroupEncoder(5, hidden_dim=8, embedding_dim=6)
+        reset_tape_node_count()
+        encoder.encode_batch(positive)
+        assert tape_node_count() == 1
+        reset_tape_node_count()
+        with no_grad():
+            encoder.encode_batch(positive)
+        assert tape_node_count() == 0
+
+    def test_tpgcl_fit_matches_oracle_encoder_bitwise(self, example_graph, monkeypatch):
+        groups = [Group.from_nodes(range(i, i + 6)) for i in range(0, 30, 5)]
+        config = TPGCLConfig(epochs=4, hidden_dim=8, embedding_dim=8, batch_size=4, view_refresh_every=2)
+        fused = TPGCL(config).fit(example_graph, groups)
+        monkeypatch.setattr(tpgcl_module, "GroupEncoder", AutodiffGroupEncoder)
+        oracle = TPGCL(config).fit(example_graph, groups)
+        assert isinstance(oracle.encoder, AutodiffGroupEncoder)
+        assert fused.training_result.losses == oracle.training_result.losses
+        assert np.array_equal(
+            fused.embed_groups(example_graph, groups), oracle.embed_groups(example_graph, groups)
         )
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad[0], np.full(4, 0.5), atol=1e-15)
-
-    def test_segment_mean_validates_sizes(self):
-        x = Tensor(np.ones((4, 2)))
-        with pytest.raises(ValueError):
-            segment_mean(x, [2, 3])
-        with pytest.raises(ValueError):
-            segment_mean(x, [])
-
-    def _random_group_graphs(self, rng, n_graphs=6, n_features=4):
-        graphs = []
-        for _ in range(n_graphs):
-            n = int(rng.integers(3, 9))
-            edges = [(i, (i + 1) % n) for i in range(n)]
-            extra = rng.integers(0, n, size=(3, 2))
-            edges += [tuple(e) for e in extra if e[0] != e[1]]
-            graphs.append(Graph(n, edges, rng.normal(size=(n, n_features))))
-        return graphs
-
-    def test_blockdiag_encode_matches_looped(self):
-        rng = np.random.default_rng(3)
-        graphs = self._random_group_graphs(rng)
-        encoder = GroupEncoder(4, hidden_dim=8, embedding_dim=6, rng=np.random.default_rng(0))
-        looped = encoder.encode_batch(graphs, batched=False)
-        batched = encoder.encode_batch(graphs, batched=True)
-        np.testing.assert_allclose(batched.data, looped.data, atol=1e-8)
-
-    def test_blockdiag_encode_gradients_flow(self):
-        rng = np.random.default_rng(4)
-        graphs = self._random_group_graphs(rng, n_graphs=3)
-        encoder = GroupEncoder(4, hidden_dim=8, embedding_dim=6, rng=np.random.default_rng(0))
-        encoder.encode_batch(graphs, batched=True).sum().backward()
-        for param in encoder.parameters():
-            assert param.grad is not None and np.isfinite(param.grad).all()
 
 
 # ======================================================================
@@ -400,7 +444,7 @@ class TestFloat32Parity:
         assert gae.embed().dtype == np.float32
 
         groups = [Group.from_nodes(range(6)), Group.from_nodes(range(6, 12)), Group.from_nodes(range(12, 18))]
-        model = TPGCL(TPGCLConfig(epochs=2, hidden_dim=8, embedding_dim=8, dtype="float32", batch_views=True))
+        model = TPGCL(TPGCLConfig(epochs=2, hidden_dim=8, embedding_dim=8, dtype="float32"))
         model.fit(example_graph, groups)
         assert model.encoder.dtype == np.float32
         assert model.embed_groups(example_graph, groups).dtype == np.float32
@@ -409,8 +453,8 @@ class TestFloat32Parity:
         config = TPGrGADConfig.fast(seed=1)
         clone = config.accelerated(patience=3, min_delta=1e-5)
         assert config.mhgae.dtype == "float64" and config.tpgcl.dtype == "float64"
-        assert not config.tpgcl.batch_views and config.mhgae.patience == 0
-        assert clone.mhgae.dtype == "float32" and clone.tpgcl.batch_views
+        assert config.mhgae.patience == 0
+        assert clone.mhgae.dtype == "float32" and clone.tpgcl.dtype == "float32"
         assert clone.mhgae.patience == 3 and clone.tpgcl.min_delta == 1e-5
         assert clone.content_hash() != config.content_hash()
 
