@@ -10,20 +10,14 @@ Pins the acceptance claims of the parallel executor:
    is physically possible: hosts exposing ≥2 usable cores (the CI
    runners).  On a single-core host the benchmark still runs and pins
    parity, and records the measured ratio for the trajectory.
-3. **Thread backend** — artifact-mode ``backend="thread"`` is
-   bit-identical to the serial warm path and cheaper than the process
-   backend for the same batch, because it shares one parent-loaded
-   detector instead of paying fork plus a per-worker artifact load.
-   The overhead claim holds on *any* core count (it is a fixed-cost
-   comparison, not a parallelism one), so it is always enforced.
 
-Both tests merge their fields into ``BENCH_parallel.json`` (the artifact
-the CI parallel job uploads); set ``BENCH_PARALLEL_JSON`` to redirect it.
+Writes ``BENCH_parallel.json`` with the host facts of
+``benchmarks/hostinfo.py`` (tracked in git, uploaded by the CI parallel
+job); set ``BENCH_PARALLEL_JSON`` to redirect it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -34,24 +28,11 @@ from repro.datasets import make_example_graph
 from repro.parallel import ParallelExecutor, default_worker_count
 from repro.persist import dump_json
 
+from hostinfo import host_facts
+
 N_GRAPHS = 8
 N_WORKERS = 2
 REQUIRED_SPEEDUP = 1.7
-
-
-def _bench_path() -> str:
-    return os.environ.get("BENCH_PARALLEL_JSON", "BENCH_parallel.json")
-
-
-def _merge_bench(fields: dict) -> None:
-    """Read-modify-write the pinned JSON so each test owns its keys."""
-    path = _bench_path()
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            payload = json.load(handle)
-    payload.update(fields)
-    dump_json(path, payload)
 
 
 def _config() -> TPGrGADConfig:
@@ -110,8 +91,10 @@ def test_sharded_batch_parity_and_speedup(benchmark):
     benchmark.extra_info["sharded_seconds"] = round(sharded_seconds, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
-    _merge_bench(
+    dump_json(
+        os.environ.get("BENCH_PARALLEL_JSON", "BENCH_parallel.json"),
         {
+            "host": host_facts(),
             "n_graphs": N_GRAPHS,
             "n_workers": N_WORKERS,
             "usable_cores": usable_cores,
@@ -121,7 +104,7 @@ def test_sharded_batch_parity_and_speedup(benchmark):
             "required_speedup": REQUIRED_SPEEDUP,
             "speedup_enforced": usable_cores >= N_WORKERS,
             "parity_max_abs_diff": parity_max_abs_diff,
-        }
+        },
     )
 
     print(
@@ -134,76 +117,3 @@ def test_sharded_batch_parity_and_speedup(benchmark):
             f"expected >= {REQUIRED_SPEEDUP}x on {usable_cores} cores, got {speedup:.2f}x"
         )
 
-
-def test_thread_backend_artifact_parity_and_overhead(benchmark, tmp_path):
-    """Claim 3: thread backend = serial warm results, cheaper than processes."""
-    fit_graph = make_example_graph(seed=1)
-    graphs = [make_example_graph(seed=seed) for seed in range(N_GRAPHS)]
-
-    config = _config()
-    fitted = TPGrGAD(config)
-    fitted.fit_detect(fit_graph)
-    artifact = tmp_path / "artifact"
-    fitted.save(artifact)
-
-    warm = TPGrGAD.load(artifact)
-    serial_start = time.perf_counter()
-    serial = [warm.detect_only(graph) for graph in graphs]
-    serial_seconds = time.perf_counter() - serial_start
-
-    thread_executor = ParallelExecutor(
-        config, n_workers=N_WORKERS, artifact=str(artifact), backend="thread"
-    )
-    thread_start = time.perf_counter()
-    threaded = benchmark.pedantic(
-        lambda: thread_executor.fit_detect_many(graphs), rounds=1, iterations=1
-    )
-    thread_seconds = time.perf_counter() - thread_start
-
-    process_executor = ParallelExecutor(
-        config, n_workers=N_WORKERS, artifact=str(artifact), backend="process"
-    )
-    process_start = time.perf_counter()
-    process_executor.fit_detect_many(graphs)
-    process_seconds = time.perf_counter() - process_start
-
-    # --- parity: bit-identical to the serial warm loop -------------------
-    assert len(threaded) == len(serial)
-    for serial_result, thread_result in zip(serial, threaded):
-        assert thread_result.to_json_dict() == serial_result.to_json_dict()
-
-    # --- overhead: no fork, no per-worker artifact load ------------------
-    thread_vs_process = process_seconds / max(thread_seconds, 1e-12)
-    usable_cores = default_worker_count()
-
-    benchmark.extra_info["thread_seconds"] = round(thread_seconds, 3)
-    benchmark.extra_info["process_seconds"] = round(process_seconds, 3)
-    benchmark.extra_info["thread_vs_process"] = round(thread_vs_process, 2)
-
-    _merge_bench(
-        {
-            "thread_backend": {
-                "n_graphs": N_GRAPHS,
-                "n_workers": N_WORKERS,
-                "usable_cores": usable_cores,
-                "warm_serial_seconds": round(serial_seconds, 3),
-                "thread_seconds": round(thread_seconds, 3),
-                "process_seconds": round(process_seconds, 3),
-                "thread_vs_process": round(thread_vs_process, 2),
-                "thread_vs_process_enforced": True,
-            }
-        }
-    )
-
-    print(
-        f"\nartifact-mode {N_GRAPHS}-graph batch ({usable_cores} usable cores): "
-        f"warm serial {serial_seconds:.2f}s, threads {thread_seconds:.2f}s, "
-        f"processes {process_seconds:.2f}s ({thread_vs_process:.2f}x)"
-    )
-    # Fixed-cost claim, enforced everywhere: the process pool pays fork +
-    # N_WORKERS artifact loads that the shared-detector thread pool never
-    # does, so threads must not be slower.
-    assert thread_seconds <= process_seconds, (
-        f"thread backend slower than process backend: "
-        f"{thread_seconds:.2f}s vs {process_seconds:.2f}s"
-    )

@@ -40,8 +40,6 @@ _LAZY_ATTRS = {
     "ParallelExecutor": ("repro.parallel", "ParallelExecutor"),
     "parallel_fit_detect_many": ("repro.parallel", "parallel_fit_detect_many"),
     "PipelineState": ("repro.persist", "PipelineState"),
-    "save_pipeline": ("repro.persist", "save_pipeline"),
-    "load_pipeline": ("repro.persist", "load_pipeline"),
     "to_native": ("repro.persist", "to_native"),
     "ModelRegistry": ("repro.serve", "ModelRegistry"),
     "ScoringServer": ("repro.serve", "ScoringServer"),
@@ -80,8 +78,6 @@ __all__ = [
     "ParallelExecutor",
     "parallel_fit_detect_many",
     "PipelineState",
-    "save_pipeline",
-    "load_pipeline",
     "to_native",
     "ModelRegistry",
     "ScoringServer",

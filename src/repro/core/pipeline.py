@@ -9,19 +9,33 @@
    embeddings with an unsupervised outlier detector (ECOD by default) and
    flag groups whose score exceeds the threshold τ.
 
-Besides the single-graph :meth:`TPGrGAD.fit_detect`, the pipeline exposes
-a batched :meth:`TPGrGAD.fit_detect_many` that scores a list of graphs
-through one call.  Stage outputs (anchors, candidates, group embeddings)
-are cached per ``(graph fingerprint, config)`` so repeated graphs — the
-common case in Table-III-style experiment grids sweeping thresholds or
-detectors — skip the expensive training stages entirely.
+The stages are module-level functions shared by every surface:
+:func:`fit_stages` (train MH-GAE → sample → train TPGCL and embed),
+:func:`warm_stages` (bind a :class:`~repro.persist.PipelineState`'s
+trained models → sample → embed, no training) and :func:`build_result`
+(outlier scores → τ → :class:`GroupDetectionResult`).  Both stage paths
+sample through ``propose_pairs → collect → finalize`` and hand back the
+pairs and :class:`~repro.sampling.SampleCollection`, which the streaming
+detector patches between refits.
+
+:class:`TPGrGAD` is a thin facade over them.  Its one fitted state is the
+public ``state`` attribute, a :class:`~repro.persist.PipelineState`: set
+by a training miss, restored by a stage-cache hit, taken from the
+executor after a sharded ``fit_detect_many``, or given by
+:meth:`TPGrGAD.from_state` / :meth:`TPGrGAD.load`; read by
+:meth:`TPGrGAD.detect_only` and :meth:`TPGrGAD.save`.  Besides the
+single-graph :meth:`TPGrGAD.fit_detect`, the facade exposes a batched
+:meth:`TPGrGAD.fit_detect_many`.  Stage outputs are cached per ``(graph
+fingerprint, config)`` so repeated graphs — the common case in
+Table-III-style experiment grids sweeping thresholds or detectors — skip
+the expensive training stages entirely.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,28 +46,216 @@ from repro.gcl import TPGCL
 from repro.graph import Graph, Group
 from repro.obs.tracer import get_tracer
 from repro.outlier import get_detector
-from repro.sampling import CandidateGroupSampler
+from repro.persist import PipelineState
+from repro.sampling import CandidateGroupSampler, SampleCollection
+
+_UNFITTED = "unfitted pipeline: call fit_detect (or load / from_state) first"
 
 
 @dataclass
-class _StageOutputs:
-    """Everything the deterministic training stages produce for one graph.
+class StageOutputs:
+    """What one pass of the stages produced for one graph.
 
-    The fitted stage models ride along so a cache hit can restore the
-    detector's ``mhgae`` / ``tpgcl`` attributes to the models that actually
-    produced the returned result.
+    ``mhgae`` / ``tpgcl`` are the live models that scored the graph (the
+    post-call inspection surface of :class:`TPGrGAD`); ``state`` is the
+    fitted state they came from or were trained into.
     """
 
     anchor_nodes: np.ndarray
-    node_scores: Optional[np.ndarray]
+    node_scores: np.ndarray
+    pairs: List[Tuple[int, int]]
+    collection: SampleCollection
     candidates: List[Group]
     embeddings: Optional[np.ndarray]
-    mhgae: Optional[MultiHopGAE]
+    mhgae: MultiHopGAE
     tpgcl: Optional[TPGCL]
+    state: PipelineState
 
 
+# ----------------------------------------------------------------------
+# Stage functions
+# ----------------------------------------------------------------------
+def select_anchors(config: TPGrGADConfig, node_scores: np.ndarray) -> np.ndarray:
+    """Stage 1 tail: anchor node indices, sorted by decreasing score."""
+    return select_anchor_nodes(
+        node_scores, fraction=config.anchor_fraction, maximum=config.max_anchors
+    )
+
+
+def sample_stage(
+    config: TPGrGADConfig, graph: Graph, anchor_nodes: Sequence[int]
+) -> Tuple[List[Tuple[int, int]], SampleCollection, List[Group]]:
+    """Stage 2: Algorithm 1 from the anchors as ``(pairs, collection, candidates)``.
+
+    The same ``propose_pairs → collect → finalize`` sequence as
+    :meth:`CandidateGroupSampler.sample`, on a fresh seeded sampler, so
+    every graph draws the same pair subsample however it is batched.
+    """
+    anchors = [int(a) for a in anchor_nodes]
+    if not anchors:
+        return [], SampleCollection(), []
+    sampler = CandidateGroupSampler(config.sampler)
+    pairs = sampler.propose_pairs(anchors)
+    collection = sampler.collect(graph, anchors, pairs)
+    return pairs, collection, sampler.finalize(collection.ordered_candidates(pairs, anchors))
+
+
+def represent_groups(tpgcl: Optional[TPGCL], graph: Graph, groups: Sequence[Group]) -> np.ndarray:
+    """Stage-3 representation of ``groups``: TPGCL embedding ‖ mean features.
+
+    The representation handed to the outlier detector keeps the group's
+    aggregate attribute profile alongside the topology-pattern-sensitive
+    TPGCL embedding (implementation note in DESIGN.md): the contrastive
+    objective alone is free to discard attribute-level signal that the
+    detector still needs.  Without an encoder (Table V, "w/o TPGCL") the
+    mean node features are the whole representation.
+    """
+    features = np.vstack([graph.features[list(group.nodes)].mean(axis=0) for group in groups])
+    if tpgcl is None:
+        return features
+    return np.hstack([tpgcl.embed_groups(graph, groups), features])
+
+
+def _embed(
+    config: TPGrGADConfig,
+    graph: Graph,
+    candidates: List[Group],
+    encoder: Callable[[], Optional[TPGCL]],
+) -> Tuple[Optional[TPGCL], Optional[np.ndarray]]:
+    """Stage 3 embedding; ``encoder`` is called only when the TPGCL head applies.
+
+    The single home of the head's gating rule (``use_tpgcl`` and at least
+    two candidates), shared by the training and warm paths.
+    """
+    if not candidates:
+        return None, None
+    tpgcl = encoder() if config.use_tpgcl and len(candidates) >= 2 else None
+    return tpgcl, represent_groups(tpgcl, graph, candidates)
+
+
+def fit_anchors(config: TPGrGADConfig, graph: Graph) -> Tuple[MultiHopGAE, np.ndarray, np.ndarray]:
+    """Stage 1: train MH-GAE on ``graph``; returns ``(mhgae, node_scores, anchors)``."""
+    mhgae = MultiHopGAE(config.mhgae).fit(graph)
+    node_scores = mhgae.score_nodes()
+    return mhgae, node_scores, select_anchors(config, node_scores)
+
+
+def fit_stages(config: TPGrGADConfig, graph: Graph) -> StageOutputs:
+    """Train every stage on ``graph`` (anchors → sampling → embedding).
+
+    Every model is seeded from ``config``, so the same ``(graph, config)``
+    always reproduces the same outputs and the same fitted state.
+    """
+    tracer = get_tracer()
+    with tracer.span("stage.anchors"):
+        mhgae, node_scores, anchors = fit_anchors(config, graph)
+    with tracer.span("stage.sampling") as span:
+        pairs, collection, candidates = sample_stage(config, graph, anchors)
+        span.add("n_candidates", len(candidates))
+    with tracer.span("stage.embed"):
+        tpgcl, embeddings = _embed(
+            config, graph, candidates, lambda: TPGCL(config.tpgcl).fit(graph, candidates)
+        )
+    return StageOutputs(
+        anchor_nodes=anchors,
+        node_scores=node_scores,
+        pairs=pairs,
+        collection=collection,
+        candidates=candidates,
+        embeddings=embeddings,
+        mhgae=mhgae,
+        tpgcl=tpgcl,
+        state=PipelineState.from_models(config, graph, mhgae, tpgcl),
+    )
+
+
+def warm_stages(config: TPGrGADConfig, state: PipelineState, graph: Graph) -> StageOutputs:
+    """Score ``graph`` with ``state``'s trained models (bind → sampling → warm embed).
+
+    Nothing is trained.  The models are bound under the config they were
+    trained with (``state.config``); ``config`` drives everything else
+    (anchor fraction, sampler, TPGCL gating, detector).  The computation
+    reads only ``state`` and locals, so concurrent calls on one state each
+    produce their serial result.
+    """
+    tracer = get_tracer()
+    with tracer.span("stage.warm_bind"):
+        mhgae = state.bind_mhgae(graph)
+        node_scores = mhgae.score_nodes()
+        anchors = select_anchors(config, node_scores)
+    with tracer.span("stage.sampling") as span:
+        pairs, collection, candidates = sample_stage(config, graph, anchors)
+        span.add("n_candidates", len(candidates))
+    with tracer.span("stage.warm_embed"):
+        tpgcl, embeddings = _embed(config, graph, candidates, state.bind_tpgcl)
+    return StageOutputs(
+        anchor_nodes=anchors,
+        node_scores=node_scores,
+        pairs=pairs,
+        collection=collection,
+        candidates=candidates,
+        embeddings=embeddings,
+        mhgae=mhgae,
+        tpgcl=tpgcl,
+        state=state,
+    )
+
+
+def build_result(
+    config: TPGrGADConfig,
+    candidates: List[Group],
+    embeddings: Optional[np.ndarray],
+    anchor_nodes: Sequence[int],
+    node_scores: Optional[np.ndarray],
+    threshold: Optional[float] = None,
+) -> GroupDetectionResult:
+    """Outlier-score the candidate embeddings, set τ, flag the anomalous groups.
+
+    ``threshold=None`` sets τ to the ``1 - contamination`` quantile of the
+    scores.  Containers are copied at this boundary (Group objects
+    themselves are frozen) so a caller mutating a returned result can
+    never corrupt a cache or the results of later calls.
+    """
+    anchor_nodes = np.asarray(anchor_nodes, dtype=int).copy()
+    node_scores = None if node_scores is None else node_scores.copy()
+    if not candidates:
+        return GroupDetectionResult(
+            candidate_groups=[],
+            scores=np.array([]),
+            threshold=0.0,
+            anomalous_groups=[],
+            anchor_nodes=anchor_nodes,
+            node_scores=node_scores,
+        )
+    with get_tracer().span("stage.score"):
+        scores = get_detector(config.detector).fit_scores(embeddings)
+    if threshold is None:
+        threshold = float(np.quantile(scores, 1.0 - config.contamination))
+    anomalous = [
+        group.with_score(float(score))
+        for group, score in zip(candidates, scores)
+        if score >= threshold
+    ]
+    return GroupDetectionResult(
+        candidate_groups=list(candidates),
+        scores=scores,
+        threshold=float(threshold),
+        anomalous_groups=anomalous,
+        anchor_nodes=anchor_nodes,
+        embeddings=embeddings.copy(),
+        node_scores=node_scores,
+    )
+
+
+# ----------------------------------------------------------------------
+# The facade
+# ----------------------------------------------------------------------
 class TPGrGAD:
     """Topology Pattern Enhanced Unsupervised Group-level Graph Anomaly Detection.
+
+    ``state`` is the fitted pipeline (None until a fit, :meth:`load` or
+    :meth:`from_state`); ``mhgae`` / ``tpgcl`` are the live models of the
+    last call, kept for inspection only.
 
     Examples
     --------
@@ -66,85 +268,28 @@ class TPGrGAD:
 
     def __init__(self, config: Optional[TPGrGADConfig] = None) -> None:
         self.config = config or TPGrGADConfig()
+        self.state: Optional[PipelineState] = None
         self.mhgae: Optional[MultiHopGAE] = None
         self.tpgcl: Optional[TPGCL] = None
-        self._graph: Optional[Graph] = None
-        self._stage_cache: "OrderedDict[Tuple[str, str], _StageOutputs]" = OrderedDict()
+        self._stage_cache: "OrderedDict[Tuple[str, str], StageOutputs]" = OrderedDict()
         self.cache_hits: int = 0
         self.cache_misses: int = 0
         self.cache_evictions: int = 0
-        # Loaded artifact state (set by TPGrGAD.load); detect_only prefers
-        # it over the live fitted models.
-        self._warm_state = None
-        # Identity of the graph the live models were actually *trained* on
-        # (detect_only rebinds self._graph to whatever it serves, so the
-        # manifest fingerprint cannot come from there), and the TPGCL that
-        # training produced (detect_only may null self.tpgcl for a serve
-        # that skipped the head — that must never erase trained weights
-        # from what save() exports).
-        self._fitted_fingerprint: Optional[str] = None
-        self._fitted_n_features: Optional[int] = None
-        self._fitted_tpgcl: Optional[TPGCL] = None
 
     # ------------------------------------------------------------------
-    # Stage 1: anchor localization
+    # Individual stages (the Figure 6 experiment drives them one by one)
     # ------------------------------------------------------------------
     def locate_anchors(self, graph: Graph) -> np.ndarray:
         """Fit MH-GAE and return anchor node indices (sorted by error)."""
-        # Real training supersedes any loaded artifact state: save() must
-        # export the freshly fitted models from here on, not the stale
-        # weights the detector was loaded with.
-        self._warm_state = None
-        self._fitted_fingerprint = graph.fingerprint()
-        self._fitted_n_features = graph.n_features
-        self._fitted_tpgcl = None  # a new training generation begins
-        self.mhgae = MultiHopGAE(self.config.mhgae)
-        self.mhgae.fit(graph)
-        return select_anchor_nodes(
-            self.mhgae.score_nodes(),
-            fraction=self.config.anchor_fraction,
-            maximum=self.config.max_anchors,
-        )
+        self.mhgae, _, anchors = fit_anchors(self.config, graph)
+        return anchors
 
-    # ------------------------------------------------------------------
-    # Stage 2: candidate group sampling
-    # ------------------------------------------------------------------
     def sample_candidates(self, graph: Graph, anchor_nodes: Sequence[int]) -> List[Group]:
         """Run Algorithm 1 from the anchor nodes."""
-        sampler = CandidateGroupSampler(self.config.sampler)
-        return sampler.sample(graph, anchor_nodes)
+        return sample_stage(self.config, graph, anchor_nodes)[2]
 
     # ------------------------------------------------------------------
-    # Stage 3: discrimination
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _mean_features(graph: Graph, candidates: List[Group]) -> np.ndarray:
-        return np.vstack(
-            [graph.features[list(group.nodes)].mean(axis=0) for group in candidates]
-        )
-
-    def _embed_candidates(self, graph: Graph, candidates: List[Group]) -> np.ndarray:
-        mean_features = self._mean_features(graph, candidates)
-        if self.config.use_tpgcl and len(candidates) >= 2:
-            self.tpgcl = TPGCL(self.config.tpgcl)
-            self.tpgcl.fit(graph, candidates)
-            self._fitted_tpgcl = self.tpgcl
-            contrastive = self.tpgcl.embed_groups(graph, candidates)
-            # The representation handed to the outlier detector keeps the
-            # group's aggregate attribute profile alongside the topology-
-            # pattern-sensitive TPGCL embedding (implementation note in
-            # DESIGN.md): the contrastive objective alone is free to discard
-            # attribute-level signal that the detector still needs.
-            return np.hstack([contrastive, mean_features])
-        # Table V ablation ("w/o TPGCL"): mean node features per group only.
-        return mean_features
-
-    def _score_embeddings(self, embeddings: np.ndarray) -> np.ndarray:
-        detector = get_detector(self.config.detector)
-        return detector.fit_scores(embeddings)
-
-    # ------------------------------------------------------------------
-    # Stage orchestration + per-graph cache
+    # Per-graph stage cache
     # ------------------------------------------------------------------
     def _cache_key(self, graph: Graph) -> Tuple[str, str]:
         # content_hash covers every hyperparameter of every stage, so two
@@ -153,7 +298,6 @@ class TPGrGAD:
         # registry use, so a cache key can be correlated with a deployed
         # model version.
         return (graph.fingerprint(), self.config.content_hash())
-
     def clear_cache(self) -> None:
         """Drop all cached stage outputs and reset the cache counters."""
         self._stage_cache.clear()
@@ -178,8 +322,8 @@ class TPGrGAD:
             "maxsize": self.config.cache_size,
         }
 
-    def _run_stages(self, graph: Graph) -> _StageOutputs:
-        """Run (or recall) the deterministic training stages for ``graph``.
+    def _run_stages(self, graph: Graph) -> StageOutputs:
+        """Run (or recall) the training stages for ``graph``.
 
         Every stage is seeded from the config, so recomputing for the same
         ``(graph fingerprint, config)`` key reproduces the cached outputs;
@@ -192,37 +336,10 @@ class TPGrGAD:
             self._stage_cache.move_to_end(key)
             self.cache_hits += 1
             tracer.add("cache_hits")
-            # Keep the stage-model attributes consistent with the result:
-            # callers inspect e.g. ``detector.mhgae.score_nodes()`` after a
-            # fit, and must see the models that scored *this* graph.
-            self.mhgae = cached.mhgae
-            self.tpgcl = cached.tpgcl
-            self._fitted_fingerprint = key[0]
-            self._fitted_n_features = graph.n_features
-            self._fitted_tpgcl = cached.tpgcl
-            # The rebound generation supersedes any cached/loaded export,
-            # exactly as training does on the miss path.
-            self._warm_state = None
             return cached
         self.cache_misses += 1
         tracer.add("cache_misses")
-
-        self.tpgcl = None  # only set when the TPGCL stage actually runs
-        with tracer.span("stage.anchors"):
-            anchor_nodes = self.locate_anchors(graph)
-        with tracer.span("stage.sampling") as span:
-            candidates = self.sample_candidates(graph, anchor_nodes)
-            span.add("n_candidates", len(candidates))
-        with tracer.span("stage.embed"):
-            embeddings = self._embed_candidates(graph, candidates) if candidates else None
-        outputs = _StageOutputs(
-            anchor_nodes=np.asarray(anchor_nodes),
-            node_scores=self.mhgae.score_nodes() if self.mhgae else None,
-            candidates=candidates,
-            embeddings=embeddings,
-            mhgae=self.mhgae,
-            tpgcl=self.tpgcl,
-        )
+        outputs = fit_stages(self.config, graph)
         if key is not None:
             self._stage_cache[key] = outputs
             while len(self._stage_cache) > self.config.cache_size:
@@ -231,40 +348,16 @@ class TPGrGAD:
                 tracer.add("cache_evictions")
         return outputs
 
-    def _score_stages(self, outputs: _StageOutputs, threshold: Optional[float]) -> GroupDetectionResult:
-        """Turn stage outputs into a scored, thresholded result.
-
-        Containers are copied at this boundary (Group objects themselves
-        are frozen) so a caller mutating a returned result can never
-        corrupt the cache or results of later calls.
-        """
-        if not outputs.candidates:
-            return GroupDetectionResult(
-                candidate_groups=[],
-                scores=np.array([]),
-                threshold=0.0,
-                anomalous_groups=[],
-                anchor_nodes=outputs.anchor_nodes.copy(),
-                node_scores=None if outputs.node_scores is None else outputs.node_scores.copy(),
-            )
-
-        with get_tracer().span("stage.score"):
-            scores = self._score_embeddings(outputs.embeddings)
-        if threshold is None:
-            threshold = float(np.quantile(scores, 1.0 - self.config.contamination))
-        anomalous = [
-            group.with_score(float(score))
-            for group, score in zip(outputs.candidates, scores)
-            if score >= threshold
-        ]
-        return GroupDetectionResult(
-            candidate_groups=list(outputs.candidates),
-            scores=scores,
-            threshold=float(threshold),
-            anomalous_groups=anomalous,
-            anchor_nodes=outputs.anchor_nodes.copy(),
-            embeddings=outputs.embeddings.copy(),
-            node_scores=None if outputs.node_scores is None else outputs.node_scores.copy(),
+    def _result(self, outputs: StageOutputs, threshold: Optional[float]) -> GroupDetectionResult:
+        # Rebind the inspection attributes to the models behind this result.
+        self.mhgae, self.tpgcl = outputs.mhgae, outputs.tpgcl
+        return build_result(
+            self.config,
+            outputs.candidates,
+            outputs.embeddings,
+            outputs.anchor_nodes,
+            outputs.node_scores,
+            threshold,
         )
 
     # ------------------------------------------------------------------
@@ -272,6 +365,10 @@ class TPGrGAD:
     # ------------------------------------------------------------------
     def fit_detect(self, graph: Graph, threshold: Optional[float] = None) -> GroupDetectionResult:
         """Run the full pipeline on ``graph`` and return scored groups.
+
+        Afterwards ``state`` is the fitted state of this graph's
+        generation — freshly trained on a cache miss, the cached one on a
+        hit — superseding whatever state the detector held before.
 
         Parameters
         ----------
@@ -284,8 +381,9 @@ class TPGrGAD:
         """
         tracer = get_tracer()
         with tracer.span("pipeline.fit_detect") as span:
-            self._graph = graph
-            result = self._score_stages(self._run_stages(graph), threshold)
+            outputs = self._run_stages(graph)
+            self.state = outputs.state
+            result = self._result(outputs, threshold)
             if tracer.enabled:
                 span.set("n_nodes", graph.n_nodes)
                 span.set("n_candidates", result.n_candidates)
@@ -311,12 +409,12 @@ class TPGrGAD:
         :class:`repro.parallel.ParallelExecutor`; results are bit-identical
         to the serial order, the executor's duplicate-graph hits are
         merged back into this detector's ``cache_hits``/``cache_misses``
-        counters, and the post-fit contract survives: this detector ends
-        up holding (warm-bound copies of) the models that scored the
-        batch's last graph, so ``save()`` / ``mhgae.score_nodes()`` work
-        exactly as after a serial call.  Only the stage *cache* stays
-        local to the workers — the fitted model objects cannot cross the
-        process boundary.
+        counters, and the post-fit contract survives: ``state`` becomes
+        the executor's ``final_state`` (the batch's last graph) and
+        ``mhgae`` / ``tpgcl`` are bound from it, so ``save()`` /
+        ``mhgae.score_nodes()`` work exactly as after a serial call.  Only
+        the stage *cache* stays local to the workers — the fitted model
+        objects cannot cross the process boundary.
         """
         if n_workers is not None and n_workers > 1:
             from repro.parallel import ParallelExecutor
@@ -326,121 +424,58 @@ class TPGrGAD:
             results = executor.fit_detect_many(graphs, threshold=threshold)
             self.cache_hits += executor.cache_hits
             self.cache_misses += executor.cache_misses
-            if executor.final_state is not None and graphs:
-                state = executor.final_state
-                # The batch trained fresh models; they supersede any
-                # loaded artifact state exactly as serial training does.
-                self._warm_state = None
-                self._graph = graphs[-1]
-                self._fitted_fingerprint = state.graph_fingerprint
-                self._fitted_n_features = state.n_features
-                self.mhgae = state.bind_mhgae(graphs[-1])
-                self.tpgcl = state.bind_tpgcl()
-                self._fitted_tpgcl = self.tpgcl
+            if executor.final_state is not None:
+                self.state = executor.final_state
+                self.mhgae = self.state.bind_mhgae(graphs[-1])
+                self.tpgcl = self.state.bind_tpgcl()
             return results
         return [self.fit_detect(graph, threshold=threshold) for graph in graphs]
 
     # ------------------------------------------------------------------
     # Warm inference + persistence
     # ------------------------------------------------------------------
+    def _fitted_state(self) -> PipelineState:
+        if self.state is None:
+            raise RuntimeError(_UNFITTED)
+        return self.state
+
     def detect_only(self, graph: Graph, threshold: Optional[float] = None) -> GroupDetectionResult:
-        """Score ``graph`` with the already-trained stage models (no training).
+        """Score ``graph`` with the fitted ``state`` (no training).
 
-        Uses the loaded artifact state when this detector came from
-        :meth:`load`, otherwise the live models of the last
-        :meth:`fit_detect`.  On the graph the pipeline was fitted on this
-        reproduces ``fit_detect`` exactly (same weights, same seeded
-        sampler); on *new* graphs of the same feature dimensionality it is
-        the warm-start serving path — anchors are scored by the trained
+        On the graph the pipeline was fitted on this reproduces
+        ``fit_detect`` exactly (same weights, same seeded sampler); on
+        *new* graphs of the same feature dimensionality it is the
+        warm-start serving path — anchors are scored by the trained
         MH-GAE and candidates embedded by the trained TPGCL encoder, with
-        only the cheap sampling and outlier stages recomputed.
+        only the cheap sampling and outlier stages recomputed.  ``state``
+        itself is left untouched.
 
-        The computation itself only reads the (immutable) config and
-        :class:`~repro.persist.PipelineState`, and every per-call model
-        binding and intermediate lives in locals — overlapping
-        ``detect_only`` calls on one warm detector from multiple threads
-        each produce exactly their serial result.  The instance attributes
-        (``mhgae`` / ``tpgcl`` / ``_graph``) are rebound only at the end,
-        as the usual post-call inspection surface; under concurrency they
-        reflect *some* recent call, never a torn mix inside a result.
+        The computation reads only the config and ``state`` and keeps
+        every per-call model binding in locals (:func:`warm_stages`), so
+        overlapping ``detect_only`` calls on one warm detector from
+        multiple threads each produce exactly their serial result.  The
+        ``mhgae`` / ``tpgcl`` inspection attributes are rebound at the
+        end; under concurrency they reflect *some* recent call.
         """
-        from repro.persist import PipelineState
-
+        state = self._fitted_state()
         tracer = get_tracer()
         with tracer.span("pipeline.detect_only") as top:
-            state = self._warm_state
-            if state is None:
-                # Cache the export: serving N graphs must not re-copy every
-                # parameter array N times.  Training invalidates this via
-                # locate_anchors (which clears _warm_state).
-                state = PipelineState.from_fitted(self)
-                self._warm_state = state
-
-            with tracer.span("stage.warm_bind"):
-                mhgae = state.bind_mhgae(graph)
-                node_scores = mhgae.score_nodes()
-                anchor_nodes = select_anchor_nodes(
-                    node_scores,
-                    fraction=self.config.anchor_fraction,
-                    maximum=self.config.max_anchors,
-                )
-            with tracer.span("stage.sampling") as span:
-                candidates = self.sample_candidates(graph, anchor_nodes)
-                span.add("n_candidates", len(candidates))
-
-            with tracer.span("stage.warm_embed"):
-                tpgcl, embeddings = self._warm_embed(state, graph, candidates)
-
-            outputs = _StageOutputs(
-                anchor_nodes=np.asarray(anchor_nodes),
-                node_scores=node_scores,
-                candidates=candidates,
-                embeddings=embeddings,
-                mhgae=mhgae,
-                tpgcl=tpgcl,
-            )
-            self._graph = graph
-            self.mhgae = mhgae
-            self.tpgcl = tpgcl
+            outputs = warm_stages(self.config, state, graph)
             if tracer.enabled:
                 top.set("n_nodes", graph.n_nodes)
-            return self._score_stages(outputs, threshold)
-
-    def _warm_embed(self, state, graph: Graph, candidates: List[Group]):
-        """Embed candidates with a PipelineState's trained encoder (no training).
-
-        The single home of the warm TPGCL gating rule — the head applies
-        exactly when the training path would have run it (``use_tpgcl``,
-        ≥ 2 candidates) *and* the state actually carries a trained
-        encoder.  Returns ``(tpgcl_or_None, embeddings_or_None)``; used by
-        :meth:`detect_only` and the streaming warm start.
-        """
-        if not candidates:
-            return None, None
-        mean_features = self._mean_features(graph, candidates)
-        tpgcl = (
-            state.bind_tpgcl()
-            if self.config.use_tpgcl and len(candidates) >= 2
-            else None
-        )
-        if tpgcl is not None:
-            contrastive = tpgcl.embed_groups(graph, candidates)
-            return tpgcl, np.hstack([contrastive, mean_features])
-        return None, mean_features
+            return self._result(outputs, threshold)
 
     def save(self, path) -> str:
-        """Persist the fitted pipeline as an artifact directory.
+        """Write ``state`` as an artifact directory.
 
-        Writes encoder/MH-GAE parameters as ``arrays.npz`` plus a JSON
-        manifest (config, graph fingerprint, library versions); see
+        Encoder/MH-GAE parameters go to ``arrays.npz`` plus a JSON
+        manifest (config, fitted-graph fingerprint, library versions); see
         :mod:`repro.persist.artifact` for the format.
         """
-        from repro.persist import save_pipeline
-
-        return str(save_pipeline(self, path))
+        return str(self._fitted_state().save(path))
 
     @classmethod
-    def from_state(cls, state) -> "TPGrGAD":
+    def from_state(cls, state: PipelineState) -> "TPGrGAD":
         """Wrap a :class:`repro.persist.PipelineState` in a warm detector.
 
         The in-memory counterpart of :meth:`load`: the returned detector
@@ -450,7 +485,7 @@ class TPGrGAD:
         serving detector from it through this public seam.
         """
         detector = cls(state.config)
-        detector._warm_state = state
+        detector.state = state
         return detector
 
     @classmethod
@@ -461,6 +496,4 @@ class TPGrGAD:
         retraining — and reproduces the saved pipeline's in-memory
         ``fit_detect`` scores to machine precision on the fitted graph.
         """
-        from repro.persist import load_pipeline
-
-        return load_pipeline(path)
+        return cls.from_state(PipelineState.load(path))

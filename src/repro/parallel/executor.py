@@ -26,12 +26,10 @@ fewer misses — the *results* are identical either way.  ``cache_size ==
 0`` disables the collapse entirely, mirroring a cache-disabled serial
 run.
 
-``backend="thread"`` swaps the process pool for a
-``ThreadPoolExecutor`` in *artifact mode only*: warm ``detect_only`` is
-pinned thread-safe (``tests/test_serve.py``), so every thread can share
-one parent-loaded detector — no fork, no per-worker artifact load, no
-pickling.  Fit paths mutate per-pipeline state and stay process-only, so
-``backend="thread"`` without ``artifact`` raises.
+Fitting workers hand back the fitted ``TPGrGAD.state`` (a picklable
+:class:`repro.persist.PipelineState`) of the batch's last graph as
+``final_state``; artifact-mode workers load the broadcast artifact once
+per chunk and serve ``detect_only`` from its state.
 
 On a single-core host the pool still shards correctly (parity is a
 property of seed derivation, not of concurrency); wall-clock speedups
@@ -45,7 +43,7 @@ import math
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import TPGrGADConfig
@@ -78,12 +76,11 @@ def _worker_fit_detect(
 ) -> Tuple[List[GroupDetectionResult], int, int, Optional[object]]:
     """Score one chunk; returns (results, cache_hits, cache_misses, state).
 
-    ``state_index`` asks for a :class:`repro.persist.PipelineState`
-    snapshot of the models that scored that chunk-local graph (the fitted
-    models themselves hold unpicklable closures; their state dicts are
-    plain arrays).  The parent warm-binds it so the serial post-fit
-    contract — the caller's detector exposes the models that scored the
-    batch's last graph — survives sharding.
+    ``state_index`` asks for the fitted ``state`` of that chunk-local
+    graph (the fitted models themselves hold unpicklable closures; a
+    :class:`repro.persist.PipelineState` is plain arrays).  The parent
+    adopts it so the serial post-fit contract — the caller's detector
+    holds the state of the batch's last graph — survives sharding.
 
     ``trace`` is ``(shard_dir, trace_id, parent_span_id, chunk_index)``:
     tracer memory cannot cross the process boundary, so a traced parent
@@ -128,7 +125,7 @@ def _worker_fit_detect(
             hits += detector.cache_hits
             misses += detector.cache_misses
         if index == state_index:
-            state = PipelineState.from_fitted(detector)
+            state = detector.state
     if seeds is None:
         hits, misses = detector.cache_hits, detector.cache_misses
     return results, hits, misses, state
@@ -168,13 +165,6 @@ class ParallelExecutor:
         Path of a saved pipeline artifact to broadcast: every worker
         loads it once and serves warm ``detect_only`` for its whole
         chunk instead of retraining per graph.
-    backend:
-        ``"process"`` (default) shards over a ``ProcessPoolExecutor``;
-        ``"thread"`` uses threads sharing **one** parent-loaded warm
-        detector — valid only with ``artifact`` (``detect_only`` is the
-        thread-safe path), and the cheaper choice there since it skips
-        fork and per-worker artifact loads.  ``run_experiments`` always
-        uses processes.
 
     Examples
     --------
@@ -192,32 +182,21 @@ class ParallelExecutor:
         chunk_size: Optional[int] = None,
         derive_seeds: bool = False,
         artifact: Optional[str] = None,
-        backend: str = "process",
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        backend = str(backend)
-        if backend not in ("process", "thread"):
-            raise ValueError(f"backend must be 'process' or 'thread', got {backend!r}")
-        if backend == "thread" and artifact is None:
-            raise ValueError(
-                "backend='thread' requires a broadcast artifact: warm detect_only "
-                "is the thread-safe path; fit paths stay process-only"
-            )
         self.config = config or TPGrGADConfig()
         self.n_workers = default_worker_count() if n_workers is None else int(n_workers)
         self.chunk_size = chunk_size
         self.derive_seeds = derive_seeds
         self.artifact = None if artifact is None else str(artifact)
-        self.backend = backend
-        self._thread_detector: Optional[TPGrGAD] = None
         # Counters mirroring TPGrGAD's: cross-worker duplicate collapses
         # count as hits, worker-local LRU activity is merged in.
         self.cache_hits = 0
         self.cache_misses = 0
-        # PipelineState of the models that scored the latest batch's last
-        # item (None in artifact mode) — what fit_detect_many's parallel
-        # route warm-binds to keep the serial post-fit contract.
+        # Fitted state of the latest batch's last item (None in artifact
+        # mode) — what fit_detect_many's parallel route adopts to keep the
+        # serial post-fit contract.
         self.final_state = None
 
     # ------------------------------------------------------------------
@@ -227,41 +206,6 @@ class ParallelExecutor:
             return []
         size = self.chunk_size or math.ceil(n_items / max(1, self.n_workers))
         return [(start, min(start + size, n_items)) for start in range(0, n_items, size)]
-
-    # ------------------------------------------------------------------
-    def _shared_detector(self) -> TPGrGAD:
-        """The one warm detector every thread shard scores on (lazy load)."""
-        if self._thread_detector is None:
-            self._thread_detector = TPGrGAD.load(self.artifact)
-        return self._thread_detector
-
-    def _thread_chunk(
-        self,
-        detector: TPGrGAD,
-        graphs: List[Graph],
-        threshold: Optional[float],
-        tracer: Tracer,
-        parent_span_id: Optional[str],
-        chunk_index: int,
-    ):
-        """Thread-backend shard: warm ``detect_only`` on the shared detector.
-
-        Same output shape as :func:`_worker_fit_detect` in artifact mode.
-        Worker threads start with a fresh contextvar context, so span
-        parentage is re-established via a child :class:`Tracer` whose
-        spans merge back under the parent's lock — no JSONL hand-off.
-        """
-        if tracer.enabled:
-            child = Tracer(trace_id=tracer.trace_id, parent_span_id=parent_span_id)
-            with use_tracer(child):
-                with child.span(
-                    "parallel.chunk", chunk=chunk_index, n_graphs=len(graphs), backend="thread"
-                ):
-                    results = [detector.detect_only(graph, threshold=threshold) for graph in graphs]
-            tracer.ingest(child.spans)
-        else:
-            results = [detector.detect_only(graph, threshold=threshold) for graph in graphs]
-        return results, 0, 0, None
 
     # ------------------------------------------------------------------
     def fit_detect_many(
@@ -307,15 +251,9 @@ class ParallelExecutor:
         final_unique = assignment[-1] if self.artifact is None else None
         tracer = get_tracer()
         use_pool = self.n_workers > 1 and len(bounds) > 1
-        use_threads = use_pool and self.backend == "thread"
-        # The in-process path records into the global tracer directly,
-        # and thread shards merge spans in-memory via Tracer.ingest;
-        # only real process shards need the JSONL hand-off.
-        shard_dir = (
-            tempfile.mkdtemp(prefix="repro-trace-")
-            if tracer.enabled and use_pool and not use_threads
-            else None
-        )
+        # The in-process path records into the global tracer directly;
+        # process shards hand their spans back as JSONL files.
+        shard_dir = tempfile.mkdtemp(prefix="repro-trace-") if tracer.enabled and use_pool else None
         with tracer.span("parallel.fit_detect_many") as span:
             if tracer.enabled:
                 span.set("n_graphs", len(graphs))
@@ -340,22 +278,6 @@ class ParallelExecutor:
             try:
                 if not use_pool:
                     shard_outputs = [_worker_fit_detect(*task) for task in tasks]
-                elif use_threads:
-                    detector = self._shared_detector()
-                    with ThreadPoolExecutor(max_workers=min(self.n_workers, len(tasks))) as pool:
-                        futures = [
-                            pool.submit(
-                                self._thread_chunk,
-                                detector,
-                                unique[start:end],
-                                threshold,
-                                tracer,
-                                parent_span_id,
-                                chunk,
-                            )
-                            for chunk, (start, end) in enumerate(bounds)
-                        ]
-                        shard_outputs = [future.result() for future in futures]
                 else:
                     with ProcessPoolExecutor(max_workers=min(self.n_workers, len(tasks))) as pool:
                         futures = [pool.submit(_worker_fit_detect, *task) for task in tasks]

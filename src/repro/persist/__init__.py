@@ -10,8 +10,6 @@ from repro.persist.artifact import (
     PipelineState,
     config_from_dict,
     config_to_dict,
-    load_pipeline,
-    save_pipeline,
 )
 from repro.persist.serialize import dump_json, to_native
 
@@ -21,7 +19,5 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "dump_json",
-    "load_pipeline",
-    "save_pipeline",
     "to_native",
 ]

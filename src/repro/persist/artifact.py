@@ -16,11 +16,14 @@ An artifact is a directory with two files:
   :func:`repro.persist.serialize.to_native`, so numpy scalars in configs
   can never corrupt the manifest.
 
-:class:`PipelineState` is the in-memory form; ``TPGrGAD.save`` /
-``TPGrGAD.load`` are thin wrappers over :func:`save_pipeline` /
-:func:`load_pipeline`.  MLOps rationale in DESIGN.md: the artifact is the
-reproducible unit of deployment — a worker (or a restarted stream
-process) loads it and serves ``detect_only`` without retraining.
+:class:`PipelineState` is the in-memory form and the *only* fitted state
+of a pipeline: ``TPGrGAD.state`` holds one (built from the trained
+models by :meth:`PipelineState.from_models`, or read from disk by
+:meth:`PipelineState.load`), and ``TPGrGAD.save`` writes it unchanged.
+MLOps rationale in DESIGN.md: the artifact is the reproducible unit of
+deployment — a worker (or a restarted stream process) loads it and
+serves ``detect_only`` without retraining, and it records exactly the
+config and graph its weights were trained under.
 
 Module-level imports stay numpy-only: ``repro.core.result`` imports this
 package for :func:`to_native`, so pulling ``repro.core`` in eagerly here
@@ -68,7 +71,7 @@ def config_to_dict(config: "TPGrGADConfig") -> Dict:
     import dataclasses
 
     payload = to_native(dataclasses.asdict(config))
-    payload["derived_stage_seeds"] = list(getattr(config, "derived_stage_seeds", ()))
+    payload["derived_stage_seeds"] = list(config.derived_stage_seeds)
     return payload
 
 
@@ -94,7 +97,12 @@ def config_from_dict(payload: Dict) -> "TPGrGADConfig":
 # ----------------------------------------------------------------------
 @dataclass
 class PipelineState:
-    """Everything needed to serve a fitted pipeline without retraining."""
+    """Everything needed to serve a fitted pipeline without retraining.
+
+    This is the one fitted state of a pipeline (``TPGrGAD.state``): the
+    trained weights plus the config and graph fingerprint they were
+    trained under.  Serving binds models *from* it and never rebinds it.
+    """
 
     config: "TPGrGADConfig"
     n_features: int
@@ -105,34 +113,25 @@ class PipelineState:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_fitted(cls, detector) -> "PipelineState":
-        """Capture a fitted ``TPGrGAD`` (after ``fit_detect``).
+    def from_models(
+        cls,
+        config: "TPGrGADConfig",
+        graph: "Graph",
+        mhgae: "MultiHopGAE",
+        tpgcl: Optional["TPGCL"],
+    ) -> "PipelineState":
+        """The state of stage models freshly trained on ``graph``.
 
-        The recorded fingerprint is that of the graph the models were
-        *trained* on (tracked by the pipeline at fit time) — serving
-        ``detect_only`` on other graphs rebinds ``detector._graph`` but
-        must never change what the manifest claims the weights came from.
+        ``tpgcl`` is None when the TPGCL head never ran (``use_tpgcl``
+        off, or fewer than two candidates).
         """
-        if detector.mhgae is None:
-            raise RuntimeError("cannot export an unfitted pipeline: call fit_detect first")
-        graph = detector._graph
-        fingerprint = getattr(detector, "_fitted_fingerprint", None)
-        n_features = getattr(detector, "_fitted_n_features", None)
-        if fingerprint is None and graph is not None:
-            fingerprint = graph.fingerprint()
-        if n_features is None:
-            n_features = int(graph.n_features) if graph is not None else -1
-        # Export the TPGCL that training actually produced, not whatever
-        # the last detect_only serve left on detector.tpgcl (a serve that
-        # skipped the head must not erase trained weights).
-        tpgcl = getattr(detector, "_fitted_tpgcl", None) or detector.tpgcl
         return cls(
-            config=detector.config,
-            n_features=int(n_features),
-            mhgae_state=detector.mhgae.state_dict(),
-            tpgcl_state=tpgcl.state_dict() if tpgcl is not None else None,
-            graph_fingerprint=fingerprint,
-            derived_stage_seeds=tuple(getattr(detector.config, "derived_stage_seeds", ())),
+            config=config,
+            n_features=int(graph.n_features),
+            mhgae_state=mhgae.state_dict(),
+            tpgcl_state=None if tpgcl is None else tpgcl.state_dict(),
+            graph_fingerprint=graph.fingerprint(),
+            derived_stage_seeds=tuple(config.derived_stage_seeds),
         )
 
     # ------------------------------------------------------------------
@@ -144,7 +143,7 @@ class PipelineState:
 
         if self.mhgae_state is None:
             raise RuntimeError("artifact carries no MH-GAE state")
-        if self.n_features >= 0 and graph.n_features != self.n_features:
+        if graph.n_features != self.n_features:
             raise ValueError(
                 f"graph has {graph.n_features} features but the artifact was "
                 f"fitted on {self.n_features}"
@@ -307,31 +306,6 @@ class PipelineState:
             mhgae_state=mhgae_state,
             tpgcl_state=tpgcl_state,
             graph_fingerprint=manifest.get("graph_fingerprint"),
-            derived_stage_seeds=tuple(getattr(config, "derived_stage_seeds", ())),
+            derived_stage_seeds=tuple(config.derived_stage_seeds),
         )
 
-
-# ----------------------------------------------------------------------
-# Convenience wrappers (what ``TPGrGAD.save`` / ``.load`` call)
-# ----------------------------------------------------------------------
-def save_pipeline(detector, path) -> Path:
-    """Persist a fitted ``TPGrGAD`` to an artifact directory.
-
-    A detector that came from :func:`load_pipeline` and was never
-    re-trained re-saves its loaded state verbatim — same weights, same
-    fitted-graph fingerprint — even after serving ``detect_only`` on
-    other graphs (which rebinds the live models but does not train).
-    Training (``fit_detect`` / a stream refit) clears the loaded state,
-    so a re-fitted detector exports its fresh models instead.
-    """
-    state = getattr(detector, "_warm_state", None)
-    if state is None:
-        state = PipelineState.from_fitted(detector)
-    return state.save(path)
-
-
-def load_pipeline(path):
-    """Load an artifact into a warm ``TPGrGAD`` (serves ``detect_only``)."""
-    from repro.core.pipeline import TPGrGAD
-
-    return TPGrGAD.from_state(PipelineState.load(path))

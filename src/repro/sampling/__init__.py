@@ -12,9 +12,10 @@ TPGCL.  Overlapping / repeated groups are kept intentionally (the paper
 notes they act as natural data augmentation), but exact duplicates are
 deduplicated to bound the contrastive batch size.
 
-By default all searches are answered by the vectorized
-:class:`MultiSourceSearchEngine` (one batched BFS from every anchor);
-the per-pair reference searches remain available as the parity oracle.
+All searches are answered by the vectorized
+:class:`MultiSourceSearchEngine` (one batched BFS from every anchor); the
+per-pair reference searches stay public as the building blocks of the
+parity oracle in ``tests/sampler_oracle.py``.
 """
 
 from repro.sampling.searches import path_search, tree_search, cycle_search

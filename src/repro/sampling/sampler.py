@@ -4,15 +4,11 @@ For every pair of anchor nodes a path and a tree search are run; for every
 single anchor a cycle search is run.  The resulting groups (deduplicated by
 node set, size-bounded) are the candidate groups handed to TPGCL.
 
-Two execution strategies produce identical candidates (pinned by
-``tests/test_sampler_parity.py``):
-
-* ``SamplerConfig.vectorized = True`` (default) — all anchor pairs are
-  answered from one batched multi-source BFS via
-  :class:`repro.sampling.engine.MultiSourceSearchEngine`.
-* ``SamplerConfig.vectorized = False`` — the seed per-pair Python searches
-  of :mod:`repro.sampling.searches`, kept as the parity oracle and the
-  benchmark baseline.
+Every search is answered from one batched multi-source BFS via
+:class:`repro.sampling.engine.MultiSourceSearchEngine`.  The seed per-pair
+searches of :mod:`repro.sampling.searches` give identical candidates; the
+parity oracle built on them lives in ``tests/sampler_oracle.py`` (pinned
+by ``tests/test_sampler_parity.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import numpy as np
 
 from repro.graph import Graph, Group
 from repro.sampling.engine import MultiSourceSearchEngine
-from repro.sampling.searches import cycle_search, merge_groups, path_search, tree_search
+from repro.sampling.searches import merge_groups
 from repro.seeding import resolve_seed
 
 
@@ -35,8 +31,6 @@ class SamplerConfig:
     ``tree_depth`` is the ``t`` hyperparameter of Alg. 1; the size bounds
     keep candidate groups in the range where group-level anomalies live
     (tiny 1-node "groups" and giant hairballs are both uninformative).
-    ``vectorized`` selects the batched multi-source search engine over the
-    per-pair reference searches; both return identical candidates.
     """
 
     tree_depth: int = 2
@@ -50,7 +44,6 @@ class SamplerConfig:
     # None means "unset": standalone use resolves to 0, while a parent
     # TPGrGADConfig fills it with a stream derived from its master seed.
     seed: Optional[int] = None
-    vectorized: bool = True
 
     @property
     def search_depth(self) -> Optional[int]:
@@ -177,10 +170,25 @@ class CandidateGroupSampler:
     def collect(
         self, graph: Graph, anchors: Sequence[int], pairs: Sequence[Tuple[int, int]]
     ) -> SampleCollection:
-        """Run every pair / cycle search, keeping the per-query structure."""
-        if self.config.vectorized:
-            return self._collect_vectorized(graph, list(anchors), list(pairs))
-        return self._collect_per_pair(graph, list(anchors), list(pairs))
+        """Run every pair / cycle search, keeping the per-query structure.
+
+        One batched BFS from all anchors answers every search.
+        """
+        config = self.config
+        engine = MultiSourceSearchEngine(graph, list(anchors), max_depth=config.search_depth)
+
+        collection = SampleCollection()
+        for u, v in pairs:
+            path_group = engine.path_group(u, v, max_length=config.max_path_length)
+            tree_group = engine.tree_group(u, v, depth=config.tree_depth, max_nodes=config.max_group_size)
+            collection.pair_groups[(u, v)] = (path_group, tree_group)
+        for anchor in anchors:
+            collection.anchor_cycles[anchor] = engine.cycle_groups(
+                anchor,
+                max_cycle_length=config.max_cycle_length,
+                max_cycles=config.max_cycles_per_anchor,
+            )
+        return collection
 
     def finalize(
         self, candidates: Sequence[Group], rng: Optional[np.random.Generator] = None
@@ -198,46 +206,6 @@ class CandidateGroupSampler:
             chosen = rng.choice(len(kept), size=config.max_candidates, replace=False)
             kept = [kept[i] for i in sorted(chosen)]
         return kept
-
-    # ------------------------------------------------------------------
-    def _collect_vectorized(
-        self, graph: Graph, anchors: List[int], pairs: List[Tuple[int, int]]
-    ) -> SampleCollection:
-        """One batched BFS from all anchors answers every search."""
-        config = self.config
-        engine = MultiSourceSearchEngine(graph, anchors, max_depth=config.search_depth)
-
-        collection = SampleCollection()
-        for u, v in pairs:
-            path_group = engine.path_group(u, v, max_length=config.max_path_length)
-            tree_group = engine.tree_group(u, v, depth=config.tree_depth, max_nodes=config.max_group_size)
-            collection.pair_groups[(u, v)] = (path_group, tree_group)
-        for anchor in anchors:
-            collection.anchor_cycles[anchor] = engine.cycle_groups(
-                anchor,
-                max_cycle_length=config.max_cycle_length,
-                max_cycles=config.max_cycles_per_anchor,
-            )
-        return collection
-
-    def _collect_per_pair(
-        self, graph: Graph, anchors: List[int], pairs: List[Tuple[int, int]]
-    ) -> SampleCollection:
-        """The seed per-pair searches (parity oracle / benchmark baseline)."""
-        config = self.config
-        collection = SampleCollection()
-        for u, v in pairs:
-            path_group = path_search(graph, u, v, max_length=config.max_path_length)
-            tree_group = tree_search(graph, u, v, depth=config.tree_depth, max_nodes=config.max_group_size)
-            collection.pair_groups[(u, v)] = (path_group, tree_group)
-        for anchor in anchors:
-            collection.anchor_cycles[anchor] = cycle_search(
-                graph,
-                anchor,
-                max_cycle_length=config.max_cycle_length,
-                max_cycles=config.max_cycles_per_anchor,
-            )
-        return collection
 
     # ------------------------------------------------------------------
     def sample_with_scores(

@@ -1,8 +1,13 @@
 """Incremental TP-GrGAD: dirty-region re-scoring over a graph stream.
 
-:class:`IncrementalTPGrGAD` wraps the batched pipeline of
-:class:`repro.core.TPGrGAD` and keeps its three stage outputs alive
-between deltas:
+:class:`IncrementalTPGrGAD` runs the stage functions of
+:mod:`repro.core.pipeline` — :func:`~repro.core.pipeline.fit_stages` for
+a refit, :func:`~repro.core.pipeline.warm_stages` for an artifact warm
+start, :func:`~repro.core.pipeline.build_result` for every result — and
+keeps their three stage outputs alive between deltas.  Its ``detector``
+(a :class:`repro.core.TPGrGAD`) holds the fitted ``state`` of the latest
+refit, or the loaded artifact's state until the first refit, which is
+what ``detector.save`` exports.
 
 * **Stage 1 (anchors)** is the expensive trained part (MH-GAE).  It is
   refit only when the *drift budget* is exceeded — the fraction of the
@@ -44,7 +49,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.config import TPGrGADConfig
-from repro.core.pipeline import TPGrGAD
+from repro.core.pipeline import (
+    StageOutputs,
+    TPGrGAD,
+    build_result,
+    fit_stages,
+    represent_groups,
+    warm_stages,
+)
 from repro.core.result import GroupDetectionResult
 from repro.obs.tracer import get_tracer
 from repro.gcl import TPGCL
@@ -141,12 +153,13 @@ class IncrementalTPGrGAD:
             # instead of a full training refit — a restarted stream process
             # resumes serving in seconds.  The artifact's config is used
             # unless the caller overrides it; an override applies to warm
-            # scoring too.  A shape-incompatible override fails loudly at
-            # state load; an override that keeps shapes but changes model
-            # semantics (MH-GAE target, feature scaling, ...) scores the
-            # warm period with weights trained under the artifact's
-            # settings — warm results are approximate by contract either
-            # way, and the first refit adopts the override fully.
+            # scoring too (anchor fraction, sampler, TPGCL gating,
+            # detector), while the trained models are bound under the
+            # config they were trained with — warm results are approximate
+            # by contract, and the first refit adopts the override fully.
+            # The detector's fitted state is never rewritten: until that
+            # refit, detector.save() exports the artifact exactly as
+            # trained, under its own config.
             if isinstance(artifact, (str, os.PathLike)):
                 self.detector = TPGrGAD.load(artifact)
             else:
@@ -156,10 +169,6 @@ class IncrementalTPGrGAD:
                 self.detector = copy.copy(artifact)
             if config is not None:
                 self.detector.config = config
-                if self.detector._warm_state is not None:
-                    warm = copy.copy(self.detector._warm_state)
-                    warm.config = config
-                    self.detector._warm_state = warm
         else:
             self.detector = TPGrGAD(config)
         self.config = self.detector.config
@@ -231,216 +240,100 @@ class IncrementalTPGrGAD:
         return self.config.sampler.search_depth
 
     # ------------------------------------------------------------------
-    # Full refit (the batch pipeline, stage structure retained)
+    # Generation starts: full refit, or warm start from a fitted state
     # ------------------------------------------------------------------
     def _refit(self, graph: Graph) -> TickReport:
         """Run the full three-stage pipeline and rebuild all cached state.
 
-        Mirrors :meth:`TPGrGAD.fit_detect` call for call (same fresh
-        seeded models, same rng streams), so the produced result is
-        bit-identical to the batch pipeline on this snapshot — pinned by
-        ``tests/test_stream.py::test_always_policy_matches_batch``.
+        The same :func:`fit_stages` call as :meth:`TPGrGAD.fit_detect`
+        (same fresh seeded models, same rng streams), so the produced
+        result is bit-identical to the batch pipeline on this snapshot —
+        pinned by ``tests/test_stream.py::test_always_policy_matches_batch``.
         """
         start = time.perf_counter()
-        detector = self.detector
-        config = self.config
-        detector._graph = graph
-
-        anchor_array = detector.locate_anchors(graph)
-        node_scores = detector.mhgae.score_nodes() if detector.mhgae else None
-        anchors = [int(a) for a in anchor_array]
-
-        sampler = CandidateGroupSampler(config.sampler)
-        pairs = sampler.propose_pairs(anchors)
-        collection = sampler.collect(graph, anchors, pairs)
-        candidates = sampler.finalize(collection.ordered_candidates(pairs, anchors))
-
-        detector.tpgcl = None  # mirror _run_stages: only set when TPGCL runs
-        embeddings: Optional[np.ndarray] = None
-        if candidates:
-            embeddings = detector._embed_candidates(graph, candidates)
-
-        result = self._scored_result(
-            graph, candidates, embeddings, np.asarray(anchors, dtype=int), node_scores
-        )
-        self._install_generation(
-            graph, anchors, pairs, collection, candidates, embeddings,
-            node_scores, result, dirty_since_refit=False,
-        )
+        outputs = fit_stages(self.config, graph)
+        # Real training supersedes any loaded state: save() exports it.
+        self.detector.state = outputs.state
         self.n_refits += 1
+        return self._install_generation(graph, outputs, "refit", start)
 
-        return TickReport(
-            version=self.streaming.version,
-            mode="refit",
-            seconds=time.perf_counter() - start,
-            n_touched=0,
-            dirty_ball=0,
-            dirty_fraction=0.0,
-            n_dirty_anchors=len(anchors),
-            pairs_reused=0,
-            pairs_recomputed=len(pairs),
-            cycles_reused=0,
-            cycles_recomputed=len(anchors),
-            embeddings_reused=0,
-            embeddings_recomputed=len(candidates),
-            result=result,
-        )
-
-    # ------------------------------------------------------------------
-    # Warm start from a loaded artifact (no training)
-    # ------------------------------------------------------------------
     def _warm_start(self, graph: Graph) -> TickReport:
-        """Build the initial detection state from loaded artifact weights.
+        """Build the initial detection state from the detector's fitted state.
 
-        Mirrors :meth:`_refit`'s state installation but scores with the
-        artifact's trained MH-GAE / TPGCL instead of training fresh ones —
-        the same semantics as ``TPGrGAD.detect_only``.  The result is not
-        batch-parity on this snapshot (the weights were trained on the
-        artifact's fitted graph); the first budget-triggered or flush
-        refit restores exact parity.
+        The same :func:`warm_stages` call as ``TPGrGAD.detect_only``: the
+        loaded MH-GAE / TPGCL score this snapshot, nothing is trained.
+        The result is not batch-parity (the weights were trained on the
+        artifact's fitted graph), so the generation starts dirty and the
+        first budget-triggered or flush refit restores exact parity.
         """
-        from repro.gae import select_anchor_nodes
-        from repro.persist import PipelineState
-
         start = time.perf_counter()
-        detector = self.detector
-        config = self.config
-        # Loaded artifacts carry their state; a fitted in-memory detector
-        # passed as `artifact=` exports its live models instead (the same
-        # fallback TPGrGAD.detect_only uses).
-        state = detector._warm_state
+        state = self.detector.state
         if state is None:
-            state = PipelineState.from_fitted(detector)
-        detector._graph = graph
-
-        detector.mhgae = state.bind_mhgae(graph)
-        node_scores = detector.mhgae.score_nodes()
-        anchors = [
-            int(a)
-            for a in select_anchor_nodes(
-                node_scores, fraction=config.anchor_fraction, maximum=config.max_anchors
-            )
-        ]
-
-        sampler = CandidateGroupSampler(config.sampler)
-        pairs = sampler.propose_pairs(anchors)
-        collection = sampler.collect(graph, anchors, pairs)
-        candidates = sampler.finalize(collection.ordered_candidates(pairs, anchors))
-
-        detector.tpgcl, embeddings = detector._warm_embed(state, graph, candidates)
-
-        result = self._scored_result(
-            graph, candidates, embeddings, np.asarray(anchors, dtype=int), node_scores
-        )
-        # dirty_since_refit deliberately True: the warm result is an
-        # approximation, so finalize() must still run one true refit to
-        # restore batch parity.
-        self._install_generation(
-            graph, anchors, pairs, collection, candidates, embeddings,
-            node_scores, result, dirty_since_refit=True,
-        )
+            raise RuntimeError("artifact= needs a saved artifact or a fitted TPGrGAD: call fit_detect first")
+        outputs = warm_stages(self.config, state, graph)
         self.n_warm_starts += 1
+        return self._install_generation(graph, outputs, "warm", start)
 
-        return TickReport(
-            version=self.streaming.version,
-            mode="warm",
-            seconds=time.perf_counter() - start,
-            n_touched=0,
-            dirty_ball=0,
-            dirty_fraction=0.0,
-            n_dirty_anchors=len(anchors),
-            pairs_reused=0,
-            pairs_recomputed=len(pairs),
-            cycles_reused=0,
-            cycles_recomputed=len(anchors),
-            embeddings_reused=0,
-            embeddings_recomputed=len(candidates),
-            result=result,
-        )
-
-    # ------------------------------------------------------------------
-    # Per-generation cached state (shared tail of _refit / _warm_start)
-    # ------------------------------------------------------------------
     def _install_generation(
-        self,
-        graph: Graph,
-        anchors: List[int],
-        pairs: List[Tuple[int, int]],
-        collection: SampleCollection,
-        candidates: List[Group],
-        embeddings: Optional[np.ndarray],
-        node_scores: Optional[np.ndarray],
-        result: GroupDetectionResult,
-        dirty_since_refit: bool,
-    ) -> None:
+        self, graph: Graph, outputs: StageOutputs, mode: str, start: float
+    ) -> TickReport:
         """Replace all cached per-generation state in one place."""
+        self.detector.mhgae, self.detector.tpgcl = outputs.mhgae, outputs.tpgcl
+        anchors = [int(a) for a in outputs.anchor_nodes]
+        candidates = outputs.candidates
         self._anchors = anchors
-        self._pairs = pairs
-        self._collection = collection
+        self._pairs = outputs.pairs
+        self._collection = outputs.collection
         self._provisional = []
         self._provisional_pairs = {}
-        self._tpgcl = self.detector.tpgcl
-        self._node_scores = node_scores
+        self._tpgcl = outputs.tpgcl
+        self._node_scores = outputs.node_scores
         self._embed_rows = (
-            {group.node_tuple(): embeddings[i] for i, group in enumerate(candidates)}
-            if embeddings is not None
+            {group.node_tuple(): outputs.embeddings[i] for i, group in enumerate(candidates)}
+            if outputs.embeddings is not None
             else {}
         )
         self._dirty_mask = np.zeros(graph.n_nodes, dtype=bool)
-        self._dirty_since_refit = dirty_since_refit
-        self._result = result
+        # A warm result is an approximation, so finalize() must still run
+        # one true refit to restore batch parity.
+        self._dirty_since_refit = mode == "warm"
+        self._result = self._score(graph, candidates, outputs.embeddings, anchors)
+        return TickReport(
+            version=self.streaming.version,
+            mode=mode,
+            seconds=time.perf_counter() - start,
+            n_touched=0,
+            dirty_ball=0,
+            dirty_fraction=0.0,
+            n_dirty_anchors=len(anchors),
+            pairs_reused=0,
+            pairs_recomputed=len(outputs.pairs),
+            cycles_reused=0,
+            cycles_recomputed=len(anchors),
+            embeddings_reused=0,
+            embeddings_recomputed=len(candidates),
+            result=self._result,
+        )
 
-    # ------------------------------------------------------------------
-    # Shared stage-3 tail
-    # ------------------------------------------------------------------
-    def _scored_result(
+    def _score(
         self,
         graph: Graph,
         candidates: List[Group],
         embeddings: Optional[np.ndarray],
-        anchor_nodes: np.ndarray,
-        node_scores: Optional[np.ndarray],
+        anchors: List[int],
     ) -> GroupDetectionResult:
-        """Outlier-score an embedding matrix into a result (τ as in batch)."""
-        padded_scores = self._padded_node_scores(node_scores, graph.n_nodes)
-        if not candidates or embeddings is None:
-            return GroupDetectionResult(
-                candidate_groups=[],
-                scores=np.array([]),
-                threshold=0.0,
-                anomalous_groups=[],
-                anchor_nodes=np.asarray(anchor_nodes, dtype=int).copy(),
-                node_scores=padded_scores,
-            )
-        scores = self.detector._score_embeddings(embeddings)
-        threshold = self.stream_config.threshold
-        if threshold is None:
-            threshold = float(np.quantile(scores, 1.0 - self.config.contamination))
-        anomalous = [
-            group.with_score(float(score))
-            for group, score in zip(candidates, scores)
-            if score >= threshold
-        ]
-        return GroupDetectionResult(
-            candidate_groups=list(candidates),
-            scores=scores,
-            threshold=float(threshold),
-            anomalous_groups=anomalous,
-            anchor_nodes=np.asarray(anchor_nodes, dtype=int).copy(),
-            embeddings=embeddings.copy(),
-            node_scores=padded_scores,
-        )
+        """:func:`build_result` with the stream's τ and padded node scores.
 
-    @staticmethod
-    def _padded_node_scores(node_scores: Optional[np.ndarray], n_nodes: int) -> Optional[np.ndarray]:
-        """Stage-1 scores padded with NaN for nodes arrived since the refit."""
-        if node_scores is None:
-            return None
-        if node_scores.shape[0] == n_nodes:
-            return node_scores.copy()
-        padded = np.full(n_nodes, np.nan)
-        padded[: node_scores.shape[0]] = node_scores
-        return padded
+        Stage-1 scores are padded with NaN for nodes arrived since the
+        last refit.
+        """
+        node_scores = self._node_scores
+        if node_scores is not None and node_scores.shape[0] != graph.n_nodes:
+            node_scores = np.full(graph.n_nodes, np.nan)
+            node_scores[: self._node_scores.shape[0]] = self._node_scores
+        return build_result(
+            self.config, candidates, embeddings, anchors, node_scores, self.stream_config.threshold
+        )
 
     # ------------------------------------------------------------------
     # The streaming entry point
@@ -590,14 +483,7 @@ class IncrementalTPGrGAD:
             ]
             embeddings_recomputed = len(stale)
             if stale:
-                mean_rows = np.vstack(
-                    [graph.features[list(group.nodes)].mean(axis=0) for group in stale]
-                )
-                if self._tpgcl is not None:
-                    contrastive = self._tpgcl.embed_groups(graph, stale)
-                    rows = np.hstack([contrastive, mean_rows])
-                else:
-                    rows = mean_rows
+                rows = represent_groups(self._tpgcl, graph, stale)
                 for group, row in zip(stale, rows):
                     self._embed_rows[group.node_tuple()] = row
             embeddings = np.vstack([self._embed_rows[g.node_tuple()] for g in candidates])
@@ -605,13 +491,7 @@ class IncrementalTPGrGAD:
         self.embed_hits += embeddings_reused
         self.embed_misses += embeddings_recomputed
 
-        result = self._scored_result(
-            graph,
-            candidates,
-            embeddings,
-            np.asarray(all_anchors, dtype=int),
-            self._node_scores,
-        )
+        result = self._score(graph, candidates, embeddings, all_anchors)
         self._result = result
         self.n_incremental_ticks += 1
 

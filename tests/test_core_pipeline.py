@@ -263,3 +263,58 @@ class TestBatchedPipeline:
         assert json.loads(json.dumps(payload)) == payload
         assert len(payload["scores"]) == result.n_candidates
         assert payload["anomalous_groups"] == sorted(sorted(g.nodes) for g in result.anomalous_groups)
+
+
+class TestFittedState:
+    """``TPGrGAD.state`` is the one fitted state: who sets it, who leaves it."""
+
+    def test_state_is_none_before_a_fit(self):
+        assert TPGrGAD(TPGrGADConfig.fast(seed=1)).state is None
+
+    def test_fit_sets_state_of_the_fitted_graph(self, example_graph):
+        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
+        detector.fit_detect(example_graph)
+        assert detector.state.graph_fingerprint == example_graph.fingerprint()
+        assert detector.state.n_features == example_graph.n_features
+        assert detector.state.config is detector.config
+
+    def test_detect_only_leaves_state_in_place(self, example_graph):
+        from repro.datasets import make_example_graph
+
+        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
+        detector.fit_detect(example_graph)
+        state = detector.state
+        detector.detect_only(make_example_graph(seed=11))
+        assert detector.state is state
+
+    def test_cache_hit_restores_that_generations_state(self, example_graph):
+        from repro.datasets import make_example_graph
+
+        other = make_example_graph(seed=11)
+        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
+        detector.fit_detect(example_graph)
+        first = detector.state
+        detector.fit_detect(other)
+        assert detector.state.graph_fingerprint == other.fingerprint()
+        detector.fit_detect(example_graph)  # stage-cache hit
+        assert detector.cache_hits == 1
+        assert detector.state is first
+
+    def test_sharded_fit_detect_many_holds_last_graphs_state(self, example_graph):
+        from repro.datasets import make_example_graph
+
+        graphs = [make_example_graph(seed=11), example_graph]
+        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
+        detector.fit_detect_many(graphs, n_workers=2)
+        serial = TPGrGAD(TPGrGADConfig.fast(seed=1))
+        serial.fit_detect(graphs[-1])
+        assert detector.state.graph_fingerprint == graphs[-1].fingerprint()
+        for name, values in serial.state.mhgae_state.items():
+            assert np.array_equal(detector.state.mhgae_state[name], values), name
+
+    @pytest.mark.parametrize("call", ["detect_only", "save"])
+    def test_unfitted_detector_raises_naming_fit_detect(self, call, example_graph, tmp_path):
+        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
+        argument = example_graph if call == "detect_only" else tmp_path / "artifact"
+        with pytest.raises(RuntimeError, match="fit_detect"):
+            getattr(detector, call)(argument)

@@ -211,58 +211,6 @@ class TestArtifactBroadcast:
         assert np.abs(results[1].scores - direct.scores).max() <= 1e-8
 
 
-class TestThreadBackend:
-    @pytest.fixture()
-    def artifact(self, tmp_path, graphs):
-        detector = TPGrGAD(_tiny_config())
-        detector.fit_detect(graphs[0])
-        path = tmp_path / "artifact"
-        detector.save(path)
-        return str(path)
-
-    def test_thread_backend_matches_serial_warm_path(self, artifact, graphs):
-        warm = TPGrGAD.load(artifact)
-        serial = [warm.detect_only(graph).to_json_dict() for graph in graphs]
-        executor = ParallelExecutor(
-            n_workers=2, chunk_size=1, artifact=artifact, backend="thread"
-        )
-        threaded = [r.to_json_dict() for r in executor.fit_detect_many(graphs)]
-        assert threaded == serial
-
-    def test_thread_backend_collapses_duplicates_and_shares_detector(self, artifact, graphs):
-        executor = ParallelExecutor(n_workers=2, artifact=artifact, backend="thread")
-        results = executor.fit_detect_many([graphs[0], graphs[1], graphs[0]])
-        assert executor.cache_hits == 1
-        assert results[0].to_json_dict() == results[2].to_json_dict()
-        # One detector, loaded once in the parent, reused across batches.
-        first = executor._shared_detector()
-        executor.fit_detect_many(graphs)
-        assert executor._shared_detector() is first
-
-    def test_thread_backend_requires_artifact(self):
-        with pytest.raises(ValueError, match="requires a broadcast artifact"):
-            ParallelExecutor(_tiny_config(), backend="thread")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend must be"):
-            ParallelExecutor(_tiny_config(), backend="greenlet")
-
-    def test_thread_backend_merges_trace_spans(self, artifact, graphs):
-        from repro.obs.tracer import Tracer, use_tracer
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            executor = ParallelExecutor(
-                n_workers=2, chunk_size=1, artifact=artifact, backend="thread"
-            )
-            executor.fit_detect_many(graphs)
-        names = [span.name for span in tracer.spans]
-        assert "parallel.fit_detect_many" in names
-        assert names.count("parallel.chunk") == len(graphs)
-        # Every chunk span continues the parent trace.
-        assert {span.trace_id for span in tracer.spans} == {tracer.trace_id}
-
-
 class TestExperimentSharding:
     def test_registry_shards_and_preserves_order(self):
         from repro.experiments import ExperimentSettings

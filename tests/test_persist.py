@@ -471,3 +471,35 @@ class TestStreamWarmStart:
         assert incremental.n_warm_starts == 1
         assert incremental.n_refits == 0
         assert incremental.result.n_candidates > 0
+
+    def test_warm_start_override_resaves_the_artifact_as_trained(self, tmp_path, example_graph):
+        """An override steers warm scoring but never relabels the weights."""
+        from repro.stream import StreamConfig
+        from repro.stream.incremental import IncrementalTPGrGAD
+
+        detector = TPGrGAD(TPGrGADConfig.fast(seed=3))
+        detector.fit_detect(example_graph)
+        detector.save(tmp_path / "a")
+
+        incremental = IncrementalTPGrGAD(
+            example_graph,
+            config=TPGrGADConfig.fast(seed=4),
+            stream_config=StreamConfig(refit_policy="never"),
+            artifact=str(tmp_path / "a"),
+        )
+        assert incremental.n_refits == 0
+        assert incremental.config.seed == 4
+        incremental.detector.save(tmp_path / "b")
+
+        manifests = []
+        for name in ("a", "b"):
+            with open(tmp_path / name / "manifest.json") as handle:
+                manifests.append(json.load(handle))
+        assert manifests[1]["config_hash"] == manifests[0]["config_hash"]
+        assert manifests[1]["graph_fingerprint"] == manifests[0]["graph_fingerprint"]
+        first, second = PipelineState.load(tmp_path / "a"), PipelineState.load(tmp_path / "b")
+        for stage in ("mhgae_state", "tpgcl_state"):
+            expected, actual = getattr(first, stage), getattr(second, stage)
+            assert expected.keys() == actual.keys()
+            for name, values in expected.items():
+                assert np.array_equal(actual[name], values), (stage, name)

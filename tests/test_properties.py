@@ -12,6 +12,8 @@ from repro.outlier.base import min_max_normalize
 from repro.sampling import CandidateGroupSampler, SamplerConfig
 from repro.tensor import Tensor
 
+from sampler_oracle import PerPairSampler
+
 
 # ----------------------------------------------------------------------------
 # Strategies
@@ -234,11 +236,9 @@ class TestSamplerProperties:
         n, edges = spec
         graph = Graph(n, edges, np.zeros((n, 1)))
         anchors = list(range(n))[:7]
-        config = SamplerConfig(max_anchor_pairs=8, max_candidates=10, seed=seed, vectorized=True)
-        from dataclasses import replace
-
+        config = SamplerConfig(max_anchor_pairs=8, max_candidates=10, seed=seed)
         fast = CandidateGroupSampler(config).sample(graph, anchors)
-        slow = CandidateGroupSampler(replace(config, vectorized=False)).sample(graph, anchors)
+        slow = PerPairSampler(config).sample(graph, anchors)
         assert [g.node_tuple() for g in fast] == [g.node_tuple() for g in slow]
 
 

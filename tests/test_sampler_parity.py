@@ -6,15 +6,15 @@ structured builder graphs) is checked three ways:
 * per-search parity — ``path_group`` / ``tree_group`` / ``cycle_groups``
   against the seed ``path_search`` / ``tree_search`` / ``cycle_search``
   for every anchor pair, comparing node sets *and* edge sets,
-* sampler-level parity — ``CandidateGroupSampler`` with
-  ``vectorized=True`` vs. ``vectorized=False`` returns identical deduped
-  candidate lists (including the rng-driven pair/candidate subsampling),
+* sampler-level parity — ``CandidateGroupSampler`` vs. the per-pair
+  oracle ``PerPairSampler`` (``tests/sampler_oracle.py``) returns identical
+  deduped candidate lists (including the rng-driven pair/candidate
+  subsampling),
 * the same under alternate hyperparameters where the cutoffs bind.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Tuple
 
 import networkx as nx
@@ -25,6 +25,8 @@ from repro.datasets import make_example_graph
 from repro.graph import Graph, graph_from_networkx
 from repro.sampling import CandidateGroupSampler, MultiSourceSearchEngine, SamplerConfig
 from repro.sampling.searches import cycle_search, path_search, tree_search
+
+from sampler_oracle import PerPairSampler
 
 
 def _random_graph(seed: int, max_nodes: int = 60, density: float = 2.0) -> Graph:
@@ -110,7 +112,7 @@ def test_sampler_matches_seed_sampler(name, graph):
     anchors = _anchors(graph, count=9)
     config = SamplerConfig(max_anchor_pairs=12, max_candidates=18, seed=3)
     vectorized = CandidateGroupSampler(config).sample(graph, anchors)
-    per_pair = CandidateGroupSampler(replace(config, vectorized=False)).sample(graph, anchors)
+    per_pair = PerPairSampler(config).sample(graph, anchors)
     assert [g.node_tuple() for g in vectorized] == [g.node_tuple() for g in per_pair]
     assert [g.edges for g in vectorized] == [g.edges for g in per_pair]
     assert [g.label for g in vectorized] == [g.label for g in per_pair]

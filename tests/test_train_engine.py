@@ -414,7 +414,7 @@ class TestFloat32Parity:
     def test_warm_inference_scores_within_1e4(self, example_graph):
         detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
         detector.fit_detect(example_graph)
-        state = PipelineState.from_fitted(detector)
+        state = detector.state
 
         r64 = TPGrGAD.from_state(state).detect_only(example_graph)
         state32 = PipelineState(
