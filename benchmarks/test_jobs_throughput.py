@@ -12,8 +12,9 @@ Pins the acceptance claims of the jobs subsystem:
 3. **Parity** — a drained job's stored response is bit-identical to the
    synchronous ``/score`` answer for the same graph on the same server.
 
-Writes ``BENCH_jobs.json`` (the artifact the CI jobs job uploads); set
-``BENCH_JOBS_JSON`` to redirect it.
+Writes ``BENCH_jobs.json`` with the host facts of
+``benchmarks/hostinfo.py`` (tracked in git, uploaded by the CI jobs job);
+set ``BENCH_JOBS_JSON`` to redirect it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.jobs import JobStore
 from repro.persist import dump_json
 from repro.sampling import SamplerConfig
 from repro.serve import ModelRegistry, ScoringClient, ServeConfig, start_server_thread
+
+from hostinfo import host_facts
 
 GRAPH_POOL_SEEDS = (7, 11, 13, 17)   # 4 distinct graphs...
 RESUBMITS_PER_GRAPH = 3              # ...submitted 3x each = 12 submissions
@@ -100,6 +103,7 @@ def test_job_burst_throughput_dedup_and_parity(benchmark, tmp_path):
         assert stored["config_hash"] == sync["config_hash"]
 
         payload = {
+            "host": host_facts(),
             "n_submissions": n_submissions,
             "n_distinct_jobs": n_distinct,
             "dedup_hits": n_submissions - n_distinct,

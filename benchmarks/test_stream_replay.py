@@ -10,8 +10,9 @@ Pins the two acceptance claims of the streaming subsystem:
    refit-per-tick (``refit_policy="always"``) tick on the same stream.
 
 The run also writes ``BENCH_stream.json`` (events/sec, p50/p95 tick
-latency, incremental-vs-refit speedup, cache counters) — the artifact the
-CI benchmark job uploads; set ``BENCH_STREAM_JSON`` to redirect it.
+latency, incremental-vs-refit speedup, cache counters) with the host facts
+of ``benchmarks/hostinfo.py`` — tracked in git and uploaded by the CI
+benchmark job; set ``BENCH_STREAM_JSON`` to redirect it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.gae import MHGAEConfig
 from repro.gcl import TPGCLConfig
 from repro.sampling import SamplerConfig
 from repro.stream import StreamConfig, replay_event_stream, write_summary_json
+
+from hostinfo import host_facts
 
 # simML at scale 1.8 generates ≈5k accounts (2768 * 1.8 plus ring members).
 SCALE = 1.8
@@ -117,7 +120,7 @@ def test_stream_replay_parity_and_speedup(benchmark):
     write_summary_json(
         os.environ.get("BENCH_STREAM_JSON", "BENCH_stream.json"),
         [incremental_summary, refit_summary],
-        extra={"incremental_vs_refit_speedup": round(speedup, 2)},
+        extra={"host": host_facts(), "incremental_vs_refit_speedup": round(speedup, 2)},
     )
 
     print(

@@ -135,16 +135,10 @@ class TPGrGADConfig:
             seed=seed,
         )
 
-    def accelerated(
-        self,
-        dtype: str = "float32",
-        patience: int = 0,
-        min_delta: float = 0.0,
-    ) -> "TPGrGADConfig":
+    def accelerated(self, dtype: str = "float32") -> "TPGrGADConfig":
         """A deep copy of this config switched to the fast training engine.
 
-        Sets the training ``dtype`` on both learned stages and (optionally)
-        turns on convergence-based early stopping.  The receiver is
+        Sets the training ``dtype`` on both learned stages.  The receiver is
         untouched: the float64 reference config and its accelerated twin can
         run side by side, which is exactly what the parity tests and the
         training benchmark do.  Note the two configs hash differently
@@ -156,6 +150,4 @@ class TPGrGADConfig:
         clone = copy.deepcopy(self)
         for stage in (clone.mhgae, clone.tpgcl):
             stage.dtype = dtype
-            stage.patience = patience
-            stage.min_delta = min_delta
         return clone

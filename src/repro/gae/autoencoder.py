@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph import Graph, normalized_adjacency
-from repro.nn import Adam, EarlyStopping, GCNConv, MLP, Module
+from repro.nn import Adam, GCNConv, MLP, Module
 from repro.obs.tracer import get_tracer
 from repro.seeding import resolve_seed
 from repro.tensor import Tensor, default_dtype, no_grad, tape_node_count
@@ -50,10 +50,6 @@ class GAEConfig:
     the bit-reproducible reference path; ``"float32"`` is the fast mode —
     all derived matrices are still *built* in float64 and cast once, so the
     float32 run starts from the rounded image of the reference state.
-    ``patience``/``min_delta`` enable convergence-based early stopping:
-    with ``patience > 0`` training stops once the loss has failed to
-    improve by more than ``min_delta`` for ``patience`` consecutive epochs
-    (``patience = 0``, the default, always runs the full ``epochs``).
     """
 
     hidden_dim: int = 64
@@ -66,8 +62,6 @@ class GAEConfig:
     normalize_errors: bool = True
     sparse_propagation: bool = True
     dtype: str = "float64"
-    patience: int = 0
-    min_delta: float = 0.0
     # None means "unset": standalone use resolves to 0, while a parent
     # TPGrGADConfig fills it with a stream derived from its master seed.
     seed: Optional[int] = None
@@ -78,7 +72,6 @@ class GAETrainingResult:
     """Losses recorded while fitting a GAE."""
 
     losses: List[float] = field(default_factory=list)
-    early_stopped: bool = False
 
     @property
     def final_loss(self) -> Optional[float]:
@@ -195,7 +188,6 @@ class GraphAutoEncoder:
                 self._bind_graph(graph)
             lam = config.structure_weight
             self.training_result = GAETrainingResult()
-            stopper = EarlyStopping(config.patience, config.min_delta)
             workspace: dict = {}
 
             with default_dtype(self.dtype):
@@ -222,13 +214,9 @@ class GraphAutoEncoder:
                         fit_span.add("optimizer_steps")
                         if tracer.enabled:
                             epoch_span.set("loss", value)
-                        if stopper.should_stop(value):
-                            self.training_result.early_stopped = True
-                            break
             if tracer.enabled:
                 fit_span.add("tape_node_count", tape_node_count() - tape_before)
                 fit_span.set("epochs_run", self.training_result.epochs_run)
-                fit_span.set("early_stopped", self.training_result.early_stopped)
         return self
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.augment import (
 from repro.gcl.encoder import GroupEncoder, GroupView
 from repro.gcl.mine import MINEStatisticsNetwork, mine_mutual_information
 from repro.graph import Graph, Group
-from repro.nn import Adam, EarlyStopping
+from repro.nn import Adam
 from repro.obs.tracer import get_tracer
 from repro.seeding import resolve_seed
 from repro.tensor import default_dtype, no_grad, tape_node_count
@@ -43,11 +43,9 @@ class TPGCLConfig:
     embeddings; Adam; views regenerated every ``view_refresh_every`` epochs
     so the stochastic parts of PPA/PBA (cycle node choices) are resampled.
 
-    Fast-training-engine knobs: ``dtype`` selects the training precision
-    (``"float64"`` is the bit-reproducible reference, ``"float32"`` the
-    fast mode); ``patience``/``min_delta`` stop training early once the
-    epoch loss plateaus (``patience = 0`` disables).  Every view batch is
-    encoded by the fused ``group_encode`` kernel
+    ``dtype`` selects the training precision (``"float64"`` is the
+    bit-reproducible reference, ``"float32"`` the fast mode).  Every view
+    batch is encoded by the fused ``group_encode`` kernel
     (:meth:`~repro.gcl.encoder.GroupEncoder.encode_batch`) in either dtype.
     """
 
@@ -61,8 +59,6 @@ class TPGCLConfig:
     positive_augmentation: str = "PPA"
     negative_augmentation: str = "PBA"
     dtype: str = "float64"
-    patience: int = 0
-    min_delta: float = 0.0
     # None means "unset": standalone use resolves to 0, while a parent
     # TPGrGADConfig fills it with a stream derived from its master seed.
     seed: Optional[int] = None
@@ -73,7 +69,6 @@ class TPGCLTrainingResult:
     """Per-epoch loss (the minimised MI estimate) recorded during training."""
 
     losses: List[float] = field(default_factory=list)
-    early_stopped: bool = False
 
     @property
     def final_loss(self) -> Optional[float]:
@@ -185,7 +180,6 @@ class TPGCL:
                     view_span.add("n_views", 2 * len(subgraphs))
 
                 self.training_result = TPGCLTrainingResult()
-                stopper = EarlyStopping(config.patience, config.min_delta)
                 indices = np.arange(len(groups))
                 for epoch in range(config.epochs):
                     if epoch > 0 and config.view_refresh_every > 0 and epoch % config.view_refresh_every == 0:
@@ -217,13 +211,9 @@ class TPGCL:
                             self.training_result.losses.append(epoch_loss)
                             if tracer.enabled:
                                 epoch_span.set("loss", epoch_loss)
-                            if stopper.should_stop(epoch_loss):
-                                self.training_result.early_stopped = True
-                                break
             if tracer.enabled:
                 fit_span.add("tape_node_count", tape_node_count() - tape_before)
                 fit_span.set("epochs_run", self.training_result.epochs_run)
-                fit_span.set("early_stopped", self.training_result.early_stopped)
         return self
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ estimator.  This subpackage provides exactly those pieces on top of the
 
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Linear, MLP, GCNConv, GraphSNNConv, InnerProductDecoder, Dropout, Sequential
-from repro.nn.optim import SGD, Adam, EarlyStopping, Optimizer
+from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.init import glorot_uniform, zeros, uniform
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Sequential",
     "SGD",
     "Adam",
-    "EarlyStopping",
     "Optimizer",
     "glorot_uniform",
     "zeros",

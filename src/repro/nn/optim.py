@@ -41,31 +41,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class EarlyStopping:
-    """Loss-plateau tracker shared by the GAE and TPGCL training loops.
-
-    Disabled when ``patience <= 0``; otherwise reports "stop" after the
-    monitored loss has failed to improve on the best seen value by more
-    than ``min_delta`` for ``patience`` consecutive steps.
-    """
-
-    def __init__(self, patience: int, min_delta: float = 0.0) -> None:
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.best = np.inf
-        self.wait = 0
-
-    def should_stop(self, loss: float) -> bool:
-        if self.patience <= 0:
-            return False
-        if loss < self.best - self.min_delta:
-            self.best = loss
-            self.wait = 0
-            return False
-        self.wait += 1
-        return self.wait >= self.patience
-
-
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay."""
 

@@ -225,7 +225,7 @@ class ParallelExecutor:
         # equivalent of the serial stage cache (counter caveats under
         # LRU eviction pressure: see module docstring).  Warm artifact
         # serving is deterministic per graph, so duplicates collapse
-        # there too — the scoring service's micro-batches lean on this.
+        # there too.
         # cache_size == 0 means the user disabled caching — mirror the
         # serial semantics exactly: recompute duplicates and count only
         # misses (the artifact's own cache_size is not consulted; the

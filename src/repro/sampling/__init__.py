@@ -14,18 +14,14 @@ deduplicated to bound the contrastive batch size.
 
 All searches are answered by the vectorized
 :class:`MultiSourceSearchEngine` (one batched BFS from every anchor); the
-per-pair reference searches stay public as the building blocks of the
-parity oracle in ``tests/sampler_oracle.py``.
+per-pair reference searches it must match live with the parity oracle in
+``tests/sampler_oracle.py``.
 """
 
-from repro.sampling.searches import path_search, tree_search, cycle_search
 from repro.sampling.engine import MultiSourceSearchEngine
 from repro.sampling.sampler import CandidateGroupSampler, SampleCollection, SamplerConfig
 
 __all__ = [
-    "path_search",
-    "tree_search",
-    "cycle_search",
     "MultiSourceSearchEngine",
     "CandidateGroupSampler",
     "SampleCollection",

@@ -1,7 +1,7 @@
 """Vectorized multi-source search engine behind Algorithm 1.
 
 The seed implementation answered every anchor pair with its own Python
-BFS/DFS (:mod:`repro.sampling.searches`).  The engine instead runs **one
+BFS/DFS (kept as the oracle in ``tests/sampler_oracle.py``).  The engine instead runs **one
 batched multi-source BFS** from all anchors over the CSR adjacency
 (:meth:`repro.graph.Graph.multi_source_bfs`) and answers every query from
 the resulting distance/parent/discovery-order forest:
@@ -84,7 +84,7 @@ class MultiSourceSearchEngine:
     # Path search
     # ------------------------------------------------------------------
     def path_group(self, source: int, target: int, max_length: Optional[int] = None) -> Optional[Group]:
-        """Shortest-path candidate group, matching ``searches.path_search``."""
+        """Shortest-path candidate group, matching the oracle ``path_search``."""
         source, target = int(source), int(target)
         if source == target:
             return None
@@ -131,7 +131,7 @@ class MultiSourceSearchEngine:
         return self._tree_base[key]
 
     def tree_group(self, root: int, other: int, depth: int = 2, max_nodes: int = 30) -> Optional[Group]:
-        """BFS-tree candidate group, matching ``searches.tree_search``."""
+        """BFS-tree candidate group, matching the oracle ``tree_search``."""
         root, other = int(root), int(other)
         base = self._tree_base_group(root, depth, max_nodes)
         if base is None:
@@ -163,7 +163,7 @@ class MultiSourceSearchEngine:
     # Cycle search
     # ------------------------------------------------------------------
     def cycle_groups(self, node: int, max_cycle_length: int = 8, max_cycles: int = 5) -> List[Group]:
-        """Cycle candidate groups, matching ``searches.cycle_search``.
+        """Cycle candidate groups, matching the oracle ``cycle_search``.
 
         The DFS explores the same canonical (higher-numbered-nodes-only)
         search tree as the seed in the same neighbour order; the distance

@@ -6,22 +6,34 @@ node set, size-bounded) are the candidate groups handed to TPGCL.
 
 Every search is answered from one batched multi-source BFS via
 :class:`repro.sampling.engine.MultiSourceSearchEngine`.  The seed per-pair
-searches of :mod:`repro.sampling.searches` give identical candidates; the
-parity oracle built on them lives in ``tests/sampler_oracle.py`` (pinned
-by ``tests/test_sampler_parity.py``).
+searches give identical candidates; they and the parity oracle built on
+them live in ``tests/sampler_oracle.py`` (pinned by
+``tests/test_sampler_parity.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.graph import Graph, Group
 from repro.sampling.engine import MultiSourceSearchEngine
-from repro.sampling.searches import merge_groups
 from repro.seeding import resolve_seed
+
+
+def merge_groups(groups: List[Group]) -> List[Group]:
+    """Drop exact duplicates (same node set) while preserving order."""
+    seen: Set[Tuple[int, ...]] = set()
+    unique: List[Group] = []
+    for group in groups:
+        key = group.node_tuple()
+        if key in seen:
+            continue
+        seen.add(key)
+        unique.append(group)
+    return unique
 
 
 @dataclass
@@ -206,19 +218,3 @@ class CandidateGroupSampler:
             chosen = rng.choice(len(kept), size=config.max_candidates, replace=False)
             kept = [kept[i] for i in sorted(chosen)]
         return kept
-
-    # ------------------------------------------------------------------
-    def sample_with_scores(
-        self,
-        graph: Graph,
-        anchor_nodes: Sequence[int],
-        node_scores: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[Group]:
-        """Like :meth:`sample` but attaches the mean anchor score of each group.
-
-        Useful for baselines that score groups by aggregating node scores.
-        """
-        node_scores = np.asarray(node_scores, dtype=np.float64)
-        groups = self.sample(graph, anchor_nodes, rng=rng)
-        return [group.with_score(float(node_scores[list(group.nodes)].mean())) for group in groups]

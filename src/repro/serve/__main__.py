@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="admission bound; excess requests are shed with 429")
     parser.add_argument("--timeout-ms", type=float, default=None,
                         help="default per-request deadline budget (none if omitted)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shard large distinct-graph batches over this many processes")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="record request/batch/score spans and dump them as JSONL on shutdown")
     parser.add_argument("--provenance-log", metavar="PATH", default=None,
@@ -109,7 +107,6 @@ async def _serve(args: argparse.Namespace) -> int:
         max_wait_ms=args.max_wait_ms,
         queue_size=args.queue_size,
         default_timeout_ms=args.timeout_ms,
-        n_workers=args.workers,
         provenance_path=args.provenance_log,
         provenance_include_graph=args.provenance_include_graph,
         job_store_path=args.job_store,

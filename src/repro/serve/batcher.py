@@ -9,9 +9,8 @@ fingerprint** — ten dashboards asking for the same snapshot cost one
 ``detect_only``, the in-flight analogue of the pipeline's per-graph stage
 cache (``mode="fit_detect"`` batches additionally go through
 ``fit_detect_many`` and therefore *do* hit that LRU cache across
-batches).  Batches with many distinct graphs can optionally be sharded
-across worker processes by broadcasting the model's artifact path through
-:class:`repro.parallel.ParallelExecutor`.
+batches).  Warm ``detect_only`` scoring always runs on the executor
+thread against the registry's loaded detector.
 
 Scoring a request through a batch returns **exactly** the result of
 calling ``detect_only`` / ``fit_detect`` directly on the same graph and
@@ -78,10 +77,6 @@ class ServeConfig:
     baseline of the throughput benchmark).  ``queue_size`` bounds
     admission; ``default_timeout_ms`` is the per-request deadline budget
     used when a request does not set its own (``None`` = no deadline).
-    ``n_workers > 1`` shards batches with at least
-    ``parallel_min_graphs`` *distinct* graphs across a process pool via
-    :class:`repro.parallel.ParallelExecutor` (worth it only when single
-    scores are expensive — each dispatch pays pool startup).
 
     ``provenance_path`` turns on the per-response provenance log (see
     :mod:`repro.obs.provenance`): every successful ``/score`` response
@@ -106,8 +101,6 @@ class ServeConfig:
     queue_size: int = 128
     default_timeout_ms: Optional[float] = None
     retry_after_s: float = 1.0
-    n_workers: int = 1
-    parallel_min_graphs: int = 4
     max_body_bytes: int = 64 * 1024 * 1024
     provenance_path: Optional[str] = None
     provenance_include_graph: bool = False
@@ -394,13 +387,6 @@ class MicroBatcher:
                 # fit_detect_many's per-(fingerprint, config-hash) LRU cache
                 # persists across micro-batches, so repeats skip training.
                 results = entry.fit_detector.fit_detect_many(graphs, threshold=threshold)
-            elif self.config.n_workers > 1 and len(graphs) >= self.config.parallel_min_graphs:
-                from repro.parallel import ParallelExecutor
-
-                executor = ParallelExecutor(
-                    entry.state.config, n_workers=self.config.n_workers, artifact=entry.path
-                )
-                results = executor.fit_detect_many(graphs, threshold=threshold)
             else:
                 results = [entry.detector.detect_only(graph, threshold=threshold) for graph in graphs]
             tape_delta = tape_node_count() - tape_before

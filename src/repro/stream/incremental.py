@@ -13,14 +13,16 @@ what ``detector.save`` exports.
   refit only when the *drift budget* is exceeded — the fraction of the
   graph dirtied since the last refit — or on every tick under
   ``refit_policy="always"`` (the exact-parity oracle mode).  Between
-  refits the anchor set is frozen; optionally, freshly arrived nodes are
-  promoted to *provisional* anchors so a burst planted mid-stream can be
-  sampled before the next refit.
+  refits the anchor set is frozen; optionally, the
+  :data:`MAX_PROVISIONAL_ANCHORS` most recently arrived nodes are
+  promoted to *provisional* anchors, each paired with its
+  :data:`PROVISIONAL_PAIR_BUDGET` nearest scored anchors, so a burst
+  planted mid-stream can be sampled before the next refit.
 * **Stage 2 (candidate sampling)** is maintained exactly.  All of
   Algorithm 1's searches from an anchor ``a`` explore at most
   ``SamplerConfig.search_depth`` hops, so after a delta only anchors
-  inside the **dirty ball** — the ``search_depth``-hop ball around the
-  touched nodes (:meth:`Graph.k_hop_ball`, the union of the
+  inside the **dirty ball** — always the ``search_depth``-hop ball around
+  the touched nodes, since a smaller radius would leave stale candidates (:meth:`Graph.k_hop_ball`, the union of the
   :meth:`Graph.multi_source_bfs` balls) — can see any changed edge.
   Their cached per-pair / per-cycle results are recomputed from one
   batched BFS over just those sources; everything else is reused
@@ -65,6 +67,11 @@ from repro.sampling import CandidateGroupSampler, MultiSourceSearchEngine, Sampl
 from repro.seeding import resolve_seed
 from repro.stream.delta import DeltaReport, GraphDelta, StreamingGraph
 
+#: Most-recent cap on the provisional anchor set between refits.
+MAX_PROVISIONAL_ANCHORS = 16
+#: How many nearest scored anchors each provisional anchor is paired with.
+PROVISIONAL_PAIR_BUDGET = 8
+
 
 @dataclass
 class StreamConfig:
@@ -81,20 +88,14 @@ class StreamConfig:
         Fraction of nodes allowed to change (arrive, gain an edge, have
         features rewritten) since the last refit before a full one is
         forced.
-    dirty_depth:
-        Hop radius of the dirty ball; defaults to the sampler's
-        ``search_depth`` (the invalidation-exactness bound — do not lower
-        it unless you accept stale candidates).
     promote_new_nodes:
         Between refits, treat freshly arrived nodes as provisional
         anchors (paired with their nearest scored anchors) so anomalies
         planted mid-stream are sampled before the next refit.  A stream-
-        only augmentation: refits discard provisional anchors.
-    max_provisional_anchors:
-        Most-recent cap on the provisional anchor set.
-    provisional_pair_budget:
-        How many nearest scored anchors each provisional anchor is paired
-        with.
+        only augmentation: refits discard provisional anchors.  At most
+        :data:`MAX_PROVISIONAL_ANCHORS` (the most recent) are kept, each
+        paired with its :data:`PROVISIONAL_PAIR_BUDGET` nearest scored
+        anchors.
     threshold:
         Optional fixed score threshold τ; ``None`` re-derives the
         ``1 - contamination`` quantile every tick, like the batch
@@ -103,10 +104,7 @@ class StreamConfig:
 
     refit_policy: str = "budget"
     drift_budget: float = 0.25
-    dirty_depth: Optional[int] = None
     promote_new_nodes: bool = True
-    max_provisional_anchors: int = 16
-    provisional_pair_budget: int = 8
     threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -233,11 +231,6 @@ class IncrementalTPGrGAD:
     def dirty_fraction(self) -> float:
         """Accumulated dirty fraction of the graph since the last refit."""
         return float(self._dirty_mask.sum()) / float(self.graph.n_nodes)
-
-    def _search_depth(self) -> Optional[int]:
-        if self.stream_config.dirty_depth is not None:
-            return self.stream_config.dirty_depth
-        return self.config.sampler.search_depth
 
     # ------------------------------------------------------------------
     # Generation starts: full refit, or warm start from a fitted state
@@ -387,7 +380,7 @@ class IncrementalTPGrGAD:
         # The dirty ball is only needed (and only paid for) on the
         # incremental path; topology changes invalidate searches, feature-
         # only changes don't (paths/trees/cycles are purely structural).
-        ball = graph.k_hop_ball(report.touched_topology, self._search_depth())
+        ball = graph.k_hop_ball(report.touched_topology, self.config.sampler.search_depth)
         return self._incremental_tick(graph, report, ball, dirty_fraction, start)
 
     # ------------------------------------------------------------------
@@ -409,8 +402,8 @@ class IncrementalTPGrGAD:
         if self.stream_config.promote_new_nodes and report.n_new_nodes:
             new_provisional = list(range(graph.n_nodes - report.n_new_nodes, graph.n_nodes))
             self._provisional.extend(new_provisional)
-            dropped = self._provisional[: -self.stream_config.max_provisional_anchors]
-            self._provisional = self._provisional[-self.stream_config.max_provisional_anchors:]
+            dropped = self._provisional[:-MAX_PROVISIONAL_ANCHORS]
+            self._provisional = self._provisional[-MAX_PROVISIONAL_ANCHORS:]
             for node in dropped:
                 for pair in self._provisional_pairs.pop(node, []):
                     self._collection.pair_groups.pop(pair, None)
@@ -423,7 +416,7 @@ class IncrementalTPGrGAD:
         sources = list(dict.fromkeys(dirty_anchors + dirty_provisional + new_provisional))
         engine: Optional[MultiSourceSearchEngine] = None
         if sources:
-            engine = MultiSourceSearchEngine(graph, sources, max_depth=self._search_depth())
+            engine = MultiSourceSearchEngine(graph, sources, max_depth=sampler_config.search_depth)
 
         # ---- stage 2: patch the collection -----------------------------
         pairs_recomputed = 0
@@ -533,13 +526,12 @@ class IncrementalTPGrGAD:
         sources on account of a provisional pairing.
         """
         assert engine is not None
-        budget = self.stream_config.provisional_pair_budget
-        if budget <= 0 or not self._anchors:
+        if not self._anchors:
             return []
         dist_row = engine.distances(provisional)
         reachable = [(int(dist_row[a]), i, a) for i, a in enumerate(self._anchors) if dist_row[a] >= 0]
         reachable.sort()
-        return [(provisional, a) for _, _, a in reachable[:budget]]
+        return [(provisional, a) for _, _, a in reachable[:PROVISIONAL_PAIR_BUDGET]]
 
     # ------------------------------------------------------------------
     def finalize(self) -> GroupDetectionResult:

@@ -24,9 +24,8 @@ import pytest
 from repro.datasets import make_example_graph
 from repro.graph import Graph, graph_from_networkx
 from repro.sampling import CandidateGroupSampler, MultiSourceSearchEngine, SamplerConfig
-from repro.sampling.searches import cycle_search, path_search, tree_search
 
-from sampler_oracle import PerPairSampler
+from sampler_oracle import PerPairSampler, cycle_search, path_search, tree_search
 
 
 def _random_graph(seed: int, max_nodes: int = 60, density: float = 2.0) -> Graph:

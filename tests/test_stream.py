@@ -32,6 +32,7 @@ from repro.stream import (
     content_fingerprint,
     replay_event_stream,
 )
+from repro.stream.incremental import MAX_PROVISIONAL_ANCHORS, PROVISIONAL_PAIR_BUDGET
 
 
 # ----------------------------------------------------------------------------
@@ -345,6 +346,57 @@ class TestIncrementalParity:
         collection = staged.collect(stream_graph, anchors, pairs)
         got = staged.finalize(collection.ordered_candidates(pairs, anchors))
         assert [g.node_tuple() for g in got] == [g.node_tuple() for g in expected]
+
+
+class TestProvisionalAnchors:
+    """Between refits, new nodes become capped, nearest-paired provisional anchors."""
+
+    @staticmethod
+    def _arrivals(graph: Graph, n_new: int, rng: np.random.Generator) -> GraphDelta:
+        # Each new node links to two existing nodes, so it reaches the anchors.
+        new_ids = np.arange(graph.n_nodes, graph.n_nodes + n_new)
+        old = rng.integers(0, graph.n_nodes, size=(n_new, 2))
+        edges = np.concatenate([np.column_stack([new_ids, old[:, 0]]), np.column_stack([new_ids, old[:, 1]])])
+        return GraphDelta.make(edges=edges, node_features=rng.normal(size=(n_new, graph.n_features)))
+
+    def test_cap_keeps_most_recent_and_pairs_nearest_anchors(self, stream_graph):
+        assert (MAX_PROVISIONAL_ANCHORS, PROVISIONAL_PAIR_BUDGET) == (16, 8)
+        incremental = IncrementalTPGrGAD(
+            stream_graph, TPGrGADConfig.fast(seed=3), StreamConfig(refit_policy="never")
+        )
+        anchors = list(incremental._anchors)
+        assert len(anchors) > PROVISIONAL_PAIR_BUDGET
+        depth = incremental.config.sampler.search_depth
+        rng = np.random.default_rng(5)
+        base_n = stream_graph.n_nodes
+        full_budget = n_dropped = 0
+        for _ in range(3):  # 30 arrivals between refits
+            previous = list(incremental._provisional)
+            tick = incremental.update(self._arrivals(incremental.graph, 10, rng))
+            assert tick.mode == "incremental"
+            n = incremental.graph.n_nodes
+            assert incremental._provisional == list(range(max(base_n, n - MAX_PROVISIONAL_ANCHORS), n))
+
+            # Dropped provisional anchors leave no pairs or cycles behind.
+            dropped = [p for p in previous if p not in incremental._provisional]
+            n_dropped += len(dropped)
+            collection = incremental._collection
+            assert not any(pair[0] in dropped for pair in collection.pair_groups)
+            assert not any(p in collection.anchor_cycles for p in dropped)
+            assert set(incremental._provisional_pairs) == set(incremental._provisional)
+
+            # This tick's arrivals pair with their nearest scored anchors.
+            for p in range(n - 10, n):
+                pairs = incremental._provisional_pairs[p]
+                assert all(pair in collection.pair_groups for pair in pairs)
+                dist = incremental.graph.multi_source_bfs([p], depth).dist[0]
+                reachable = sorted((int(dist[a]), i) for i, a in enumerate(anchors) if dist[a] >= 0)
+                expected = [anchors[i] for _, i in reachable[:PROVISIONAL_PAIR_BUDGET]]
+                assert pairs == [(p, a) for a in expected]
+                full_budget += len(pairs) == PROVISIONAL_PAIR_BUDGET
+        assert full_budget > 0, "no arrival reached the pair budget; test lost its teeth"
+        assert n_dropped == 30 - MAX_PROVISIONAL_ANCHORS
+        assert incremental.n_refits == 1
 
 
 # ----------------------------------------------------------------------------

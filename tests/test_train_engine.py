@@ -33,7 +33,7 @@ from repro.datasets import make_example_graph
 from repro.gae import GAEConfig, GraphAutoEncoder, MHGAEConfig, MultiHopGAE
 from repro.gcl import GroupEncoder, MINEStatisticsNetwork, TPGCL, TPGCLConfig, mine_mutual_information
 from repro.graph import Graph, Group
-from repro.nn import Adam, EarlyStopping, Parameter, SGD
+from repro.nn import Adam, Parameter, SGD
 from repro.nn.optim import Optimizer
 from repro.persist import PipelineState
 from repro.tensor import (
@@ -158,14 +158,6 @@ class TestInPlaceOptimizers:
         assert param.grad is not None
         Adam([param]).zero_grad()
         assert param.grad is None
-
-    def test_early_stopping_tracker(self):
-        stopper = EarlyStopping(patience=2, min_delta=0.1)
-        assert not stopper.should_stop(1.0)
-        assert not stopper.should_stop(0.8)   # improved
-        assert not stopper.should_stop(0.75)  # < min_delta improvement: wait 1
-        assert stopper.should_stop(0.74)      # wait 2 -> stop
-        assert not EarlyStopping(patience=0).should_stop(5.0)
 
 
 # ======================================================================
@@ -451,43 +443,22 @@ class TestFloat32Parity:
 
     def test_float64_default_unchanged_by_accelerated_clone(self):
         config = TPGrGADConfig.fast(seed=1)
-        clone = config.accelerated(patience=3, min_delta=1e-5)
+        clone = config.accelerated()
         assert config.mhgae.dtype == "float64" and config.tpgcl.dtype == "float64"
-        assert config.mhgae.patience == 0
         assert clone.mhgae.dtype == "float32" and clone.tpgcl.dtype == "float32"
-        assert clone.mhgae.patience == 3 and clone.tpgcl.min_delta == 1e-5
         assert clone.content_hash() != config.content_hash()
 
 
 # ======================================================================
-# Early stopping in the training loops
+# Training loops
 # ======================================================================
-class TestEarlyStopping:
-    def test_gae_early_stops_on_plateau(self, example_graph):
-        full = GraphAutoEncoder(GAEConfig(epochs=40, hidden_dim=8, embedding_dim=4, seed=0))
-        full.fit(example_graph)
-        stopped = GraphAutoEncoder(
-            GAEConfig(epochs=40, hidden_dim=8, embedding_dim=4, seed=0, patience=2, min_delta=1e-3)
-        )
-        stopped.fit(example_graph)
-        assert stopped.training_result.early_stopped
-        assert stopped.training_result.epochs_run < full.training_result.epochs_run
-        # The common prefix of the trajectories is identical: stopping only
-        # truncates, it never changes the steps that do run.
-        prefix = stopped.training_result.epochs_run
-        assert stopped.training_result.losses == full.training_result.losses[:prefix]
-
-    def test_patience_zero_runs_all_epochs(self, example_graph):
+class TestTrainingLoops:
+    def test_every_fit_runs_all_epochs(self, example_graph):
         gae = GraphAutoEncoder(GAEConfig(epochs=5, hidden_dim=8, embedding_dim=4, seed=0))
         gae.fit(example_graph)
         assert gae.training_result.epochs_run == 5
-        assert not gae.training_result.early_stopped
 
-    def test_tpgcl_early_stops_on_plateau(self, example_graph):
         groups = [Group.from_nodes(range(i * 6, (i + 1) * 6)) for i in range(5)]
-        model = TPGCL(
-            TPGCLConfig(epochs=40, hidden_dim=8, embedding_dim=8, patience=1, min_delta=10.0, seed=0)
-        )
+        model = TPGCL(TPGCLConfig(epochs=4, hidden_dim=8, embedding_dim=8, seed=0))
         model.fit(example_graph, groups)
-        assert model.training_result.early_stopped
-        assert model.training_result.epochs_run < 40
+        assert model.training_result.epochs_run == 4
