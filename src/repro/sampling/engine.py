@@ -1,10 +1,10 @@
 """Vectorized multi-source search engine behind Algorithm 1.
 
 The seed implementation answered every anchor pair with its own Python
-BFS/DFS (kept as the oracle in ``tests/sampler_oracle.py``).  The engine instead runs **one
-batched multi-source BFS** from all anchors over the CSR adjacency
-(:meth:`repro.graph.Graph.multi_source_bfs`) and answers every query from
-the resulting distance/parent/discovery-order forest:
+BFS/DFS (kept as the oracle in ``tests/sampler_oracle.py``).  The engine
+instead runs **one batched multi-source BFS** from all anchors over the
+CSR adjacency (:meth:`repro.graph.Graph.multi_source_bfs`) and answers
+every query from the resulting distance/parent/discovery-order forest:
 
 * :meth:`MultiSourceSearchEngine.path_group` reconstructs the shortest
   path ``u -> v`` by walking parent pointers — tie-breaking is identical

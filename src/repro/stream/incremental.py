@@ -21,13 +21,14 @@ what ``detector.save`` exports.
 * **Stage 2 (candidate sampling)** is maintained exactly.  All of
   Algorithm 1's searches from an anchor ``a`` explore at most
   ``SamplerConfig.search_depth`` hops, so after a delta only anchors
-  inside the **dirty ball** — always the ``search_depth``-hop ball around
-  the touched nodes, since a smaller radius would leave stale candidates (:meth:`Graph.k_hop_ball`, the union of the
-  :meth:`Graph.multi_source_bfs` balls) — can see any changed edge.
-  Their cached per-pair / per-cycle results are recomputed from one
-  batched BFS over just those sources; everything else is reused
-  verbatim.  Because deltas are add-only, a clean anchor's cached result
-  equals a fresh recomputation bit for bit (proved in DESIGN.md,
+  inside the **dirty ball** — the ``search_depth``-hop ball around the
+  touched nodes (:meth:`Graph.k_hop_ball`, the union of the
+  :meth:`Graph.multi_source_bfs` balls) — can see any changed edge (so
+  the radius is always ``search_depth``: a smaller one would leave stale
+  candidates).  Their cached per-pair / per-cycle results are recomputed
+  from one batched BFS over just those sources; everything else is
+  reused verbatim.  Because deltas are add-only, a clean anchor's cached
+  result equals a fresh recomputation bit for bit (proved in DESIGN.md,
   tested in ``tests/test_stream.py``).
 * **Stage 3 (discrimination)** re-embeds only candidate groups whose
   member nodes were touched (a group's TPGCL embedding depends only on
@@ -90,12 +91,11 @@ class StreamConfig:
         forced.
     promote_new_nodes:
         Between refits, treat freshly arrived nodes as provisional
-        anchors (paired with their nearest scored anchors) so anomalies
-        planted mid-stream are sampled before the next refit.  A stream-
-        only augmentation: refits discard provisional anchors.  At most
-        :data:`MAX_PROVISIONAL_ANCHORS` (the most recent) are kept, each
-        paired with its :data:`PROVISIONAL_PAIR_BUDGET` nearest scored
-        anchors.
+        anchors so anomalies planted mid-stream are sampled before the
+        next refit.  A stream-only augmentation: refits discard
+        provisional anchors.  At most :data:`MAX_PROVISIONAL_ANCHORS`
+        (the most recent) are kept, each paired with its
+        :data:`PROVISIONAL_PAIR_BUDGET` nearest scored anchors.
     threshold:
         Optional fixed score threshold τ; ``None`` re-derives the
         ``1 - contamination`` quantile every tick, like the batch

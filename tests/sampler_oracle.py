@@ -125,7 +125,6 @@ def cycle_search(
     return cycles
 
 
-
 class PerPairSampler(CandidateGroupSampler):
     """:class:`CandidateGroupSampler` answering every search with the seed searches."""
 
