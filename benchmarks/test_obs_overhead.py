@@ -33,6 +33,7 @@ from repro.core import TPGrGAD, TPGrGADConfig
 from repro.obs import NULL_TRACER, Tracer, canonical_json, get_tracer, use_tracer
 from repro.persist import dump_json
 
+from hostinfo import host_facts
 from test_scaling_sparse import _synthetic_graph
 
 MAX_OVERHEAD_PCT = 2.0
@@ -112,6 +113,7 @@ def test_disabled_tracer_overhead_under_2pct(benchmark):
     dump_json(
         os.environ.get("BENCH_OBS_JSON", "BENCH_obs.json"),
         {
+            "host": host_facts(),
             "n_nodes": graph.n_nodes,
             "n_edges": graph.n_edges,
             "disabled_seconds": round(disabled_seconds, 3),

@@ -9,6 +9,13 @@ paper:
 * loss — ``λ · ||A - A'||² + (1 - λ) · ||X - X'||²``,
 * per-node anomaly score — the weighted sum of that node's structure and
   attribute reconstruction errors (Eqn. 1).
+
+The structure target is stored only as CSR (it has the sparsity of ``A``).
+Training densifies it once per :meth:`GraphAutoEncoder.fit` for the fused
+loss; scoring never does: :meth:`GraphAutoEncoder.score_nodes` encodes
+once and forms ``sigmoid(Z_B Zᵀ)`` and the residual one row block at a
+time, so warm scoring allocates no ``n × n`` array.  Only the public
+:meth:`GraphAutoEncoder.reconstruct` still returns the dense ``A'``.
 """
 
 from __future__ import annotations
@@ -23,10 +30,14 @@ from repro.graph import Graph, normalized_adjacency
 from repro.nn import Adam, GCNConv, MLP, Module
 from repro.obs.tracer import get_tracer
 from repro.seeding import resolve_seed
-from repro.tensor import Tensor, default_dtype, no_grad, tape_node_count
+from repro.tensor import Tensor, default_dtype, no_grad, sigmoid_, tape_node_count
 from repro.tensor.functional import gae_reconstruction_loss
 
 Propagation = Union[np.ndarray, sp.spmatrix]
+
+# Elements of one ``sigmoid(Z_B Zᵀ)`` row block in score_nodes (8 MB in
+# float64); the block holds ``max(1, budget // n)`` rows.
+SCORE_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -43,8 +54,8 @@ class GAEConfig:
     neither term dominates purely because of its scale.
     ``sparse_propagation`` keeps the GCN propagation matrix in CSR form so
     message passing runs as sparse-dense products and never materialises a
-    dense ``n × n`` matrix (the reconstruction *target* stays dense — the
-    sigmoid inner-product decoder is inherently dense).
+    dense ``n × n`` matrix.  (The reconstruction target is always CSR; only
+    training densifies it, once per fit.)
 
     ``dtype`` selects the training precision: ``"float64"`` (default) is
     the bit-reproducible reference path; ``"float32"`` is the fast mode —
@@ -121,7 +132,7 @@ class GraphAutoEncoder:
         self._model: Optional[_GAEModel] = None
         self._graph: Optional[Graph] = None
         self._propagation: Optional[Propagation] = None
-        self._structure_target: Optional[np.ndarray] = None
+        self._structure_target: Optional[sp.csr_matrix] = None
         self._scaled_features: Optional[np.ndarray] = None
         self.training_result = GAETrainingResult()
 
@@ -142,8 +153,8 @@ class GraphAutoEncoder:
     # ------------------------------------------------------------------
     # Reconstruction target and propagation (overridden by MH-GAE)
     # ------------------------------------------------------------------
-    def _build_structure_target(self, graph: Graph) -> np.ndarray:
-        return graph.adjacency(sparse=False)
+    def _build_structure_target(self, graph: Graph) -> sp.csr_matrix:
+        return graph.adjacency(sparse=True)
 
     def _build_propagation(self, graph: Graph) -> Propagation:
         return normalized_adjacency(graph, sparse=self.config.sparse_propagation)
@@ -170,7 +181,7 @@ class GraphAutoEncoder:
         self._propagation = self._build_propagation(graph)
         self._scaled_features = self._scale_features(graph.features)
         if dtype != np.float64:
-            self._structure_target = np.asarray(self._structure_target, dtype=dtype)
+            self._structure_target = self._structure_target.astype(dtype)
             self._scaled_features = np.asarray(self._scaled_features, dtype=dtype)
             if sp.issparse(self._propagation):
                 self._propagation = self._propagation.astype(dtype)
@@ -189,6 +200,8 @@ class GraphAutoEncoder:
             lam = config.structure_weight
             self.training_result = GAETrainingResult()
             workspace: dict = {}
+            # The fused loss wants a dense target; it lives only for this fit.
+            structure_target = self._structure_target.toarray()
 
             with default_dtype(self.dtype):
                 self._model = _GAEModel(graph.n_features, graph.n_nodes, config, rng)
@@ -204,7 +217,7 @@ class GraphAutoEncoder:
                         attribute_hat = self._model.decode_attributes(z)
 
                         loss = gae_reconstruction_loss(
-                            structure_hat, self._structure_target, attribute_hat, self._scaled_features, lam,
+                            structure_hat, structure_target, attribute_hat, self._scaled_features, lam,
                             workspace=workspace,
                         )
                         loss.backward()
@@ -284,11 +297,27 @@ class GraphAutoEncoder:
         return (values - values.mean()) / spread
 
     def score_nodes(self) -> np.ndarray:
-        """Per-node anomaly scores: weighted structure + attribute errors (Eqn. 1)."""
+        """Per-node anomaly scores: weighted structure + attribute errors (Eqn. 1).
+
+        The structure error ``‖Ã_i − σ(z_i Zᵀ)‖`` is computed one row block
+        of ``SCORE_BLOCK_ELEMENTS // n`` rows at a time, with the
+        elementwise ops of :meth:`reconstruct`, so the values equal the
+        dense formula without holding an ``n × n`` array.
+        """
         self._require_fitted()
-        structure_hat, attribute_hat = self.reconstruct()
+        with no_grad():
+            z = self._model.encode(Tensor(self._scaled_features), self._propagation)
+            attribute_hat = self._model.decode_attributes(z).numpy()
+        z = z.numpy()
+        n = z.shape[0]
+        rows = max(1, SCORE_BLOCK_ELEMENTS // max(n, 1))
+        structure_error = np.empty(n, dtype=z.dtype)
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            residual = self._structure_target[block].toarray()
+            residual -= sigmoid_(z[block] @ z.T)
+            structure_error[block] = np.linalg.norm(residual, axis=1)
         lam = self.config.structure_weight
-        structure_error = np.linalg.norm(self._structure_target - structure_hat, axis=1)
         attribute_error = np.linalg.norm(self._scaled_features - attribute_hat, axis=1)
         if self.config.normalize_errors:
             structure_error = self._zscore(structure_error)

@@ -10,6 +10,11 @@ so nodes deep inside an anomaly group — which look perfectly normal to
 their immediate neighbours but inconsistent with the wider graph — receive
 large reconstruction errors.  Those errors are thresholded into the anchor
 node set that seeds candidate-group sampling.
+
+Every target is built and stored as CSR.  The GraphSNN propagation mix is
+formed from that CSR directly; only the ``k_hop`` mix, whose reachability
+mass is dense for any connected graph, densifies.  Scoring inherits the
+row-blocked :meth:`GraphAutoEncoder.score_nodes`.
 """
 
 from __future__ import annotations
@@ -67,14 +72,14 @@ class MultiHopGAE(GraphAutoEncoder):
     # Differences from the vanilla GAE: the structure target and,
     # optionally, the propagation matrix of the encoder.
     # ------------------------------------------------------------------
-    def _build_structure_target(self, graph: Graph) -> np.ndarray:
+    def _build_structure_target(self, graph: Graph) -> sp.csr_matrix:
         config: MHGAEConfig = self.config  # type: ignore[assignment]
         if config.target == "adjacency":
-            return graph.adjacency(sparse=False)
+            return graph.adjacency(sparse=True)
         if config.target == "k_hop":
-            return k_hop_matrix(graph, config.k_hops)
+            return k_hop_matrix(graph, config.k_hops, sparse=True)
         if config.target == "graphsnn":
-            return graphsnn_weighted_adjacency(graph, lam=config.graphsnn_lambda)
+            return graphsnn_weighted_adjacency(graph, lam=config.graphsnn_lambda, sparse=True)
         raise ValueError(f"unknown MH-GAE target '{config.target}'")
 
     def _build_propagation(self, graph: Graph) -> Propagation:
@@ -86,18 +91,16 @@ class MultiHopGAE(GraphAutoEncoder):
         # and renormalise rows, so messages travel along the same long-range
         # relations the reconstruction loss penalises.
         target = self._structure_target
-        if target is None:  # pragma: no cover - fit() always builds the target first
-            target = self._build_structure_target(graph)
         if sp.issparse(one_hop):
             if config.target == "graphsnn":
                 # Ã shares the sparsity of A, so the mixed propagation stays
                 # sparse: one_hop + row-normalised (Ã + I), all in CSR.
-                target_norm = row_normalize(sp.csr_matrix(target) + sp.identity(graph.n_nodes, format="csr"))
+                target_norm = row_normalize(target + sp.identity(graph.n_nodes, format="csr"))
                 return row_normalize((one_hop + target_norm).tocsr())
             # k-hop reachability mass is dense for any connected graph;
             # densify the mix rather than pretending it is sparse.
             one_hop = one_hop.toarray()
-        mixed = one_hop + row_normalize(target + np.eye(graph.n_nodes))
+        mixed = one_hop + row_normalize(target.toarray() + np.eye(graph.n_nodes))
         return row_normalize(mixed)
 
     # ------------------------------------------------------------------

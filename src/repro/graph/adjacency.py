@@ -10,13 +10,15 @@ Table IV ablation of the paper):
 
 Every transform is computed sparse-first: the work happens on CSR matrices
 derived from the graph's edge index and is densified only on request
-(``sparse=False``, the default, for callers that feed a dense decoder).
-See DESIGN.md ("Sparse-first engine") for the layering rationale.
+(``sparse=False``, the default).  The GAE models request CSR and keep it:
+their reconstruction targets are stored sparse and densified only inside
+training.  See DESIGN.md ("Sparse-first engine") for the layering
+rationale.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,25 +175,3 @@ def graphsnn_weighted_adjacency(
             weighted.data /= maximum
     return weighted if sparse else weighted.toarray()
 
-
-def reconstruction_target(graph: Graph, target: str = "graphsnn", k: Optional[int] = None, lam: float = 1.0) -> np.ndarray:
-    """Resolve a named MH-GAE reconstruction target.
-
-    Targets are returned dense: they feed the ``sigmoid(Z Zᵀ)`` decoder
-    whose output is inherently dense.
-
-    Parameters
-    ----------
-    target:
-        One of ``"adjacency"`` (vanilla GAE), ``"k_hop"`` (requires ``k``) or
-        ``"graphsnn"`` (the recommended ``Ã``).
-    """
-    if target == "adjacency":
-        return adjacency_matrix(graph)
-    if target == "k_hop":
-        if k is None:
-            raise ValueError("k must be provided for the k_hop target")
-        return k_hop_matrix(graph, k)
-    if target == "graphsnn":
-        return graphsnn_weighted_adjacency(graph, lam=lam)
-    raise ValueError(f"unknown reconstruction target '{target}'")

@@ -79,10 +79,11 @@ def _bfs_forest_row(
 
     The traversal itself is ``scipy.sparse.csgraph.breadth_first_order`` —
     a compiled queue BFS that scans each CSR row in (sorted) index order,
-    i.e. exactly the discovery semantics of the sequential
-    :meth:`Graph.shortest_path` / :meth:`Graph.bfs_tree`.  Distances are
-    recovered from the discovery order with a searchsorted cascade over
-    the (non-decreasing) parent positions, one step per BFS level.
+    i.e. exactly the discovery semantics of the sequential per-source BFS
+    (the ``shortest_path`` / ``bfs_tree`` oracle in
+    ``tests/sampler_oracle.py``).  Distances are recovered from the
+    discovery order with a searchsorted cascade over the (non-decreasing)
+    parent positions, one step per BFS level.
     """
     node_array, predecessors = _csgraph_bfs_order(csr, source, directed=True, return_predecessors=True)
     reached = node_array.size
@@ -486,16 +487,16 @@ class Graph:
         """Run one BFS per source, batched, over the CSR adjacency.
 
         This is the engine behind vectorized candidate-group sampling: a
-        single call answers every :meth:`shortest_path` / :meth:`bfs_tree`
-        query among the sources.  ``depth`` bounds the number of hops kept
-        (``None`` keeps each component exhaustively); the arrays of deeper
-        nodes are masked to ``-1``.
+        single call answers every shortest-path / BFS-tree query among the
+        sources.  ``depth`` bounds the number of hops kept (``None`` keeps
+        each component exhaustively); the arrays of deeper nodes are masked
+        to ``-1``.
 
         Discovery order, parents and tie-breaking match the sequential BFS
-        of :meth:`shortest_path` / :meth:`bfs_tree` exactly (see
-        :class:`MultiSourceBFS`): both scan each node's sorted neighbour
-        list in queue order, as does the compiled csgraph traversal used
-        here.
+        of the ``shortest_path`` / ``bfs_tree`` oracle in
+        ``tests/sampler_oracle.py`` exactly (see :class:`MultiSourceBFS`):
+        both scan each node's sorted neighbour list in queue order, as does
+        the compiled csgraph traversal used here.
         """
         source_array = np.fromiter((int(s) for s in sources), dtype=np.int64)
         if source_array.size and (source_array.min() < 0 or source_array.max() >= self.n_nodes):
@@ -546,56 +547,6 @@ class Graph:
             frontier = expanded & ~reached
             reached |= frontier
         return np.flatnonzero(reached)
-
-    def bfs_tree(self, root: int, depth: int) -> Dict[int, int]:
-        """Breadth-first tree from ``root`` to at most ``depth`` hops.
-
-        Returns a mapping ``node -> parent`` (the root maps to itself).
-        """
-        root = int(root)
-        parents = {root: root}
-        frontier = [root]
-        for _ in range(depth):
-            next_frontier = []
-            for node in frontier:
-                for neighbor in self.neighbors(node):
-                    if neighbor not in parents:
-                        parents[neighbor] = node
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return parents
-
-    def shortest_path(self, source: int, target: int, cutoff: Optional[int] = None) -> Optional[List[int]]:
-        """Unweighted shortest path between two nodes (BFS), or None if unreachable.
-
-        ``cutoff`` bounds the number of hops explored.
-        """
-        source, target = int(source), int(target)
-        if source == target:
-            return [source]
-        parents = {source: source}
-        frontier = [source]
-        hops = 0
-        while frontier:
-            if cutoff is not None and hops >= cutoff:
-                return None
-            hops += 1
-            next_frontier = []
-            for node in frontier:
-                for neighbor in self.neighbors(node):
-                    if neighbor in parents:
-                        continue
-                    parents[neighbor] = node
-                    if neighbor == target:
-                        path = [target]
-                        while path[-1] != source:
-                            path.append(parents[path[-1]])
-                        return list(reversed(path))
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
-        return None
 
     # ------------------------------------------------------------------
     # Validation

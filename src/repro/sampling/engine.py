@@ -8,8 +8,9 @@ every query from the resulting distance/parent/discovery-order forest:
 
 * :meth:`MultiSourceSearchEngine.path_group` reconstructs the shortest
   path ``u -> v`` by walking parent pointers — tie-breaking is identical
-  to :meth:`Graph.shortest_path` because the batched BFS discovers nodes
-  in the same (level, parent discovery index, node id) order.
+  to the oracle's sequential ``shortest_path`` because the batched BFS
+  discovers nodes in the same (level, parent discovery index, node id)
+  order.
 * :meth:`MultiSourceSearchEngine.tree_group` reads the depth-``t`` BFS
   tree of the root straight from the same forest (``dist <= t`` is the
   depth-``t`` frontier union) and keeps the first ``max_nodes`` nodes in

@@ -23,6 +23,7 @@ Example
 from repro.tensor.tensor import (
     Tensor,
     no_grad,
+    sigmoid_,
     is_grad_enabled,
     default_dtype,
     get_default_dtype,
@@ -36,6 +37,7 @@ from repro.tensor.functional import spmm
 __all__ = [
     "Tensor",
     "no_grad",
+    "sigmoid_",
     "is_grad_enabled",
     "default_dtype",
     "get_default_dtype",

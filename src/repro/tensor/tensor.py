@@ -125,6 +125,22 @@ def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     return np.asarray(value, dtype=get_default_dtype())
 
 
+def sigmoid_(array: np.ndarray) -> np.ndarray:
+    """Logistic function in place: ``1 / (1 + exp(-clip(array, ±60)))``.
+
+    One buffer instead of five temporaries — this is the inner-product
+    decoder's hot path.  Each rewritten step applies the identical scalar
+    operation (1.0 + t commutes), so values are bitwise equal to the
+    allocating form.  Returns ``array``.
+    """
+    np.clip(array, -60.0, 60.0, out=array)
+    np.negative(array, out=array)
+    np.exp(array, out=array)
+    array += 1.0
+    np.divide(1.0, array, out=array)
+    return array
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo numpy broadcasting."""
     if grad.shape == shape:
@@ -527,16 +543,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward, "leaky_relu")
 
     def sigmoid(self) -> "Tensor":
-        # In-place chain equivalent to 1 / (1 + exp(-clip(x))): one buffer
-        # instead of five n×n temporaries — this is the inner-product
-        # decoder's hot path.  Each rewritten step applies the identical
-        # scalar operation (1.0 + t commutes), so values are bitwise equal
-        # to the allocating form.
-        data = np.clip(self.data, -60.0, 60.0)
-        np.negative(data, out=data)
-        np.exp(data, out=data)
-        data += 1.0
-        np.divide(1.0, data, out=data)
+        data = sigmoid_(np.copy(self.data))
 
         def backward(grad: np.ndarray) -> None:
             # Same pairing as grad * data * (1.0 - data), third product in place.

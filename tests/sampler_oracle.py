@@ -18,14 +18,70 @@ of interest are short).
 Only :meth:`PerPairSampler.collect` differs from the library sampler, so
 pair proposal, filtering, dedup, the candidate cap and the rng stream are
 shared.
+
+:func:`shortest_path` and :func:`bfs_tree` are the sequential Python BFS
+the searches stand on; they are also the oracle for
+:meth:`repro.graph.Graph.multi_source_bfs` (``tests/test_graph.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph import Graph, Group
 from repro.sampling import CandidateGroupSampler, SampleCollection
+
+
+def bfs_tree(graph: Graph, root: int, depth: int) -> Dict[int, int]:
+    """Breadth-first tree from ``root`` to at most ``depth`` hops.
+
+    Returns a mapping ``node -> parent`` (the root maps to itself).
+    """
+    root = int(root)
+    parents = {root: root}
+    frontier = [root]
+    for _ in range(depth):
+        next_frontier = []
+        for node in frontier:
+            for neighbor in graph.neighbors(node):
+                if neighbor not in parents:
+                    parents[neighbor] = node
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+        if not frontier:
+            break
+    return parents
+
+
+def shortest_path(graph: Graph, source: int, target: int, cutoff: Optional[int] = None) -> Optional[List[int]]:
+    """Unweighted shortest path between two nodes (BFS), or None if unreachable.
+
+    ``cutoff`` bounds the number of hops explored.
+    """
+    source, target = int(source), int(target)
+    if source == target:
+        return [source]
+    parents = {source: source}
+    frontier = [source]
+    hops = 0
+    while frontier:
+        if cutoff is not None and hops >= cutoff:
+            return None
+        hops += 1
+        next_frontier = []
+        for node in frontier:
+            for neighbor in graph.neighbors(node):
+                if neighbor in parents:
+                    continue
+                parents[neighbor] = node
+                if neighbor == target:
+                    path = [target]
+                    while path[-1] != source:
+                        path.append(parents[path[-1]])
+                    return list(reversed(path))
+                next_frontier.append(neighbor)
+        frontier = next_frontier
+    return None
 
 
 def path_search(graph: Graph, source: int, target: int, max_length: Optional[int] = None) -> Optional[Group]:
@@ -35,7 +91,7 @@ def path_search(graph: Graph, source: int, target: int, max_length: Optional[int
     ``max_length`` hops) or when the path is trivial (identical anchors or a
     single edge shared by both anchors is still returned as a 2-node group).
     """
-    path = graph.shortest_path(int(source), int(target), cutoff=max_length)
+    path = shortest_path(graph, source, target, cutoff=max_length)
     if path is None or len(path) < 2:
         return None
     return Group.from_path(path)
@@ -49,7 +105,7 @@ def tree_search(graph: Graph, root: int, other: int, depth: int = 2, max_nodes: 
     ball it is guaranteed to be included, which reproduces the paper's
     "hierarchical structures between anchor nodes v and µ".
     """
-    parents = graph.bfs_tree(int(root), depth)
+    parents = bfs_tree(graph, root, depth)
     if len(parents) < 2:
         return None
 

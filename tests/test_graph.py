@@ -9,7 +9,6 @@ import pytest
 from repro.graph import (
     Graph,
     Group,
-    adjacency_matrix,
     graph_from_networkx,
     graph_to_networkx,
     graphsnn_weighted_adjacency,
@@ -18,8 +17,9 @@ from repro.graph import (
     row_normalize,
     union_of_groups,
 )
-from repro.graph.adjacency import reconstruction_target
 from repro.graph.builders import groups_from_components
+
+from sampler_oracle import bfs_tree, shortest_path
 
 
 class TestGroup:
@@ -158,22 +158,6 @@ class TestGraphContainer:
         components = tiny_graph.connected_components([0, 1, 4, 5])
         assert sorted(len(c) for c in components) == [2, 2]
 
-    def test_bfs_tree_depth_limit(self, tiny_graph):
-        parents = tiny_graph.bfs_tree(0, depth=1)
-        assert set(parents) == {0, 1, 2}
-        assert parents[0] == 0
-
-    def test_shortest_path(self, tiny_graph):
-        assert tiny_graph.shortest_path(0, 5) == [0, 2, 3, 4, 5]
-        assert tiny_graph.shortest_path(0, 0) == [0]
-
-    def test_shortest_path_cutoff(self, tiny_graph):
-        assert tiny_graph.shortest_path(0, 5, cutoff=2) is None
-
-    def test_shortest_path_disconnected(self):
-        graph = Graph(4, [(0, 1), (2, 3)])
-        assert graph.shortest_path(0, 3) is None
-
     def test_validate_detects_nan_features(self):
         graph = Graph(2, [(0, 1)], features=np.array([[np.nan], [1.0]]))
         with pytest.raises(ValueError):
@@ -226,14 +210,6 @@ class TestAdjacencyTransforms:
         weighted = graphsnn_weighted_adjacency(tiny_graph, normalize=False)
         assert weighted[0, 1] > weighted[3, 4]
 
-    def test_reconstruction_target_dispatch(self, tiny_graph):
-        assert reconstruction_target(tiny_graph, "adjacency") == pytest.approx(adjacency_matrix(tiny_graph))
-        assert reconstruction_target(tiny_graph, "k_hop", k=2) == pytest.approx(k_hop_matrix(tiny_graph, 2))
-        with pytest.raises(ValueError):
-            reconstruction_target(tiny_graph, "k_hop")
-        with pytest.raises(ValueError):
-            reconstruction_target(tiny_graph, "nonsense")
-
 
 class TestBuilders:
     def test_networkx_roundtrip(self, tiny_graph):
@@ -268,7 +244,7 @@ class TestMultiSourceBFS:
         bfs = tiny_graph.multi_source_bfs(range(tiny_graph.n_nodes))
         for source in range(tiny_graph.n_nodes):
             for target in range(tiny_graph.n_nodes):
-                path = tiny_graph.shortest_path(source, target)
+                path = shortest_path(tiny_graph, source, target)
                 if path is None:
                     assert bfs.dist[source, target] == -1
                 else:
@@ -279,7 +255,7 @@ class TestMultiSourceBFS:
         bfs = tiny_graph.multi_source_bfs(sources)
         for row, source in enumerate(sources):
             for target in range(tiny_graph.n_nodes):
-                assert bfs.path(row, target) == tiny_graph.shortest_path(source, target)
+                assert bfs.path(row, target) == shortest_path(tiny_graph, source, target)
 
     def test_depth_bound_limits_exploration(self, tiny_graph):
         bfs = tiny_graph.multi_source_bfs([0], depth=1)
@@ -289,7 +265,7 @@ class TestMultiSourceBFS:
     def test_parents_match_bfs_tree(self, tiny_graph):
         bfs = tiny_graph.multi_source_bfs([0, 4], depth=2)
         for row, source in enumerate([0, 4]):
-            parents = tiny_graph.bfs_tree(source, 2)
+            parents = bfs_tree(tiny_graph, source, 2)
             for node, parent in parents.items():
                 assert int(bfs.parent[row, node]) == parent
 

@@ -25,7 +25,7 @@ from repro.datasets import make_example_graph
 from repro.graph import Graph, graph_from_networkx
 from repro.sampling import CandidateGroupSampler, MultiSourceSearchEngine, SamplerConfig
 
-from sampler_oracle import PerPairSampler, cycle_search, path_search, tree_search
+from sampler_oracle import PerPairSampler, bfs_tree, cycle_search, path_search, shortest_path, tree_search
 
 
 def _random_graph(seed: int, max_nodes: int = 60, density: float = 2.0) -> Graph:
@@ -118,25 +118,25 @@ def test_sampler_matches_seed_sampler(name, graph):
 
 
 def test_path_reconstruction_matches_shortest_path():
-    """The BFS forest reproduces Graph.shortest_path tie-breaking exactly."""
+    """The BFS forest reproduces the oracle shortest_path tie-breaking exactly."""
     for seed in range(6):
         graph = _random_graph(100 + seed, max_nodes=40, density=3.0)
         sources = _anchors(graph, count=5)
         bfs = graph.multi_source_bfs(sources)
         for row, source in enumerate(sources):
             for target in range(graph.n_nodes):
-                assert bfs.path(row, target) == graph.shortest_path(source, target)
+                assert bfs.path(row, target) == shortest_path(graph, source, target)
 
 
 def test_bfs_tree_matches_forest_parents():
-    """Depth-bounded forest rows agree with Graph.bfs_tree parent maps."""
+    """Depth-bounded forest rows agree with the oracle bfs_tree parent maps."""
     for seed in range(6):
         graph = _random_graph(200 + seed, max_nodes=40, density=2.5)
         sources = _anchors(graph, count=5)
         for depth in (1, 2, 4):
             bfs = graph.multi_source_bfs(sources, depth=depth)
             for row, source in enumerate(sources):
-                parents = graph.bfs_tree(source, depth)
+                parents = bfs_tree(graph, source, depth)
                 reached = {int(n) for n in np.flatnonzero(bfs.dist[row] >= 0)}
                 assert reached == set(parents)
                 for node, parent in parents.items():

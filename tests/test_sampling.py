@@ -9,7 +9,7 @@ from repro.graph import Graph
 from repro.sampling import CandidateGroupSampler, SamplerConfig
 from repro.sampling.sampler import merge_groups
 
-from sampler_oracle import cycle_search, path_search, tree_search
+from sampler_oracle import bfs_tree, cycle_search, path_search, shortest_path, tree_search
 
 
 @pytest.fixture
@@ -17,6 +17,24 @@ def ring_graph() -> Graph:
     """An 8-node ring plus a chord, giving paths, trees and cycles to find."""
     edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
     return Graph(8, edges, np.zeros((8, 2)))
+
+
+class TestOracleBFS:
+    def test_bfs_tree_depth_limit(self, tiny_graph):
+        parents = bfs_tree(tiny_graph, 0, depth=1)
+        assert set(parents) == {0, 1, 2}
+        assert parents[0] == 0
+
+    def test_shortest_path(self, tiny_graph):
+        assert shortest_path(tiny_graph, 0, 5) == [0, 2, 3, 4, 5]
+        assert shortest_path(tiny_graph, 0, 0) == [0]
+
+    def test_shortest_path_cutoff(self, tiny_graph):
+        assert shortest_path(tiny_graph, 0, 5, cutoff=2) is None
+
+    def test_shortest_path_disconnected(self):
+        graph = Graph(4, [(0, 1), (2, 3)])
+        assert shortest_path(graph, 0, 3) is None
 
 
 class TestPathSearch:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, functional as F, is_grad_enabled, no_grad
+from repro.tensor import Tensor, functional as F, is_grad_enabled, no_grad, sigmoid_
 
 
 def numeric_gradient(fn, value: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -146,6 +146,18 @@ class TestArithmeticGradients:
     def test_pow_non_scalar_exponent_raises(self):
         with pytest.raises(TypeError):
             Tensor([1.0]) ** Tensor([2.0])
+
+
+class TestInPlaceSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_allocating_form_and_in_place(self, dtype):
+        values = np.array([[-500.0, -60.5, -3.0, 0.0], [1e-8, 2.5, 60.5, 700.0]], dtype=dtype)
+        expected = 1.0 / (1.0 + np.exp(-np.clip(values, -60.0, 60.0)))
+        buffer = values.copy()
+        out = sigmoid_(buffer)
+        assert out is buffer and out.dtype == dtype
+        assert np.array_equal(out, expected)
+        assert np.array_equal(Tensor(values).sigmoid().numpy(), expected)
 
 
 class TestMatmulGradients:
