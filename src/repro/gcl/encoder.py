@@ -16,19 +16,23 @@ first to last — so float64 embeddings and gradients are bitwise equal to
 that graph, which ``tests/encoder_oracle.py`` keeps as the oracle.  The
 kernel just skips ~10 ``Tensor`` objects and closures per subgraph.
 
-:meth:`GroupEncoder.prepare` builds a view's propagation matrix and
-dtype-cast features once; TPGCL prepares each view when it is generated
-and reuses it every epoch until the views are refreshed.
+:meth:`GroupEncoder.prepare_many` builds the views (propagation matrix
+and dtype-cast features) of a list of subgraphs in one batch; TPGCL
+prepares each view generation at once and reuses it every epoch until the
+views are refreshed.  :meth:`GroupEncoder.prepare_groups` builds the
+unaugmented views of candidate groups from one columnar
+:meth:`Graph.induced_subgraphs` pass.  Both go through one edge-array
+builder, so a view is byte-equal whichever way it was made.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Union
+from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph import Graph, normalized_adjacency
+from repro.graph import Graph, Group
 from repro.nn import GCNConv, Module
 from repro.tensor import Tensor, is_grad_enabled
 
@@ -38,6 +42,65 @@ from repro.tensor import Tensor, is_grad_enabled
 # groups are usually far smaller, so this keeps the common case fast while
 # large subgraphs still propagate sparsely.
 _SPARSE_PROPAGATION_MIN_NODES = 256
+
+
+def _propagations(
+    node_offsets: np.ndarray, edge_offsets: np.ndarray, edges: np.ndarray, dtype: np.dtype
+) -> List[Union[np.ndarray, sp.csr_matrix]]:
+    """``D^-½(A+I)D^-½`` of every subgraph of a columnar batch, in ``dtype``.
+
+    Subgraph ``i`` has ``node_offsets[i + 1] - node_offsets[i]`` nodes and
+    the canonical local edge index ``edges[:, edge_offsets[i]:edge_offsets[i + 1]]``
+    (the layout of :class:`~repro.graph.InducedSubgraphs`).  Each matrix is
+    byte-equal to ``normalized_adjacency(subgraph, sparse=n >= 256)`` cast
+    to ``dtype``: the degrees are the same exact integers, and every
+    nonzero of that product is ``(1 · s_i) · s_j = s_i · s_j`` with
+    ``s = degrees^-½``.  So the dense matrices are written at their
+    ``2E + n`` nonzeros, all at once, into zeroed blocks of one buffer
+    instead of scaling an ``n × n`` array twice per subgraph.  The CSR
+    branch runs the same scipy products as ``normalized_adjacency``, so its
+    index order (and hence the SpMM summation order) is unchanged.
+    """
+    sizes = np.diff(node_offsets)
+    edge_owner = np.repeat(np.arange(sizes.size), np.diff(edge_offsets))
+    heads, tails = edges + node_offsets[edge_owner]  # batch-wide node ids
+    inv_sqrt = (np.bincount(np.concatenate([heads, tails]), minlength=node_offsets[-1]) + 1.0) ** -0.5
+    weights = inv_sqrt[heads] * inv_sqrt[tails]
+
+    # Dense subgraph i owns a k×k block of one zeroed buffer, padded to 16
+    # elements so each block starts as aligned as a fresh allocation would.
+    dense = sizes < _SPARSE_PROPAGATION_MIN_NODES
+    block_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(np.where(dense, -(-sizes * sizes // 16) * 16, 0), out=block_offsets[1:])
+    buffer = np.zeros(block_offsets[-1], dtype=dtype)
+    on = dense[edge_owner]
+    owner, (row, col), off_diagonal = edge_owner[on], edges[:, on], weights[on]
+    buffer[block_offsets[owner] + row * sizes[owner] + col] = off_diagonal
+    buffer[block_offsets[owner] + col * sizes[owner] + row] = off_diagonal
+    node_owner = np.repeat(np.arange(sizes.size), sizes)
+    on = dense[node_owner]
+    owner, local = node_owner[on], np.arange(node_owner.size)[on] - node_offsets[node_owner[on]]
+    buffer[block_offsets[owner] + local * (sizes[owner] + 1)] = (inv_sqrt * inv_sqrt)[on]
+
+    propagations: List[Union[np.ndarray, sp.csr_matrix]] = []
+    for i, n_nodes in enumerate(sizes.tolist()):
+        if n_nodes < _SPARSE_PROPAGATION_MIN_NODES:
+            start = int(block_offsets[i])
+            propagations.append(buffer[start : start + n_nodes * n_nodes].reshape(n_nodes, n_nodes))
+            continue
+        local_heads, local_tails = edges[:, edge_offsets[i] : edge_offsets[i + 1]]
+        adjacency = sp.csr_matrix(
+            (
+                np.ones(2 * local_heads.size),
+                (np.concatenate([local_heads, local_tails]), np.concatenate([local_tails, local_heads])),
+            ),
+            shape=(n_nodes, n_nodes),
+        )
+        adjacency.sort_indices()
+        scaler = sp.diags(inv_sqrt[node_offsets[i] : node_offsets[i + 1]])
+        propagation = scaler @ (adjacency + sp.identity(n_nodes, format="csr")) @ scaler
+        propagations.append(propagation.tocsr().astype(dtype, copy=False))
+    return propagations
 
 
 class GroupView(NamedTuple):
@@ -72,10 +135,42 @@ class GroupEncoder(Module):
 
     def prepare(self, group_graph: Graph) -> GroupView:
         """Normalised adjacency (dense below 256 nodes, CSR above) and features."""
-        sparse = group_graph.n_nodes >= _SPARSE_PROPAGATION_MIN_NODES
-        propagation = normalized_adjacency(group_graph, sparse=sparse)
-        propagation = propagation.astype(self.dtype, copy=False)
-        return GroupView(propagation, np.asarray(group_graph.features, dtype=self.dtype))
+        return self.prepare_many([group_graph])[0]
+
+    def prepare_many(self, group_graphs: Sequence[Graph]) -> List[GroupView]:
+        """:meth:`prepare` for a whole list of subgraphs (e.g. one view generation)."""
+        sizes = [group_graph.n_nodes for group_graph in group_graphs]
+        edge_counts = [group_graph.n_edges for group_graph in group_graphs]
+        return self._views(
+            np.cumsum([0] + sizes),
+            np.cumsum([0] + edge_counts),
+            np.concatenate([group_graph.edge_index for group_graph in group_graphs], axis=1),
+            np.concatenate([group_graph.features for group_graph in group_graphs]),
+        )
+
+    def prepare_groups(self, graph: Graph, groups: Sequence[Group]) -> List[GroupView]:
+        """Views of the groups' induced subgraphs, built from one columnar pass.
+
+        :meth:`Graph.induced_subgraphs` yields every group's canonical
+        local edge index at once, so no ``Graph`` is made per group; each
+        view equals ``prepare(graph.group_subgraph(group))`` byte for byte.
+        """
+        induced = graph.induced_subgraphs([group.nodes for group in groups])
+        return self._views(
+            induced.node_offsets, induced.edge_offsets, induced.edges, graph.features[induced.nodes]
+        )
+
+    def _views(
+        self, node_offsets: np.ndarray, edge_offsets: np.ndarray, edges: np.ndarray, features: np.ndarray
+    ) -> List[GroupView]:
+        """Views of a columnar batch of subgraphs whose stacked node features are ``features``."""
+        propagations = _propagations(node_offsets, edge_offsets, edges, self.dtype)
+        features = np.asarray(features, dtype=self.dtype)
+        offsets = node_offsets.tolist()
+        return [
+            GroupView(propagation, features[offsets[i] : offsets[i + 1]])
+            for i, propagation in enumerate(propagations)
+        ]
 
     def forward(self, group_graph: Graph) -> Tensor:
         """Embed one group graph; returns a ``(1, embedding_dim)`` tensor."""

@@ -2,7 +2,8 @@
 
 Given candidate groups sampled from a graph, TPGCL:
 
-1. extracts each group's induced subgraph,
+1. extracts every group's induced subgraph in one columnar pass
+   (:meth:`~repro.graph.Graph.induced_subgraphs`),
 2. generates a positive view with PPA and a negative view with PBA (other
    augmentations can be plugged in for the Fig. 6 ablation),
 3. embeds all views with a shared :class:`~repro.gcl.encoder.GroupEncoder`,
@@ -123,9 +124,6 @@ class TPGCL:
     # ------------------------------------------------------------------
     # View generation
     # ------------------------------------------------------------------
-    def _group_subgraphs(self, graph: Graph, groups: Sequence[Group]) -> List[Graph]:
-        return [graph.group_subgraph(group) for group in groups]
-
     def _generate_views(
         self,
         subgraphs: Sequence[Graph],
@@ -135,9 +133,10 @@ class TPGCL:
         """Draw a (positive, negative) view per subgraph, prepared for the encoder."""
         # All positive views are drawn before any negative one: that order
         # of RNG draws is what keeps views reproducible.
-        prepare = self.encoder.prepare
         positive, negative = (
-            [prepare(augmentation(sub, self._rng, found)) for sub, found in zip(subgraphs, patterns)]
+            self.encoder.prepare_many(
+                [augmentation(sub, self._rng, found) for sub, found in zip(subgraphs, patterns)]
+            )
             for augmentation in augmentations
         )
         return positive, negative
@@ -169,7 +168,14 @@ class TPGCL:
                     weight_decay=config.weight_decay,
                 )
 
-                subgraphs = self._group_subgraphs(graph, groups)
+                # One columnar pass yields every candidate's canonical induced
+                # subgraph, equal to ``graph.group_subgraph(group)``.
+                induced = graph.induced_subgraphs([group.nodes for group in groups])
+                features, name = graph.features[induced.nodes], f"{graph.name}-group"
+                subgraphs = [
+                    Graph.from_canonical(rows.stop - rows.start, edges, features[rows], name=name)
+                    for rows, edges in induced.parts()
+                ]
                 augmentations = self._augmentations()
                 with tracer.span("tpgcl.augment") as view_span:
                     # Pattern search is deterministic and draws no randomness, so
@@ -269,6 +275,5 @@ class TPGCL:
         """Embeddings of the (unaugmented) candidate groups, ``(m, d)`` array."""
         if self.encoder is None:
             raise RuntimeError("call fit() before embedding groups")
-        subgraphs = self._group_subgraphs(graph, list(groups))
         with no_grad():
-            return self.encoder.encode_batch(subgraphs).numpy()
+            return self.encoder.encode_batch(self.encoder.prepare_groups(graph, groups)).numpy()

@@ -6,7 +6,7 @@ undirected graph with optional ground-truth anomaly groups attached.
 """
 
 from repro.graph.group import Group
-from repro.graph.graph import Graph, MultiSourceBFS
+from repro.graph.graph import Graph, InducedSubgraphs, MultiSourceBFS
 from repro.graph.adjacency import (
     adjacency_matrix,
     normalized_adjacency,
@@ -19,6 +19,7 @@ from repro.graph.builders import graph_from_networkx, graph_to_networkx, union_o
 __all__ = [
     "Graph",
     "Group",
+    "InducedSubgraphs",
     "MultiSourceBFS",
     "adjacency_matrix",
     "normalized_adjacency",

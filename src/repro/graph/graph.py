@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +66,40 @@ class MultiSourceBFS:
         while parents[path[-1]] != path[-1]:
             path.append(int(parents[path[-1]]))
         return list(reversed(path))
+
+
+@dataclass(frozen=True)
+class InducedSubgraphs:
+    """Columnar induced subgraphs of several node sets (:meth:`Graph.induced_subgraphs`).
+
+    Set ``i`` owns ``nodes[node_offsets[i]:node_offsets[i + 1]]`` (sorted
+    global ids; local id ``j`` is the ``j``-th of them) and the canonical
+    local edge index ``edges[:, edge_offsets[i]:edge_offsets[i + 1]]``.
+    """
+
+    node_offsets: np.ndarray
+    nodes: np.ndarray
+    edge_offsets: np.ndarray
+    edges: np.ndarray
+
+    def __len__(self) -> int:
+        return self.node_offsets.size - 1
+
+    def parts(self) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Per set: its slice of :attr:`nodes` and its ``(2, E)`` local edge index."""
+        node_offsets, edge_offsets = self.node_offsets.tolist(), self.edge_offsets.tolist()
+        for i in range(len(self)):
+            yield (
+                slice(node_offsets[i], node_offsets[i + 1]),
+                self.edges[:, edge_offsets[i] : edge_offsets[i + 1]],
+            )
+
+
+def _offsets(owner: np.ndarray, n_sets: int) -> np.ndarray:
+    """CSR offsets of a sorted owner column over ``n_sets`` sets."""
+    offsets = np.zeros(n_sets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_sets), out=offsets[1:])
+    return offsets
 
 
 def _bfs_forest_row(
@@ -193,9 +228,11 @@ class Graph:
         :class:`~repro.stream.StreamingGraph` maintains the canonical sorted
         edge index itself (sorted-merge per delta), so re-running the
         ``O(E log E)`` :meth:`_canonicalize` on every tick would throw that
-        work away.  The caller guarantees each column satisfies ``u < v``
-        with columns in strictly increasing lexicographic order —
-        :meth:`validate` checks exactly these invariants when in doubt.
+        work away.  :meth:`subgraph` and the subgraphs TPGCL builds from
+        :meth:`induced_subgraphs` take it for the same reason.  The caller
+        guarantees each column satisfies ``u < v`` with columns in strictly
+        increasing lexicographic order — :meth:`validate` checks exactly
+        these invariants when in doubt.
         ``adjacency`` optionally seeds the CSR cache (it must equal the
         adjacency the edge index implies; again trusted, not checked).
         """
@@ -353,15 +390,21 @@ class Graph:
 
         Also accepts hand-written payloads: ``features`` may be omitted
         (defaulting to the usual all-zeros single attribute) and ``name``
-        falls back to ``"graph"``.
+        falls back to ``"graph"``.  Non-finite features are rejected here:
+        Python's ``json`` parses ``NaN`` and ``Infinity``, and such a graph
+        would otherwise fail only after the whole scoring pipeline ran.
         """
         if "n_nodes" not in payload:
             raise ValueError("graph payload must carry 'n_nodes'")
         features = payload.get("features")
+        if features is not None:
+            features = np.asarray(features, dtype=np.float64)
+            if not np.isfinite(features).all():
+                raise ValueError("graph features contain NaN or infinite values")
         return cls(
             n_nodes=int(payload["n_nodes"]),
             edges=payload.get("edges", ()),
-            features=None if features is None else np.asarray(features, dtype=np.float64),
+            features=features,
             name=str(payload.get("name", "graph")),
         )
 
@@ -397,10 +440,11 @@ class Graph:
     def subgraph(self, nodes: Iterable[int], name: Optional[str] = None) -> "Graph":
         """Induced subgraph on ``nodes`` with node indices relabelled to ``0..k-1``.
 
-        Edge filtering is a vectorised boolean mask over the edge index —
-        this is a hot path for stage-3 candidate-group extraction.  Group
-        annotations are dropped (a subgraph is usually a candidate group,
-        not a labelled dataset).
+        Edge filtering is a vectorised boolean mask over the edge index.
+        Relabelling through the sorted node array is monotone, so the kept
+        columns stay ``u < v`` and lexicographically sorted and the result
+        skips :meth:`_canonicalize`.  Group annotations are dropped (a
+        subgraph is usually a candidate group, not a labelled dataset).
         """
         node_array = np.unique(np.fromiter((int(n) for n in nodes), dtype=np.int64))
         if node_array.size == 0:
@@ -409,14 +453,54 @@ class Graph:
             raise ValueError(f"subgraph nodes out of range for {self.n_nodes} nodes")
         mapping = np.full(self.n_nodes, -1, dtype=np.int64)
         mapping[node_array] = np.arange(node_array.size)
-        u, v = self._edge_index
-        keep = (mapping[u] >= 0) & (mapping[v] >= 0)
-        sub_edges = np.stack([mapping[u[keep]], mapping[v[keep]]], axis=1)
-        return Graph(
-            n_nodes=int(node_array.size),
-            edges=sub_edges,
+        local = mapping[self._edge_index]
+        return Graph.from_canonical(
+            int(node_array.size),
+            local[:, (local >= 0).all(axis=0)],
             features=self.features[node_array],
             name=name or f"{self.name}-sub",
+        )
+
+    def induced_subgraphs(self, node_sets: Sequence[Collection[int]]) -> InducedSubgraphs:
+        """Every node set's induced subgraph from one pass over the edge index.
+
+        The canonical edge index is a CSR of the upper triangle (row ``u``
+        holds the sorted ``v > u``).  The members of all sets become sorted
+        ``(set, node)`` keys; one gather walks the upper rows of every
+        member, and a ``searchsorted`` over the keys keeps the neighbours
+        in the same set.  Member order is ascending within a set and each
+        row is sorted, so every set's local edges come out canonical — the
+        same nodes and edge index as :meth:`subgraph`, without a ``Graph``
+        per set.  Duplicate members and unsorted sets are accepted.
+        """
+        sizes = np.fromiter((len(node_set) for node_set in node_sets), dtype=np.int64, count=len(node_sets))
+        if (sizes == 0).any():
+            raise ValueError("cannot build an empty subgraph")
+        members = np.fromiter(chain.from_iterable(node_sets), dtype=np.int64, count=int(sizes.sum()))
+        if members.size and (members.min() < 0 or members.max() >= self.n_nodes):
+            raise ValueError(f"subgraph nodes out of range for {self.n_nodes} nodes")
+        n = np.int64(self.n_nodes)
+        keys = np.sort(np.repeat(np.arange(len(node_sets), dtype=np.int64), sizes) * n + members)
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # drop repeated members (np.unique is slower)
+        owner, nodes = np.divmod(keys, n)
+        node_offsets = _offsets(owner, len(node_sets))
+
+        heads, tails = self._edge_index
+        starts = np.searchsorted(heads, nodes, side="left")
+        counts = np.searchsorted(heads, nodes, side="right") - starts
+        member = np.repeat(np.arange(keys.size), counts)
+        positions = np.arange(member.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        queries = owner[member] * n + tails[positions]
+        found = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+        hit = keys[found] == queries
+        member, found = member[hit], found[hit]
+        edge_owner = owner[member]
+        base = node_offsets[edge_owner]
+        return InducedSubgraphs(
+            node_offsets=node_offsets,
+            nodes=nodes,
+            edge_offsets=_offsets(edge_owner, len(node_sets)),
+            edges=np.stack([member - base, found - base]),
         )
 
     def group_subgraph(self, group: Group) -> "Graph":

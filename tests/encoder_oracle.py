@@ -8,19 +8,21 @@ kernel must match bit for bit in float64 (``tests/test_gcl.py``,
 ``tests/test_train_engine.py``) and as the baseline arm of
 ``benchmarks/test_tpgcl_speed.py``.
 
-``prepare`` returns the graph unchanged, so a :class:`repro.gcl.TPGCL`
-whose encoder is an :class:`AutodiffGroupEncoder` trains exactly as the
-pre-kernel code did, normalisation per epoch included.
+``prepare_many`` (so also ``prepare``) returns the graphs unchanged and
+``prepare_groups`` builds each group's subgraph with
+``graph.group_subgraph``, so a :class:`repro.gcl.TPGCL` whose encoder is an
+:class:`AutodiffGroupEncoder` trains and embeds exactly as the pre-kernel
+code did, normalisation per epoch included.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.gcl import GroupEncoder
-from repro.graph import Graph, normalized_adjacency
+from repro.graph import Graph, Group, normalized_adjacency
 from repro.tensor import Tensor
 
 _SPARSE_PROPAGATION_MIN_NODES = 256
@@ -29,8 +31,11 @@ _SPARSE_PROPAGATION_MIN_NODES = 256
 class AutodiffGroupEncoder(GroupEncoder):
     """:class:`GroupEncoder` with the pre-kernel autodiff forward."""
 
-    def prepare(self, group_graph: Graph) -> Graph:
-        return group_graph
+    def prepare_many(self, group_graphs: Sequence[Graph]) -> List[Graph]:
+        return list(group_graphs)
+
+    def prepare_groups(self, graph: Graph, groups: Sequence[Group]) -> List[Graph]:
+        return [graph.group_subgraph(group) for group in groups]
 
     def forward(self, group_graph: Graph) -> Tensor:
         propagation = normalized_adjacency(

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro.gcl.tpgcl as tpgcl_module
 from repro.augment import PatternBreakingAugmentation, PatternPreservingAugmentation, find_topology_patterns
+from repro.datasets import make_simml
 from repro.gcl import GroupEncoder, MINEStatisticsNetwork, TPGCL, TPGCLConfig, mine_mutual_information
-from repro.graph import Group
-from repro.tensor import Tensor
+from repro.gcl.encoder import GroupView
+from repro.graph import Group, normalized_adjacency
+from repro.tensor import Tensor, default_dtype, no_grad
 
 from encoder_oracle import AutodiffGroupEncoder
 
@@ -57,6 +60,88 @@ class TestGroupEncoder:
             outputs.append([embeddings.data] + [p.grad for p in encoder.parameters()])
         for fused, oracle in zip(*outputs):
             assert np.array_equal(fused, oracle)
+
+
+def _assert_views_byte_equal(view, reference):
+    propagation, expected = view.propagation, reference.propagation
+    assert sp.issparse(propagation) == sp.issparse(expected)
+    if sp.issparse(expected):
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(propagation, field), getattr(expected, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    else:
+        assert propagation.dtype == expected.dtype and propagation.tobytes() == expected.tobytes()
+    assert view.features.dtype == reference.features.dtype
+    assert view.features.tobytes() == reference.features.tobytes()
+
+
+class TestColumnarViews:
+    """``prepare_groups`` (one columnar pass) against one ``Graph`` per group."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return make_simml(scale=0.1, seed=2)
+
+    @pytest.fixture(scope="class")
+    def groups(self, graph):
+        adjacency = graph.adjacency(sparse=True)
+        isolated = []  # pairwise non-adjacent nodes: no internal edges
+        for node in range(graph.n_nodes):
+            if not any(graph.has_edge(node, other) for other in isolated):
+                isolated.append(node)
+            if len(isolated) == 5:
+                break
+        u, v = graph.edge_index[:, 0]
+        hub = int(np.argmax(np.diff(adjacency.indptr)))
+        groups = [
+            Group.from_nodes(isolated),
+            Group.from_nodes([u, v]),  # 2 nodes, one edge
+            Group.from_nodes([hub, *graph.neighbors(hub)]),
+            Group.from_nodes(range(graph.n_nodes - 260, graph.n_nodes)),  # CSR propagation
+            Group.from_nodes([3]),
+        ]
+        groups += list(graph.groups)
+        return groups + groups[:3]  # duplicate candidates
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_views_byte_equal_to_per_graph_prepare(self, graph, groups, dtype):
+        with default_dtype(np.dtype(dtype)):
+            encoder = GroupEncoder(graph.n_features, hidden_dim=8, embedding_dim=8)
+        assert encoder.dtype == dtype
+        views = encoder.prepare_groups(graph, groups)
+        assert len(views) == len(groups)
+        assert np.count_nonzero(views[0].propagation) == len(groups[0])  # diagonal only
+        assert np.count_nonzero(views[1].propagation) == 4
+        assert sp.issparse(views[3].propagation)
+        for view, group in zip(views, groups):
+            subgraph = graph.group_subgraph(group)
+            _assert_views_byte_equal(view, encoder.prepare(subgraph))
+            # ...and both equal the normalised adjacency the encoder used to build.
+            sparse = subgraph.n_nodes >= 256
+            reference = GroupView(
+                normalized_adjacency(subgraph, sparse=sparse).astype(dtype, copy=False),
+                np.asarray(subgraph.features, dtype=dtype),
+            )
+            _assert_views_byte_equal(view, reference)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_embed_groups_byte_equal_to_per_graph_encoding(self, graph, groups, dtype):
+        config = TPGCLConfig(epochs=2, batch_size=8, hidden_dim=8, embedding_dim=8, dtype=dtype)
+        model = TPGCL(config).fit(graph, groups)
+        per_graph = model.encoder.encode_batch([graph.group_subgraph(group) for group in groups]).numpy()
+        embeddings = model.embed_groups(graph, groups)
+        assert embeddings.dtype == per_graph.dtype
+        assert embeddings.tobytes() == per_graph.tobytes()
+        if dtype == "float64":
+            oracle = AutodiffGroupEncoder(graph.n_features, hidden_dim=8, embedding_dim=8)
+            oracle.load_state_dict(model.encoder.state_dict())
+            with no_grad():
+                expected = oracle.encode_batch(oracle.prepare_groups(graph, groups)).numpy()
+            assert embeddings.tobytes() == expected.tobytes()
+
+    def test_empty_group_is_rejected(self, graph):
+        with pytest.raises(ValueError, match="empty"):
+            graph.induced_subgraphs([[0, 1], []])
 
 
 class TestMINE:

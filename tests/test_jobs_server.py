@@ -164,6 +164,16 @@ class TestSubmitPollResult:
             client.job("nope")
         assert excinfo.value.status == 404
 
+    def test_non_finite_features_are_400_and_never_stored(self, running):
+        _, client = running
+        payload = GRAPH.to_json_dict()
+        payload["features"][0][0] = float("nan")
+        status, _, body = client._request("POST", "/jobs", {"graph": payload})
+        assert status == 400, body
+        assert "NaN or infinite" in body["error"]
+        assert client.jobs()["jobs"] == []
+        assert client.metrics()["jobs"]["submitted_total"] == 0
+
 
 # ----------------------------------------------------------------------
 class TestCancelAndPending:

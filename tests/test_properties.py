@@ -118,6 +118,34 @@ class TestGraphProperties:
         assert sub.n_edges <= graph.n_edges
         assert sub.n_nodes == len(set(nodes))
 
+    @given(random_graph_strategy(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_subgraph_is_canonical_without_recanonicalizing(self, spec, data):
+        n, edges = spec
+        graph = Graph(n, edges, np.arange(2 * n, dtype=np.float64).reshape(n, 2))
+        # Unsorted, with repeats: the relabelled edge index must still be canonical.
+        nodes = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=2 * n))
+        sub = graph.subgraph(nodes)
+        sub.validate()
+        rebuilt = Graph(sub.n_nodes, sub.edge_index.T.tolist(), sub.features)
+        assert np.array_equal(sub.edge_index, rebuilt.edge_index)
+        assert np.array_equal(sub.features, graph.features[sorted(set(nodes))])
+
+    @given(random_graph_strategy(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_induced_subgraphs_match_subgraph(self, spec, data):
+        n, edges = spec
+        graph = Graph(n, edges, np.zeros((n, 1)))
+        sets = data.draw(
+            st.lists(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=2 * n), max_size=6)
+        )
+        induced = graph.induced_subgraphs(sets)
+        assert len(induced) == len(sets)
+        for (rows, local_edges), nodes in zip(induced.parts(), sets):
+            sub = graph.subgraph(nodes)
+            assert np.array_equal(induced.nodes[rows], np.unique(nodes))
+            assert np.array_equal(local_edges, sub.edge_index)
+
 
 # ----------------------------------------------------------------------------
 # Metric invariants

@@ -331,6 +331,23 @@ class TestHttpHardening:
         finally:
             handle.stop()
 
+    def test_non_finite_features_are_400_before_scoring(self, registry):
+        handle = start_server_thread(registry, ServeConfig())
+        try:
+            with ScoringClient(port=handle.port) as client:
+                for bad in (float("nan"), float("inf")):
+                    payload = GRAPHS["g7"].to_json_dict()
+                    payload["features"][3][0] = bad
+                    # json.dumps writes NaN / Infinity, which json.loads accepts.
+                    status, _, body = client._request("POST", "/score", {"graph": payload})
+                    assert status == 400, body
+                    assert "NaN or infinite" in body["error"]
+                metrics = client.metrics()
+                assert metrics["requests_total"] == 0
+                assert metrics["scored_total"] == 0
+        finally:
+            handle.stop()
+
     def test_failed_requests_do_not_inflate_dedup_hits(self, registry):
         handle = start_server_thread(registry, ServeConfig())
         try:
