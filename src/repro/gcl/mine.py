@@ -9,6 +9,15 @@ positive-view and negative-view embedding distributions:
 TPGCL *minimises* this quantity (Eqn. 8 of the paper), pushing the encoder
 to share as little information as possible between views that preserve and
 views that break the group's topology patterns.
+
+The ``m (m - 1)`` marginal pairs repeat every embedding row ``m - 1``
+times.  A MINE-local gather op builds them; its backward groups each row's
+gradient rows with a stable argsort and sums them with one
+``reshape(m, m - 1, d).sum(axis=1)``.  That adds them in the order
+``np.add.at`` (the backward of ``Tensor.__getitem__``) would, so the loss
+and every gradient are bitwise equal to the indexing formulation that
+``tests/encoder_oracle.py`` keeps as the oracle, without its unbuffered
+per-element scatter.
 """
 
 from __future__ import annotations
@@ -30,6 +39,26 @@ class MINEStatisticsNetwork(Module):
     def forward(self, z_a: Tensor, z_b: Tensor) -> Tensor:
         """Score pairs ``(z_a[i], z_b[i])``; both inputs are ``(k, d)`` tensors."""
         return self.mlp(Tensor.concatenate([z_a, z_b], axis=1))
+
+
+def _gather_marginal(embeddings: Tensor, index: np.ndarray) -> Tensor:
+    """``embeddings[index]`` for an index naming each of the ``m`` rows ``m - 1`` times.
+
+    The backward sums each row's ``m - 1`` gradient rows in the order they
+    appear in ``index`` (a stable argsort groups them by row), which is the
+    order ``np.add.at`` in ``Tensor.__getitem__`` adds them in, so the result
+    is bitwise equal without the unbuffered scatter.  numpy sums a
+    one-column slab pairwise, so ``d == 1`` accumulates instead.
+    """
+    m, d = embeddings.shape
+    order = np.argsort(index, kind="stable")
+
+    def backward(grad: np.ndarray) -> None:
+        grouped = np.asarray(grad)[order].reshape(m, m - 1, d)
+        total = np.add.accumulate(grouped, axis=1)[:, -1] if d == 1 else grouped.sum(axis=1)
+        embeddings._accumulate(total, owned=True)
+
+    return Tensor._make(embeddings.data[index], (embeddings,), backward, "gather")
 
 
 def mine_mutual_information(
@@ -73,7 +102,7 @@ def mine_mutual_information(
     row_index, column_index = row_index[off_diagonal], column_index[off_diagonal]
 
     marginal_scores = statistics_network(
-        positive_embeddings[row_index], negative_embeddings[column_index]
+        _gather_marginal(positive_embeddings, row_index), _gather_marginal(negative_embeddings, column_index)
     ).clip(-clamp, clamp)
     # log E[exp Φ] with the log-sum-exp trick for stability.
     max_score = Tensor(np.array(marginal_scores.numpy().max()))

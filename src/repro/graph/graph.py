@@ -22,6 +22,7 @@ should prefer :attr:`edge_index` (see DESIGN.md, "Sparse-first engine").
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -160,6 +161,33 @@ def _as_edge_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
     if array.ndim != 2 or array.shape[1] != 2:
         raise ValueError(f"edges must be (u, v) pairs; got an array of shape {array.shape}")
     return array.astype(np.int64, copy=False)
+
+
+def _integral(value) -> bool:
+    """Whether a decoded JSON value is an integral number (``3`` or ``3.0``, not ``true``)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+
+
+def _json_edges(edges: Iterable) -> np.ndarray:
+    """A wire-format ``edges`` list as an ``(E, 2)`` int array, refusing non-integral endpoints."""
+    edges = list(edges)
+    try:
+        pairs = set(map(len, edges)) <= {2}
+    except TypeError:
+        pairs = False
+    if not pairs:
+        raise ValueError("edges must be [u, v] pairs")
+    endpoints = list(chain.from_iterable(edges))
+    if not set(map(type, endpoints)) <= {int}:
+        for index, endpoint in enumerate(endpoints):
+            if not _integral(endpoint):
+                raise ValueError(f"edge {edges[index // 2]!r} has an endpoint that is not an integer")
+    try:
+        return np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError("an edge endpoint does not fit in 64 bits") from None
 
 
 class Graph:
@@ -393,6 +421,10 @@ class Graph:
         falls back to ``"graph"``.  Non-finite features are rejected here:
         Python's ``json`` parses ``NaN`` and ``Infinity``, and such a graph
         would otherwise fail only after the whole scoring pipeline ran.
+        So is an ``n_nodes`` or edge endpoint that is not an integral
+        number (``3.0`` is fine): ``int()`` would turn ``2.7`` into 2 and
+        ``true`` into 1, and a different graph than the one sent would be
+        scored.
         """
         if "n_nodes" not in payload:
             raise ValueError("graph payload must carry 'n_nodes'")
@@ -401,9 +433,12 @@ class Graph:
             features = np.asarray(features, dtype=np.float64)
             if not np.isfinite(features).all():
                 raise ValueError("graph features contain NaN or infinite values")
+        n_nodes = payload["n_nodes"]
+        if not _integral(n_nodes):
+            raise ValueError(f"n_nodes must be an integer; got {n_nodes!r}")
         return cls(
-            n_nodes=int(payload["n_nodes"]),
-            edges=payload.get("edges", ()),
+            n_nodes=int(n_nodes),
+            edges=_json_edges(payload.get("edges", ())),
             features=features,
             name=str(payload.get("name", "graph")),
         )

@@ -14,7 +14,7 @@ from repro.gcl.encoder import GroupView
 from repro.graph import Group, normalized_adjacency
 from repro.tensor import Tensor, default_dtype, no_grad
 
-from encoder_oracle import AutodiffGroupEncoder
+from encoder_oracle import AutodiffGroupEncoder, reference_mine_mutual_information
 
 
 @pytest.fixture
@@ -167,6 +167,29 @@ class TestMINE:
         network = MINEStatisticsNetwork(embedding_dim=4)
         with pytest.raises(ValueError):
             mine_mutual_information(network, Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("m", [2, 3, 24, 33])
+    @pytest.mark.parametrize("d", [6, 1])
+    def test_marginal_gather_bitwise_equals_indexing_oracle(self, d, m, dtype):
+        """Loss, both embedding gradients and every Φ gradient match the ``np.add.at`` oracle."""
+
+        def loss_and_gradients(estimate):
+            rng = np.random.default_rng(m)
+            with default_dtype(dtype):
+                network = MINEStatisticsNetwork(embedding_dim=d, hidden_dim=8, rng=np.random.default_rng(1))
+                positive = Tensor(rng.normal(size=(m, d)).astype(dtype), requires_grad=True)
+                negative = Tensor(rng.normal(size=(m, d)).astype(dtype), requires_grad=True)
+                loss = estimate(network, positive, negative)
+                loss.backward()
+            return [loss.data, positive.grad, negative.grad] + [p.grad for p in network.parameters()]
+
+        got = loss_and_gradients(mine_mutual_information)
+        want = loss_and_gradients(reference_mine_mutual_information)
+        assert len(got) == 3 + 4  # loss, two embedding gradients, Φ's two weights and biases
+        for fused, oracle in zip(got, want):
+            assert fused.dtype == np.dtype(dtype)
+            assert fused.tobytes() == oracle.tobytes()
 
     def test_mi_detects_dependence(self, rng):
         """A trained estimator should report higher MI for correlated pairs than independent ones."""

@@ -353,3 +353,22 @@ class TestJsonWireFormat:
     def test_missing_n_nodes_rejected(self):
         with pytest.raises(ValueError, match="n_nodes"):
             Graph.from_json_dict({"edges": [[0, 1]]})
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            pytest.param({"n_nodes": 2.7, "edges": [[0, 1]]}, "n_nodes", id="fractional_n_nodes"),
+            pytest.param({"n_nodes": True}, "n_nodes", id="boolean_n_nodes"),
+            pytest.param({"n_nodes": 3, "edges": [[0, 1.7]]}, "edge", id="fractional_endpoint"),
+            pytest.param({"n_nodes": 3, "edges": [[0, 1], [True, 2]]}, "edge", id="boolean_endpoint"),
+            pytest.param({"n_nodes": 3, "edges": [[0, 10**30]]}, "64 bits", id="endpoint_overflow"),
+        ],
+    )
+    def test_non_integer_counts_and_endpoints_rejected(self, payload, named):
+        # int() would truncate these into a different graph than the one sent.
+        with pytest.raises(ValueError, match=named):
+            Graph.from_json_dict(payload)
+
+    def test_integral_floats_accepted(self):
+        graph = Graph.from_json_dict({"n_nodes": 3.0, "edges": [[0, 1.0], [1, 2]]})
+        assert graph.n_nodes == 3 and graph.edges == ((0, 1), (1, 2))

@@ -175,6 +175,15 @@ class TestSubmitPollResult:
         assert client.metrics()["jobs"]["submitted_total"] == 0
 
 
+    def test_boolean_edge_endpoint_is_400_and_never_stored(self, running):
+        _, client = running
+        payload = GRAPH.to_json_dict()
+        payload["edges"][0][1] = True
+        status, _, body = client._request("POST", "/jobs", {"graph": payload})
+        assert status == 400, body
+        assert "not an integer" in body["error"]
+        assert client.jobs()["jobs"] == []
+
 # ----------------------------------------------------------------------
 class TestCancelAndPending:
     def test_cancel_queued_job(self, idle, tmp_path):

@@ -348,6 +348,19 @@ class TestHttpHardening:
         finally:
             handle.stop()
 
+    def test_non_integral_node_count_is_400_not_truncated(self, registry):
+        handle = start_server_thread(registry, ServeConfig())
+        try:
+            with ScoringClient(port=handle.port) as client:
+                payload = GRAPHS["g7"].to_json_dict()
+                payload["n_nodes"] += 0.5
+                status, _, body = client._request("POST", "/score", {"graph": payload})
+                assert status == 400, body
+                assert "n_nodes must be an integer" in body["error"]
+                assert client.metrics()["scored_total"] == 0
+        finally:
+            handle.stop()
+
     def test_failed_requests_do_not_inflate_dedup_hits(self, registry):
         handle = start_server_thread(registry, ServeConfig())
         try:

@@ -23,10 +23,13 @@ Four oracle families:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.gcl.encoder as encoder_module
 import repro.gcl.tpgcl as tpgcl_module
 from repro.core import TPGrGAD, TPGrGADConfig
 from repro.datasets import make_example_graph
@@ -283,11 +286,12 @@ def _group_graphs(rng, sizes, n_features=5):
     return graphs
 
 
-def _encode_and_backprop(encoder_cls, positive, negative, dtype):
+def _encode_and_backprop(encoder_cls, positive, negative, dtype, widths=(5, 8, 6)):
     """Embeddings plus every parameter gradient after one MINE step."""
+    n_features, hidden_dim, embedding_dim = widths
     with default_dtype(dtype):
-        encoder = encoder_cls(5, hidden_dim=8, embedding_dim=6, rng=np.random.default_rng(1))
-        statistics = MINEStatisticsNetwork(6, 8, rng=np.random.default_rng(2))
+        encoder = encoder_cls(n_features, hidden_dim, embedding_dim, rng=np.random.default_rng(1))
+        statistics = MINEStatisticsNetwork(embedding_dim, 8, rng=np.random.default_rng(2))
     positive_batch = encoder.encode_batch(positive)
     negative_batch = encoder.encode_batch(negative)
     mine_mutual_information(statistics, positive_batch, negative_batch).backward()
@@ -300,19 +304,54 @@ class TestFusedGroupEncoder:
     # from two kernel nodes accumulate into the same parameters.
     POSITIVE_SIZES = [3, 7, 1, 300, 12]
     NEGATIVE_SIZES = [4, 2, 9, 5, 260]
+    # Padding edge cases: (positive sizes, negative sizes, chunk budget,
+    # feature/hidden/embedding widths).  ``None`` keeps the module's
+    # budget; a tiny one splits the padded views of each batch into
+    # several chunks.  Unit widths send every view down the per-view path.
+    BATCHES = {
+        "mixed": (POSITIVE_SIZES, NEGATIVE_SIZES, None, (5, 8, 6)),
+        "one_size_no_padding": ([6, 6, 6, 6], [6, 6, 6, 6], None, (5, 8, 6)),
+        "largest_dense_view": ([2, 255, 2, 3], [2, 2, 255, 2], None, (5, 8, 6)),
+        "no_dense_stack": ([1, 300, 1], [260, 1, 1], None, (5, 8, 6)),
+        "several_chunks": ([3, 7, 1, 300, 12, 4, 9, 2], [4, 2, 9, 5, 260, 11, 3, 6], 64, (5, 8, 6)),
+        "unit_widths": ([3, 7, 1, 12, 9, 10, 11, 13, 14, 15], [4, 2, 9, 5, 6, 8, 10, 12, 3, 7], None, (1, 1, 1)),
+    }
 
-    def _batches(self):
+    def _batches(self, positive_sizes=POSITIVE_SIZES, negative_sizes=NEGATIVE_SIZES, n_features=5):
         rng = np.random.default_rng(0)
-        return _group_graphs(rng, self.POSITIVE_SIZES), _group_graphs(rng, self.NEGATIVE_SIZES)
+        return _group_graphs(rng, positive_sizes, n_features), _group_graphs(rng, negative_sizes, n_features)
 
-    def test_float64_embeddings_and_gradients_bitwise(self):
-        positive, negative = self._batches()
-        fused = _encode_and_backprop(GroupEncoder, positive, negative, "float64")
-        oracle = _encode_and_backprop(AutodiffGroupEncoder, positive, negative, "float64")
+    @pytest.mark.parametrize("case", sorted(BATCHES))
+    def test_float64_embeddings_and_gradients_bitwise(self, case, monkeypatch):
+        positive_sizes, negative_sizes, budget, widths = self.BATCHES[case]
+        if budget is not None:
+            monkeypatch.setattr(encoder_module, "_PAD_CHUNK_ELEMENTS", budget)
+            _, chunks = encoder_module._segments(np.array(positive_sizes), widths)
+            assert len(chunks) > 2
+        positive, negative = self._batches(positive_sizes, negative_sizes, widths[0])
+        fused = _encode_and_backprop(GroupEncoder, positive, negative, "float64", widths)
+        oracle = _encode_and_backprop(AutodiffGroupEncoder, positive, negative, "float64", widths)
         assert len(fused) == 6  # two embedding batches + W1, b1, W2, b2
         for got, want in zip(fused, oracle):
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
+
+    def test_padded_stacks_stay_within_chunk_budget(self):
+        """300 views with one 255-node view: peak memory follows the chunk budget, not 300 × 255²."""
+        rng = np.random.default_rng(0)
+        sizes = [int(n) for n in rng.integers(2, 23, size=300)]
+        sizes[150] = 255
+        encoder = GroupEncoder(5, hidden_dim=8, embedding_dim=6)
+        views = encoder.prepare_many(_group_graphs(rng, sizes))
+        tracemalloc.start()
+        try:
+            embeddings = encoder.encode_batch(views)
+            embeddings.backward(np.ones_like(embeddings.data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = np.dtype(np.float64).itemsize
+        assert peak < 6 * encoder_module._PAD_CHUNK_ELEMENTS * itemsize < len(sizes) * 255**2 * itemsize
 
     def test_float32_embeddings_and_gradients_within_1e5(self):
         positive, negative = self._batches()
