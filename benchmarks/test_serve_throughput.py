@@ -10,8 +10,7 @@ Pins the acceptance claims of the online scoring service:
    against the micro-batching server (``max_batch=16``) than against the
    sequential baseline (``max_batch=1``, every request scored
    individually).  The win is within-batch deduplication — concurrent
-   requests for the same snapshot are scored once and fanned out — i.e.
-   the serving-time analogue of the pipeline's per-graph stage cache.
+   requests for the same snapshot are scored once and fanned out.
 3. **Distinct-graph arm** — the same load with every request carrying a
    different graph, so nothing can be deduplicated
    (``dedup_hits_total == 0``).  Every batched response matches the

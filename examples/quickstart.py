@@ -22,7 +22,7 @@ def main() -> None:
     detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
 
     # One call scores the whole batch; each graph is still scored
-    # independently, and repeated graphs would hit the stage cache.
+    # independently, exactly as one fit_detect call per graph.
     results = detector.fit_detect_many(graphs)
 
     for graph, result in zip(graphs, results):

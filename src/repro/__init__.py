@@ -38,7 +38,6 @@ _LAZY_ATTRS = {
     "IncrementalTPGrGAD": ("repro.stream", "IncrementalTPGrGAD"),
     "StreamConfig": ("repro.stream", "StreamConfig"),
     "ParallelExecutor": ("repro.parallel", "ParallelExecutor"),
-    "parallel_fit_detect_many": ("repro.parallel", "parallel_fit_detect_many"),
     "PipelineState": ("repro.persist", "PipelineState"),
     "to_native": ("repro.persist", "to_native"),
     "ModelRegistry": ("repro.serve", "ModelRegistry"),
@@ -76,7 +75,6 @@ __all__ = [
     "IncrementalTPGrGAD",
     "StreamConfig",
     "ParallelExecutor",
-    "parallel_fit_detect_many",
     "PipelineState",
     "to_native",
     "ModelRegistry",

@@ -40,12 +40,6 @@ class TPGrGADConfig:
         When False the TPGCL stage is skipped and candidate groups are
         represented by their mean node features — the "w/o TPGCL" ablation
         of Table V.
-    cache_size:
-        Maximum number of per-graph stage outputs (anchors, candidates,
-        fitted models, embeddings) kept in the detector's LRU cache for
-        :meth:`~repro.core.TPGrGAD.fit_detect_many`.  Cached entries pin
-        their graph and fitted models in memory, so keep this small when
-        scoring streams of large graphs; ``0`` disables caching entirely.
     seed:
         Master random seed.  Stage configs whose ``seed`` was left unset
         (``None``) receive *distinct* per-stage streams derived from this
@@ -62,7 +56,6 @@ class TPGrGADConfig:
     detector: str = "ecod"
     contamination: float = 0.2
     use_tpgcl: bool = True
-    cache_size: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -70,8 +63,6 @@ class TPGrGADConfig:
             raise ValueError("anchor_fraction must be in (0, 1]")
         if not 0.0 < self.contamination < 1.0:
             raise ValueError("contamination must be in (0, 1)")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0 (0 disables caching)")
         # Fill unset (None) stage seeds with distinct streams derived from
         # the master seed.  ``None`` is the unset sentinel: an explicit
         # stage seed — including 0 — always wins.  The names of the stages
@@ -94,8 +85,8 @@ class TPGrGADConfig:
         manifest stores — so two configs share a hash precisely when they
         would serialize to identical manifests (and therefore run
         identical pipelines).  It is the single config-identity key used
-        by the pipeline stage cache, the artifact manifest and the serve
-        registry; unlike ``repr(config)`` it is insensitive to dataclass
+        by the artifact manifest, the serve registry and the job store;
+        unlike ``repr(config)`` it is insensitive to dataclass
         field ordering cosmetics and stable across processes.
         """
         import hashlib
@@ -142,8 +133,8 @@ class TPGrGADConfig:
         untouched: the float64 reference config and its accelerated twin can
         run side by side, which is exactly what the parity tests and the
         training benchmark do.  Note the two configs hash differently
-        (``content_hash`` covers every field), so artifacts and cache
-        entries of the two modes never collide.
+        (``content_hash`` covers every field), so artifacts and job
+        records of the two modes never collide.
         """
         import copy
 

@@ -20,22 +20,20 @@ detector patches between refits.
 
 :class:`TPGrGAD` is a thin facade over them.  Its one fitted state is the
 public ``state`` attribute, a :class:`~repro.persist.PipelineState`: set
-by a training miss, restored by a stage-cache hit, taken from the
-executor after a sharded ``fit_detect_many``, or given by
-:meth:`TPGrGAD.from_state` / :meth:`TPGrGAD.load`; read by
-:meth:`TPGrGAD.detect_only` and :meth:`TPGrGAD.save`.  Besides the
-single-graph :meth:`TPGrGAD.fit_detect`, the facade exposes a batched
-:meth:`TPGrGAD.fit_detect_many`.  Stage outputs are cached per ``(graph
-fingerprint, config)`` so repeated graphs — the common case in
-Table-III-style experiment grids sweeping thresholds or detectors — skip
-the expensive training stages entirely.
+by :meth:`TPGrGAD.fit_detect`, taken from the executor after a sharded
+``fit_detect_many``, or given by :meth:`TPGrGAD.from_state` /
+:meth:`TPGrGAD.load`; read by :meth:`TPGrGAD.detect_only` and
+:meth:`TPGrGAD.save`.  Besides the single-graph
+:meth:`TPGrGAD.fit_detect`, the facade exposes a batched
+:meth:`TPGrGAD.fit_detect_many`.  Every call trains from scratch: each
+stage is seeded from the config, so the same ``(graph, config)`` always
+reproduces the same result.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,7 +212,7 @@ def build_result(
     ``threshold=None`` sets τ to the ``1 - contamination`` quantile of the
     scores.  Containers are copied at this boundary (Group objects
     themselves are frozen) so a caller mutating a returned result can
-    never corrupt a cache or the results of later calls.
+    never corrupt the state it came from or the results of later calls.
     """
     anchor_nodes = np.asarray(anchor_nodes, dtype=int).copy()
     node_scores = None if node_scores is None else node_scores.copy()
@@ -271,10 +269,6 @@ class TPGrGAD:
         self.state: Optional[PipelineState] = None
         self.mhgae: Optional[MultiHopGAE] = None
         self.tpgcl: Optional[TPGCL] = None
-        self._stage_cache: "OrderedDict[Tuple[str, str], StageOutputs]" = OrderedDict()
-        self.cache_hits: int = 0
-        self.cache_misses: int = 0
-        self.cache_evictions: int = 0
 
     # ------------------------------------------------------------------
     # Individual stages (the Figure 6 experiment drives them one by one)
@@ -287,66 +281,6 @@ class TPGrGAD:
     def sample_candidates(self, graph: Graph, anchor_nodes: Sequence[int]) -> List[Group]:
         """Run Algorithm 1 from the anchor nodes."""
         return sample_stage(self.config, graph, anchor_nodes)[2]
-
-    # ------------------------------------------------------------------
-    # Per-graph stage cache
-    # ------------------------------------------------------------------
-    def _cache_key(self, graph: Graph) -> Tuple[str, str]:
-        # content_hash covers every hyperparameter of every stage, so two
-        # configs share a key exactly when they run identical pipelines —
-        # and it is the same identity the artifact manifest and the serve
-        # registry use, so a cache key can be correlated with a deployed
-        # model version.
-        return (graph.fingerprint(), self.config.content_hash())
-    def clear_cache(self) -> None:
-        """Drop all cached stage outputs and reset the cache counters."""
-        self._stage_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-
-    def cache_info(self) -> Dict[str, int]:
-        """Stage-cache statistics: hits / misses / evictions / sizes.
-
-        The public read surface for operational monitoring (the serve
-        layer's ``/metrics`` endpoint reports this verbatim) — callers
-        never need to poke the private LRU.  Counters accumulate until
-        :meth:`clear_cache` resets them, so they cannot grow unboundedly
-        out of sync with a cache that was just emptied.
-        """
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            "currsize": len(self._stage_cache),
-            "maxsize": self.config.cache_size,
-        }
-
-    def _run_stages(self, graph: Graph) -> StageOutputs:
-        """Run (or recall) the training stages for ``graph``.
-
-        Every stage is seeded from the config, so recomputing for the same
-        ``(graph fingerprint, config)`` key reproduces the cached outputs;
-        the cache only skips redundant work, never changes results.
-        """
-        tracer = get_tracer()
-        key = self._cache_key(graph) if self.config.cache_size else None
-        cached = self._stage_cache.get(key) if key is not None else None
-        if cached is not None:
-            self._stage_cache.move_to_end(key)
-            self.cache_hits += 1
-            tracer.add("cache_hits")
-            return cached
-        self.cache_misses += 1
-        tracer.add("cache_misses")
-        outputs = fit_stages(self.config, graph)
-        if key is not None:
-            self._stage_cache[key] = outputs
-            while len(self._stage_cache) > self.config.cache_size:
-                self._stage_cache.popitem(last=False)
-                self.cache_evictions += 1
-                tracer.add("cache_evictions")
-        return outputs
 
     def _result(self, outputs: StageOutputs, threshold: Optional[float]) -> GroupDetectionResult:
         # Rebind the inspection attributes to the models behind this result.
@@ -366,9 +300,8 @@ class TPGrGAD:
     def fit_detect(self, graph: Graph, threshold: Optional[float] = None) -> GroupDetectionResult:
         """Run the full pipeline on ``graph`` and return scored groups.
 
-        Afterwards ``state`` is the fitted state of this graph's
-        generation — freshly trained on a cache miss, the cached one on a
-        hit — superseding whatever state the detector held before.
+        Afterwards ``state`` is the state freshly trained on this graph,
+        superseding whatever state the detector held before.
 
         Parameters
         ----------
@@ -381,7 +314,7 @@ class TPGrGAD:
         """
         tracer = get_tracer()
         with tracer.span("pipeline.fit_detect") as span:
-            outputs = self._run_stages(graph)
+            outputs = fit_stages(self.config, graph)
             self.state = outputs.state
             result = self._result(outputs, threshold)
             if tracer.enabled:
@@ -401,20 +334,14 @@ class TPGrGAD:
         Each graph is scored independently with this detector's config —
         the result for a graph does not depend on batch order or
         composition, so ``fit_detect_many(gs) == [fit_detect(g) for g in
-        gs]`` — but graphs repeated within or across calls hit the
-        per-``(fingerprint, config)`` stage cache and skip the MH-GAE /
-        sampling / TPGCL training entirely.
+        gs]``.
 
         ``n_workers > 1`` shards the batch across a process pool via
         :class:`repro.parallel.ParallelExecutor`; results are bit-identical
-        to the serial order, the executor's duplicate-graph hits are
-        merged back into this detector's ``cache_hits``/``cache_misses``
-        counters, and the post-fit contract survives: ``state`` becomes
-        the executor's ``final_state`` (the batch's last graph) and
-        ``mhgae`` / ``tpgcl`` are bound from it, so ``save()`` /
-        ``mhgae.score_nodes()`` work exactly as after a serial call.  Only
-        the stage *cache* stays local to the workers — the fitted model
-        objects cannot cross the process boundary.
+        to the serial order, and the post-fit contract survives: ``state``
+        becomes the executor's ``final_state`` (the batch's last graph)
+        and ``mhgae`` / ``tpgcl`` are bound from it, so ``save()`` /
+        ``mhgae.score_nodes()`` work exactly as after a serial call.
         """
         if n_workers is not None and n_workers > 1:
             from repro.parallel import ParallelExecutor
@@ -422,8 +349,6 @@ class TPGrGAD:
             graphs = list(graphs)
             executor = ParallelExecutor(self.config, n_workers=n_workers)
             results = executor.fit_detect_many(graphs, threshold=threshold)
-            self.cache_hits += executor.cache_hits
-            self.cache_misses += executor.cache_misses
             if executor.final_state is not None:
                 self.state = executor.final_state
                 self.mhgae = self.state.bind_mhgae(graphs[-1])

@@ -264,31 +264,3 @@ def inject_groups(
     features = np.vstack(new_features) if new_features else np.zeros((0, n_features))
     grown = background.add_nodes_and_edges(features, new_edges, name=name or background.name)
     return grown.with_groups(groups)
-
-
-def pattern_mix(
-    counts: dict,
-    size_sampler,
-    rng: np.random.Generator,
-    attribute_shift: float = 0.8,
-    attribute_noise: float = 0.1,
-    n_attachments: int = 2,
-) -> List[GroupSpec]:
-    """Build a list of :class:`GroupSpec` from a ``{pattern: count}`` mapping.
-
-    ``size_sampler`` is a callable ``rng -> int`` giving the size of each
-    group, so builders can match the published average group sizes.
-    """
-    specs: List[GroupSpec] = []
-    for pattern, count in counts.items():
-        for _ in range(int(count)):
-            specs.append(
-                GroupSpec(
-                    pattern=pattern,
-                    size=max(3 if pattern == "cycle" else 2, int(size_sampler(rng))),
-                    attribute_shift=attribute_shift,
-                    attribute_noise=attribute_noise,
-                    n_attachments=n_attachments,
-                )
-            )
-    return specs

@@ -382,10 +382,11 @@ class Graph:
 
         Ground-truth groups and the name are excluded: detectors ignore
         both, so two graphs with equal topology and attributes must share a
-        fingerprint for the pipeline's stage cache to hit.  The hash is
-        recomputed on every call — the features array is caller-owned and
-        writable, so memoizing here could serve stale fingerprints (and
-        silently wrong cache hits) after an in-place feature edit.
+        fingerprint for the serve batcher's and the job store's dedup to
+        match them.  The hash is recomputed on every call — the features
+        array is caller-owned and writable, so memoizing here could serve
+        stale fingerprints (and silently wrong dedup hits) after an
+        in-place feature edit.
         """
         digest = hashlib.blake2b(digest_size=16)
         digest.update(np.int64(self.n_nodes).tobytes())

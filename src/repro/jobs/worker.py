@@ -8,9 +8,8 @@ Each :class:`JobWorker` task runs the lease protocol against the shared
    tenants at their ``max_running`` quota),
 3. submit every claimed job to the **existing**
    :class:`~repro.serve.batcher.MicroBatcher` — async jobs ride the very
-   same micro-batches, fingerprint dedup, pipeline LRU,
-   :class:`~repro.parallel.ParallelExecutor` sharding and provenance log
-   as synchronous ``/score`` traffic, which is what makes a stored job
+   same micro-batches, fingerprint dedup and provenance log as
+   synchronous ``/score`` traffic, which is what makes a stored job
    result **bit-identical** to the synchronous response for the same
    graph + model + config,
 4. heartbeat the leases while the batch scores, so a slow ``fit_detect``

@@ -129,12 +129,8 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
             },
             help_text="Static info labels per registered model.",
         )
-        for key in ("version", "swap_count", "requests_served", "tape_nodes_total", "cache_evictions"):
+        for key in ("version", "swap_count", "requests_served", "tape_nodes_total"):
             if key in info:
                 writer.sample(f"repro_model_{key}", info[key], labels=labels)
-        fit_cache = info.get("fit_cache") or {}
-        for key in ("hits", "misses", "evictions", "currsize"):
-            if key in fit_cache:
-                writer.sample(f"repro_model_fit_cache_{key}", fit_cache[key], labels=labels)
 
     return writer.render()

@@ -4,14 +4,6 @@ See :mod:`repro.parallel.executor` for the sharding/parity design and
 ``python -m repro.parallel --help`` for the CLI front end.
 """
 
-from repro.parallel.executor import (
-    ParallelExecutor,
-    default_worker_count,
-    parallel_fit_detect_many,
-)
+from repro.parallel.executor import ParallelExecutor, default_worker_count
 
-__all__ = [
-    "ParallelExecutor",
-    "default_worker_count",
-    "parallel_fit_detect_many",
-]
+__all__ = ["ParallelExecutor", "default_worker_count"]

@@ -120,9 +120,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         )
     mode = "warm detect_only" if args.artifact else "fit_detect"
     log.info(
-        "%d graphs via %s on %d workers in %.1fs (cache: %d hits / %d misses)",
-        len(graphs), mode, args.n_workers, elapsed,
-        executor.cache_hits, executor.cache_misses,
+        "%d graphs via %s on %d workers in %.1fs", len(graphs), mode, args.n_workers, elapsed
     )
     if tracer is not None:
         tracer.dump_jsonl(args.trace)
@@ -135,8 +133,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             {
                 "n_workers": args.n_workers,
                 "seconds": round(elapsed, 4),
-                "cache_hits": executor.cache_hits,
-                "cache_misses": executor.cache_misses,
                 "results": [result.to_json_dict() for result in results],
             },
         )

@@ -11,20 +11,11 @@
 * ``run_experiments`` — entries of the experiment registry
   (:data:`repro.experiments.EXPERIMENTS`) run as one task each.
 
-The pipeline's per-graph LRU stage cache cannot span processes, so the
-executor recovers its effect two ways: duplicate graphs (same
-``Graph.fingerprint()``) are collapsed *before* sharding and fanned back
-out afterwards — the cross-worker analogue of a cache hit, counted in
-``cache_hits`` — and a pre-fitted artifact (see :mod:`repro.persist`)
-can be broadcast by path so every worker serves warm ``detect_only``
-instead of retraining from scratch.  Counter accounting matches the
-serial detector exactly when its LRU never evicts within the batch
-(``cache_size`` at least the number of distinct graphs, the common
-case); under eviction pressure the serial path recomputes evicted
-repeats while the collapse never does, so the executor then reports
-fewer misses — the *results* are identical either way.  ``cache_size ==
-0`` disables the collapse entirely, mirroring a cache-disabled serial
-run.
+Every graph is scored independently, so a batch that repeats a graph
+trains it once per occurrence, exactly like the serial loop.  A
+pre-fitted artifact (see :mod:`repro.persist`) can instead be broadcast
+by path so every worker serves warm ``detect_only`` rather than
+retraining from scratch.
 
 Fitting workers hand back the fitted ``TPGrGAD.state`` (a picklable
 :class:`repro.persist.PipelineState`) of the batch's last graph as
@@ -38,13 +29,12 @@ obviously need real cores.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import TPGrGADConfig
 from repro.core.pipeline import TPGrGAD
@@ -73,8 +63,8 @@ def _worker_fit_detect(
     artifact_path: Optional[str],
     state_index: Optional[int] = None,
     trace: Optional[Tuple[str, str, Optional[str], int]] = None,
-) -> Tuple[List[GroupDetectionResult], int, int, Optional[object]]:
-    """Score one chunk; returns (results, cache_hits, cache_misses, state).
+) -> Tuple[List[GroupDetectionResult], Optional[object]]:
+    """Score one chunk; returns ``(results, state)``.
 
     ``state_index`` asks for the fitted ``state`` of that chunk-local
     graph (the fitted models themselves hold unpicklable closures; a
@@ -103,32 +93,19 @@ def _worker_fit_detect(
 
     if artifact_path is not None:
         detector = TPGrGAD.load(artifact_path)
-        return (
-            [detector.detect_only(graph, threshold=threshold) for graph in graphs],
-            0,
-            0,
-            None,
-        )
+        return [detector.detect_only(graph, threshold=threshold) for graph in graphs], None
     results: List[GroupDetectionResult] = []
-    hits = misses = 0
     state: Optional[PipelineState] = None
-    detector = TPGrGAD(config) if seeds is None else None
     for index, graph in enumerate(graphs):
-        if seeds is not None:
-            # Per-item derived seeds: one fresh detector per graph, each
-            # seeded by the graph's batch index (threaded in via
-            # ``seeds``), so the result cannot depend on which worker or
-            # chunk ran it.
-            detector = TPGrGAD(config.reseed(seeds[index]))
+        # Per-item derived seeds come in via ``seeds`` (the graph's batch
+        # index), so the result cannot depend on which worker or chunk
+        # ran it.
+        item_config = config if seeds is None else config.reseed(seeds[index])
+        detector = TPGrGAD(item_config)
         results.append(detector.fit_detect(graph, threshold=threshold))
-        if seeds is not None:
-            hits += detector.cache_hits
-            misses += detector.cache_misses
         if index == state_index:
             state = detector.state
-    if seeds is None:
-        hits, misses = detector.cache_hits, detector.cache_misses
-    return results, hits, misses, state
+    return results, state
 
 
 def _worker_experiment(name: str, settings) -> Tuple[str, List, str]:
@@ -160,7 +137,7 @@ class ParallelExecutor:
         Give item ``i`` the master seed ``spawn_seeds(config.seed, n)[i]``
         (stages that were derived re-derive from it; explicitly pinned
         stage seeds stay pinned).  Repeated graphs then intentionally get
-        *different* streams, so duplicate-collapsing is disabled.
+        *different* streams.
     artifact:
         Path of a saved pipeline artifact to broadcast: every worker
         loads it once and serves warm ``detect_only`` for its whole
@@ -190,10 +167,6 @@ class ParallelExecutor:
         self.chunk_size = chunk_size
         self.derive_seeds = derive_seeds
         self.artifact = None if artifact is None else str(artifact)
-        # Counters mirroring TPGrGAD's: cross-worker duplicate collapses
-        # count as hits, worker-local LRU activity is merged in.
-        self.cache_hits = 0
-        self.cache_misses = 0
         # Fitted state of the latest batch's last item (None in artifact
         # mode) — what fit_detect_many's parallel route adopts to keep the
         # serial post-fit contract.
@@ -220,35 +193,7 @@ class ParallelExecutor:
             spawn_seeds(self.config.seed, len(graphs)) if self.derive_seeds else None
         )
 
-        # Collapse duplicate graphs when every item runs the identical
-        # pipeline (same config, no per-index seeds): the cross-worker
-        # equivalent of the serial stage cache (counter caveats under
-        # LRU eviction pressure: see module docstring).  Warm artifact
-        # serving is deterministic per graph, so duplicates collapse
-        # there too.
-        # cache_size == 0 means the user disabled caching — mirror the
-        # serial semantics exactly: recompute duplicates and count only
-        # misses (the artifact's own cache_size is not consulted; the
-        # broadcast path never retrains, so collapsing is always sound).
-        if seeds is None and (self.artifact is not None or self.config.cache_size):
-            first_index: Dict[str, int] = {}
-            assignment: List[int] = []
-            unique: List[Graph] = []
-            for graph in graphs:
-                key = graph.fingerprint()
-                if key not in first_index:
-                    first_index[key] = len(unique)
-                    unique.append(graph)
-                assignment.append(first_index[key])
-            self.cache_hits += len(graphs) - len(unique)
-        else:
-            assignment = list(range(len(graphs)))
-            unique = graphs
-
-        bounds = self._chunks(len(unique))
-        # The unique graph whose fitted models the caller must end up
-        # holding: the one the batch's *last* item resolved to.
-        final_unique = assignment[-1] if self.artifact is None else None
+        bounds = self._chunks(len(graphs))
         tracer = get_tracer()
         use_pool = self.n_workers > 1 and len(bounds) > 1
         # The in-process path records into the global tracer directly;
@@ -257,17 +202,19 @@ class ParallelExecutor:
         with tracer.span("parallel.fit_detect_many") as span:
             if tracer.enabled:
                 span.set("n_graphs", len(graphs))
-                span.set("n_unique", len(unique))
                 span.set("n_workers", self.n_workers)
             parent_span_id = current_span_id()
             tasks = [
                 (
                     self.config,
-                    unique[start:end],
+                    graphs[start:end],
                     threshold,
                     None if seeds is None else seeds[start:end],
                     self.artifact,
-                    final_unique - start if final_unique is not None and start <= final_unique < end else None,
+                    # Only the last chunk hands back a fitted state: the
+                    # caller ends up holding the batch's last graph's
+                    # (artifact mode trains nothing).
+                    end - start - 1 if self.artifact is None and end == len(graphs) else None,
                     (shard_dir, tracer.trace_id, parent_span_id, chunk)
                     if shard_dir is not None
                     else None,
@@ -289,27 +236,13 @@ class ParallelExecutor:
                 if shard_dir is not None:
                     shutil.rmtree(shard_dir, ignore_errors=True)
 
-        unique_results: List[GroupDetectionResult] = []
+        results: List[GroupDetectionResult] = []
         self.final_state = None
-        for results, hits, misses, state in shard_outputs:
-            unique_results.extend(results)
-            self.cache_hits += hits
-            self.cache_misses += misses
+        for chunk_results, state in shard_outputs:
+            results.extend(chunk_results)
             if state is not None:
                 self.final_state = state
-
-        # Fan duplicate collapses back out.  Copies keep the serial
-        # contract that mutating one returned result never corrupts
-        # another.
-        fanned: List[GroupDetectionResult] = []
-        seen_first = [False] * len(unique_results)
-        for index in assignment:
-            if seen_first[index]:
-                fanned.append(copy.deepcopy(unique_results[index]))
-            else:
-                seen_first[index] = True
-                fanned.append(unique_results[index])
-        return fanned
+        return results
 
     # ------------------------------------------------------------------
     def run_experiments(
@@ -335,15 +268,3 @@ class ParallelExecutor:
             futures = [pool.submit(_worker_experiment, name, settings) for name in names]
             return [future.result() for future in futures]
 
-
-def parallel_fit_detect_many(
-    graphs: Iterable[Graph],
-    config: Optional[TPGrGADConfig] = None,
-    n_workers: Optional[int] = None,
-    threshold: Optional[float] = None,
-    **kwargs,
-) -> List[GroupDetectionResult]:
-    """One-call convenience wrapper around :class:`ParallelExecutor`."""
-    return ParallelExecutor(config, n_workers=n_workers, **kwargs).fit_detect_many(
-        graphs, threshold=threshold
-    )

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gcl import TPGCL
     from repro.graph import Graph
 
-ARTIFACT_FORMAT_VERSION = 1
+ARTIFACT_FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
 
@@ -181,8 +181,8 @@ class PipelineState:
     def config_hash(self) -> str:
         """The config's :meth:`~repro.core.TPGrGADConfig.content_hash`.
 
-        One identity string shared by the pipeline stage cache, the
-        manifest and the serve registry: equal hashes imply equal manifest
+        One identity string shared by the manifest, the serve registry
+        and the job store: equal hashes imply equal manifest
         config dicts (the hash is taken over exactly that dict).
         """
         return self.config.content_hash()

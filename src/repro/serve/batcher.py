@@ -6,11 +6,10 @@ scheduler takes the first queued request, then waits at most
 batch in one executor-thread pass.  Within a batch, requests are grouped
 by ``(model, mode, threshold)`` and **deduplicated by graph
 fingerprint** — ten dashboards asking for the same snapshot cost one
-``detect_only``, the in-flight analogue of the pipeline's per-graph stage
-cache (``mode="fit_detect"`` batches additionally go through
-``fit_detect_many`` and therefore *do* hit that LRU cache across
-batches).  Warm ``detect_only`` scoring always runs on the executor
-thread against the registry's loaded detector.
+``detect_only``.  Warm ``detect_only`` scoring runs on the executor
+thread against the registry's loaded detector; ``mode="fit_detect"``
+groups are fitted from scratch on a fresh ``TPGrGAD`` built from the
+entry's config, so nothing a cold fit trains outlives its batch.
 
 Scoring a request through a batch returns **exactly** the result of
 calling ``detect_only`` / ``fit_detect`` directly on the same graph and
@@ -35,6 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.pipeline import TPGrGAD
 from repro.graph import Graph
 from repro.obs.provenance import ProvenanceLog, build_record, score_digest
 from repro.obs.tracer import get_tracer
@@ -383,10 +383,9 @@ class MicroBatcher:
             # cost (which must be ~0 for warm detect_only) to the entry.
             tape_before = tape_node_count()
             if mode == "fit_detect":
-                # Cold fits route through the entry's dedicated fit pipeline:
-                # fit_detect_many's per-(fingerprint, config-hash) LRU cache
-                # persists across micro-batches, so repeats skip training.
-                results = entry.fit_detector.fit_detect_many(graphs, threshold=threshold)
+                # A fresh pipeline per group: cold fits never touch the
+                # entry's warm detector or its advertised state.
+                results = TPGrGAD(entry.state.config).fit_detect_many(graphs, threshold=threshold)
             else:
                 results = [entry.detector.detect_only(graph, threshold=threshold) for graph in graphs]
             tape_delta = tape_node_count() - tape_before

@@ -12,8 +12,7 @@ must not tear.  The latency window is bounded
 stream replay summary uses, so serve and replay report identical
 percentile math), so a long-lived server reports recent percentiles
 rather than its lifetime average and the memory footprint stays
-constant — the unbounded-growth footgun the pipeline's own cache
-counters had is deliberately not reproduced here.
+constant.
 """
 
 from __future__ import annotations

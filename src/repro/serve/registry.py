@@ -32,12 +32,10 @@ class ModelEntry:
     """One loaded artifact: a warm serving detector plus identity metadata.
 
     ``detector`` serves ``detect_only`` (warm inference; thread-safe —
-    pinned by ``tests/test_serve.py``).  ``fit_detector`` is a separate,
-    lazily created pipeline for ``mode="fit_detect"`` requests: cold fits
-    must never overwrite the warm artifact state the entry's identity
-    advertises, and keeping the fit path on its own ``TPGrGAD`` also
-    gives it its own per-graph LRU stage cache (repeated graphs across
-    micro-batches skip retraining entirely).
+    pinned by ``tests/test_serve.py``).  ``mode="fit_detect"`` requests
+    never touch it: the batcher fits them on a fresh ``TPGrGAD`` built
+    from ``state.config``, so a cold fit can never overwrite the warm
+    artifact state the entry's identity advertises.
     """
 
     def __init__(self, name: str, version: int, path: str, state: PipelineState) -> None:
@@ -47,8 +45,6 @@ class ModelEntry:
         self.state = state
         self.detector = TPGrGAD.from_state(state)
         self.loaded_at_unix = int(time.time())
-        self._fit_detector: Optional[TPGrGAD] = None
-        self._fit_lock = threading.Lock()
         # Serving counters (batch scoring runs in executor threads, so
         # they take their own lock, not the registry's).
         self._serve_lock = threading.Lock()
@@ -73,13 +69,6 @@ class ModelEntry:
         """
         return {"model": self.name, "version": self.version, "config_hash": self.config_hash}
 
-    @property
-    def fit_detector(self) -> TPGrGAD:
-        with self._fit_lock:
-            if self._fit_detector is None:
-                self._fit_detector = TPGrGAD(self.state.config)
-            return self._fit_detector
-
     def describe(self) -> Dict:
         """The ``/models`` JSON row for this entry."""
         info = {
@@ -97,8 +86,6 @@ class ModelEntry:
             info["tape_nodes_total"] = self.tape_nodes_total
         # Re-loading a name bumps its version, so swaps = version - 1.
         info["swap_count"] = self.version - 1
-        fit = self._fit_detector
-        info["fit_cache"] = fit.cache_info() if fit is not None else None
         return info
 
 
@@ -155,11 +142,6 @@ class ModelRegistry:
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._models)
-
-    @property
-    def default_name(self) -> Optional[str]:
-        with self._lock:
-            return self._default
 
     def describe(self) -> Dict:
         """The ``/models`` JSON body: every entry plus the default name."""

@@ -13,7 +13,9 @@ Endpoints
     :mod:`repro.serve.batcher`); the response carries the result JSON
     plus model attribution and batch/latency metadata.  ``429`` +
     ``Retry-After`` under load shedding, ``504`` on an expired deadline,
-    ``404`` for unknown models, ``400`` for malformed payloads.
+    ``404`` for unknown models, ``400`` for malformed payloads (a
+    ``threshold`` / ``timeout_ms`` must be a finite JSON number, and
+    ``timeout_ms`` must be positive).
 ``GET /models`` / ``POST /models``
     List loaded models, or load/hot-swap one from an artifact directory
     (body ``{"name": ..., "path": ..., "default": bool?}``).
@@ -21,7 +23,7 @@ Endpoints
     Liveness + the loaded model names (cheap: never touches the scorer).
 ``GET /metrics``
     JSON counters: qps, batch-size histogram, latency percentiles, shed
-    count, plus each model's pipeline cache statistics (and, with a job
+    count, plus each model's identity and serving counters (and, with a job
     store configured, the ``jobs`` section: queue depth, per-tenant
     counters, wait/run latency percentiles).
 ``POST /jobs`` / ``GET /jobs`` / ``GET /jobs/{id}`` /
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import urllib.parse
 from typing import Dict, Optional, Tuple
@@ -350,8 +353,6 @@ class ScoringServer:
                 "loaded_at_unix": row["loaded_at_unix"],
                 "requests_served": row["requests_served"],
                 "tape_nodes_total": row["tape_nodes_total"],
-                "cache_evictions": (row["fit_cache"] or {}).get("evictions", 0),
-                "fit_cache": row["fit_cache"],
             }
             for row in self.registry.describe()["models"]
         }
@@ -406,17 +407,29 @@ class ScoringServer:
             raise _HttpError(400, f"invalid graph payload: {error}") from None
 
     @staticmethod
-    def _parse_number(payload: Dict, key: str) -> Optional[float]:
+    def _parse_number(payload: Dict, key: str, positive: bool = False) -> Optional[float]:
+        """An optional finite JSON number; strings, booleans, NaN and ±inf answer 400."""
         value = payload.get(key)
+        if value is None:
+            return None
+        message = f"'{key}' must be a finite JSON number"
+        # ``type`` rather than ``isinstance``: JSON true/false decode to bool, an int subclass.
+        if type(value) not in (int, float):
+            raise _HttpError(400, message)
         try:
-            return None if value is None else float(value)
-        except (TypeError, ValueError):
-            raise _HttpError(400, f"'{key}' must be a number") from None
+            number = float(value)
+        except OverflowError:  # an integer literal beyond float range
+            raise _HttpError(400, message) from None
+        if not math.isfinite(number):
+            raise _HttpError(400, message)
+        if positive and number <= 0:
+            raise _HttpError(400, f"'{key}' must be > 0")
+        return number
 
     async def _score(self, payload: Dict) -> Dict:
         graph = self._parse_graph(payload, "/score")
         threshold = self._parse_number(payload, "threshold")
-        timeout_ms = self._parse_number(payload, "timeout_ms")
+        timeout_ms = self._parse_number(payload, "timeout_ms", positive=True)
         try:
             future = self.batcher.submit(
                 graph,

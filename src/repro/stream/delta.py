@@ -200,8 +200,7 @@ def content_fingerprint(graph: Graph) -> str:
     :class:`StreamingGraph` can maintain it in ``O(|delta|)`` per tick.
     Additive mixing trades a little collision resistance for
     updatability — fine for cache invalidation, not for content
-    addressing; the pipeline's stage cache keeps using
-    :meth:`Graph.fingerprint`.
+    addressing, which keeps using :meth:`Graph.fingerprint`.
     """
     edge_acc = int(_edge_hashes(graph.edge_index.T).sum(dtype=np.uint64))
     feature_acc = int(

@@ -206,13 +206,12 @@ class IncrementalTPGrGAD:
         """The current snapshot."""
         return self.streaming.graph
 
-    def cache_info(self) -> Dict[str, int]:
+    def reuse_info(self) -> Dict[str, int]:
         """Reuse-cache statistics: pair and embedding hits/misses.
 
         The public read surface for the replay driver and operational
-        metrics — the streaming analogue of
-        :meth:`repro.core.TPGrGAD.cache_info`, so monitoring code never
-        reaches into per-generation private state.
+        metrics, so monitoring code never reaches into per-generation
+        private state.
         """
         return {
             "pair_hits": self.pair_hits,

@@ -366,7 +366,7 @@ class ReplayDriver:
             detection_tick = len(ticks)  # only the flush refit saw it
         total = time.perf_counter() - start
 
-        cache_info = detector.cache_info()
+        reuse = detector.reuse_info()
         return ReplaySummary(
             name=name,
             n_events=n_events,
@@ -377,10 +377,10 @@ class ReplayDriver:
             n_incremental=sum(1 for t in ticks if t.mode == "incremental"),
             refit_seconds=refit_seconds,
             incremental_seconds=incremental_seconds,
-            pair_hits=cache_info["pair_hits"],
-            pair_misses=cache_info["pair_misses"],
-            embed_hits=cache_info["embed_hits"],
-            embed_misses=cache_info["embed_misses"],
+            pair_hits=reuse["pair_hits"],
+            pair_misses=reuse["pair_misses"],
+            embed_hits=reuse["embed_hits"],
+            embed_misses=reuse["embed_misses"],
             detection_tick=detection_tick,
             burst_tick=burst_tick,
             final_result=final_result,

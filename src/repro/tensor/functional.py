@@ -181,12 +181,6 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     return x / norm
 
 
-def frobenius_error(a: Tensor, b: Tensor) -> Tensor:
-    """Mean of squared entrywise differences between two matrices."""
-    diff = a - (b if isinstance(b, Tensor) else Tensor(b))
-    return (diff * diff).mean()
-
-
 def row_errors(prediction: np.ndarray, target: np.ndarray, ord: int = 2) -> np.ndarray:
     """Per-row reconstruction error (plain numpy helper, no gradients).
 

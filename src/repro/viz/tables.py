@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +65,3 @@ def format_bar_chart(
         bar = "#" * max(1, int(round(width * value / maximum))) if value > 0 else ""
         lines.append(f"{label.ljust(label_width)} | {bar} {value:.2f}")
     return "\n".join(lines)
-
-
-def dict_rows(records: Sequence[Dict[str, object]], columns: Sequence[str]) -> List[List[object]]:
-    """Project a list of dictionaries onto a fixed column order."""
-    return [[record.get(column, "") for column in columns] for record in records]

@@ -160,58 +160,24 @@ class TestBatchedPipeline:
         for batch_result, single_result in zip(batched, singles):
             assert batch_result.to_json_dict() == single_result.to_json_dict()
 
-    def test_repeated_graph_hits_stage_cache(self, example_graph):
+    def test_repeated_graph_gives_equal_independent_results(self, example_graph):
         detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
         results = detector.fit_detect_many([example_graph, example_graph])
-        assert detector.cache_misses == 1
-        assert detector.cache_hits == 1
-        assert results[0].to_json_dict() == results[1].to_json_dict()
+        expected = results[1].to_json_dict()
+        assert results[0].to_json_dict() == expected
+        results[0].candidate_groups.append(Group.from_nodes([0, 1]))
+        results[0].embeddings[:] = 0.0
+        assert results[1].to_json_dict() == expected
+        assert detector.fit_detect(example_graph).to_json_dict() == expected
 
-    def test_cache_persists_across_calls_and_can_be_cleared(self, example_graph):
-        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
-        detector.fit_detect(example_graph)
-        detector.fit_detect(example_graph)
-        assert detector.cache_hits == 1
-        detector.clear_cache()
-        # clear_cache resets the counters along with the cache, so the
-        # info read-out can never drift out of sync with an emptied LRU.
-        assert detector.cache_info() == {
-            "hits": 0, "misses": 0, "evictions": 0, "currsize": 0,
-            "maxsize": detector.config.cache_size,
-        }
-        detector.fit_detect(example_graph)
-        assert detector.cache_misses == 1
-
-    def test_cache_info_counts_evictions(self, example_graph):
-        from repro.datasets import make_example_graph
-
-        config = TPGrGADConfig.fast(seed=1)
-        config.cache_size = 1
-        detector = TPGrGAD(config)
-        detector.fit_detect(example_graph)
-        detector.fit_detect(make_example_graph(seed=11))  # evicts the first entry
-        info = detector.cache_info()
-        assert info["evictions"] == 1
-        assert info["currsize"] == 1
-        assert info["maxsize"] == 1
-        assert info["misses"] == 2
-
-    def test_cache_keyed_by_config(self, example_graph):
-        fast = TPGrGAD(TPGrGADConfig.fast(seed=1))
-        fast.fit_detect(example_graph)
-        other = TPGrGAD(TPGrGADConfig.fast(seed=2))
-        other.fit_detect(example_graph)
-        assert other.cache_hits == 0 and other.cache_misses == 1
-
-    def test_cached_result_respects_new_threshold(self, example_graph):
+    def test_repeated_fit_respects_new_threshold(self, example_graph):
         detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
         detector.fit_detect(example_graph)
         rethresholded = detector.fit_detect(example_graph, threshold=float("inf"))
-        assert detector.cache_hits == 1
         assert rethresholded.n_anomalous == 0
         assert rethresholded.n_candidates > 0
 
-    def test_cache_hit_restores_matching_stage_models(self, example_graph):
+    def test_refit_rebinds_matching_stage_models(self, example_graph):
         from repro.datasets import make_example_graph
 
         other = make_example_graph(seed=11)
@@ -219,38 +185,8 @@ class TestBatchedPipeline:
         detector.fit_detect(example_graph)
         first_scores = detector.mhgae.score_nodes().copy()
         detector.fit_detect(other)
-        detector.fit_detect(example_graph)  # cache hit must restore g1's models
-        assert detector.mhgae.score_nodes() == pytest.approx(first_scores)
-
-    def test_mutating_a_result_does_not_corrupt_the_cache(self, example_graph):
-        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
-        first = detector.fit_detect(example_graph)
-        n_candidates = first.n_candidates
-        first.candidate_groups.append(Group.from_nodes([0, 1]))
-        first.embeddings[:] = 0.0
-        second = detector.fit_detect(example_graph)
-        assert detector.cache_hits == 1
-        assert second.n_candidates == n_candidates
-        assert np.abs(second.embeddings).sum() > 0.0
-
-    def test_cache_size_zero_disables_caching(self, example_graph):
-        config = TPGrGADConfig.fast(seed=1)
-        config.cache_size = 0
-        detector = TPGrGAD(config)
-        results = detector.fit_detect_many([example_graph, example_graph])
-        assert detector.cache_hits == 0
-        assert detector.cache_misses == 2
-        assert results[0].to_json_dict() == results[1].to_json_dict()
-
-    def test_fingerprint_tracks_inplace_feature_edits(self, example_graph):
-        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
         detector.fit_detect(example_graph)
-        example_graph.features[0, 0] += 1.0
-        try:
-            detector.fit_detect(example_graph)
-            assert detector.cache_hits == 0  # mutated graph must miss the cache
-        finally:
-            example_graph.features[0, 0] -= 1.0  # session-scoped fixture
+        assert detector.mhgae.score_nodes() == pytest.approx(first_scores)
 
     def test_fit_detect_many_empty_list(self):
         assert TPGrGAD(TPGrGADConfig.fast(seed=1)).fit_detect_many([]) == []
@@ -286,19 +222,6 @@ class TestFittedState:
         state = detector.state
         detector.detect_only(make_example_graph(seed=11))
         assert detector.state is state
-
-    def test_cache_hit_restores_that_generations_state(self, example_graph):
-        from repro.datasets import make_example_graph
-
-        other = make_example_graph(seed=11)
-        detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
-        detector.fit_detect(example_graph)
-        first = detector.state
-        detector.fit_detect(other)
-        assert detector.state.graph_fingerprint == other.fingerprint()
-        detector.fit_detect(example_graph)  # stage-cache hit
-        assert detector.cache_hits == 1
-        assert detector.state is first
 
     def test_sharded_fit_detect_many_holds_last_graphs_state(self, example_graph):
         from repro.datasets import make_example_graph

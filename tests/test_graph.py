@@ -329,6 +329,14 @@ class TestFingerprint:
         annotated = tiny_graph.with_groups([Group.from_nodes([0, 1, 2])])
         assert annotated.fingerprint() == tiny_graph.fingerprint()
 
+    def test_tracks_inplace_feature_edits(self, tiny_graph):
+        graph = tiny_graph.with_features(tiny_graph.features.copy())
+        before = graph.fingerprint()
+        graph.features[0, 0] += 1.0
+        assert graph.fingerprint() != before
+        graph.features[0, 0] -= 1.0
+        assert graph.fingerprint() == before
+
 
 class TestJsonWireFormat:
     def test_roundtrip_preserves_fingerprint(self, tiny_graph):

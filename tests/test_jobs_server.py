@@ -175,6 +175,17 @@ class TestSubmitPollResult:
         assert client.metrics()["jobs"]["submitted_total"] == 0
 
 
+    def test_non_numeric_or_non_finite_threshold_is_400_and_never_stored(self, running):
+        _, client = running
+        for bad in ("nan", "1e309", True, float("nan"), float("-inf")):
+            status, _, body = client._request(
+                "POST", "/jobs", {"graph": GRAPH.to_json_dict(), "threshold": bad}
+            )
+            assert status == 400, (bad, body)
+            assert "threshold" in body["error"]
+        assert client.jobs()["jobs"] == []
+        assert client.metrics()["jobs"]["submitted_total"] == 0
+
     def test_boolean_edge_endpoint_is_400_and_never_stored(self, running):
         _, client = running
         payload = GRAPH.to_json_dict()

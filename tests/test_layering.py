@@ -1,22 +1,31 @@
-"""Layering: no surface outside ``repro.core`` touches a detector's privates.
+"""Layering and dead-code scans over the ``repro`` source tree.
 
 Serve, stream, parallel and persist consume the pipeline through its
 public surface (``TPGrGAD.state``, the stage functions of
 ``repro.core.pipeline``, ``fit_detect`` / ``detect_only`` / ``save`` /
-``load``).  This scan fails on any ``_``-prefixed attribute read or
+``load``).  The first scan fails on any ``_``-prefixed attribute read or
 written off a ``detector`` expression (a name or attribute ending in
 ``detector``) in a module outside ``repro/core/``.
+
+The second scan fails on any function or method defined under
+``src/repro`` whose name occurs nowhere in the repository's Python trees
+except in its own ``def``: code nothing calls, tests or documents.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
-from typing import List
+from typing import Dict, List
 
 import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
+#: Every tree whose Python files may reference code under ``src/repro``.
+TREES = ("src", "tests", "benchmarks", "perfbench", "examples")
 
 
 def _is_detector(node: ast.expr) -> bool:
@@ -57,3 +66,48 @@ def test_no_surface_reaches_into_detector_privates():
             continue
         offenders += private_detector_accesses(path.read_text(), str(relative))
     assert not offenders, "\n".join(offenders)
+
+
+def unreferenced_functions(sources: Dict[str, str], package_prefix: str) -> List[str]:
+    """``file:line: name`` for every function under ``package_prefix`` named only by its ``def``.
+
+    ``sources`` maps a repository-relative path to its text.  A name
+    counts as referenced when it occurs as a word more often than it is
+    defined anywhere in ``sources`` — a call, an import, an attribute, a
+    string (``getattr`` dispatch) or a docstring all count.  Dunder
+    methods are exempt: Python calls them implicitly.
+    """
+    words: Counter = Counter()
+    defs: Counter = Counter()
+    candidates = []
+    for path, text in sources.items():
+        words.update(re.findall(r"\w+", text))
+        for node in ast.walk(ast.parse(text, filename=path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[node.name] += 1
+                if path.startswith(package_prefix):
+                    candidates.append((path, node.lineno, node.name))
+    return [
+        f"{path}:{line}: {name}"
+        for path, line, name in candidates
+        if not (name.startswith("__") and name.endswith("__")) and words[name] == defs[name]
+    ]
+
+
+def test_dead_code_scan_flags_only_def_only_names():
+    sources = {
+        "src/repro/m.py": "def used():\n    pass\n\ndef orphan():\n    pass\n\n"
+        "class A:\n    def __len__(self):\n        return 0\n",
+        "tests/test_m.py": "from repro.m import used\n\ndef test_used():\n    used()\n",
+    }
+    assert unreferenced_functions(sources, "src/repro/") == ["src/repro/m.py:4: orphan"]
+
+
+def test_no_unreferenced_functions_in_src():
+    sources = {
+        str(path.relative_to(REPO)): path.read_text()
+        for tree in TREES
+        for path in sorted((REPO / tree).rglob("*.py"))
+    }
+    offenders = unreferenced_functions(sources, "src/repro/")
+    assert not offenders, "unreferenced functions (delete them):\n" + "\n".join(offenders)

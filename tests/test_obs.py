@@ -111,10 +111,10 @@ class TestTracerCore:
                 span.add("items", 3)
                 span.add("items", 2)
                 # tracer.add targets the innermost open span in-context.
-                tracer.add("cache_hits")
+                tracer.add("retries")
                 span.set("note", "hello")
         (span,) = tracer.spans
-        assert span.counters == {"items": 5, "cache_hits": 1}
+        assert span.counters == {"items": 5, "retries": 1}
         assert span.attrs == {"kind": "test", "note": "hello"}
 
     def test_exception_marks_error_and_still_records(self):
@@ -223,7 +223,6 @@ class TestPipelineInstrumentation:
             "tpgcl.augment",
         } <= names
         fit = next(s for s in tracer.spans if s.name == "pipeline.fit_detect")
-        assert fit.counters.get("cache_misses") == 1
         assert fit.attrs["n_nodes"] == GRAPH.n_nodes
         gae = next(s for s in tracer.spans if s.name == "gae.fit")
         assert gae.counters["optimizer_steps"] > 0
@@ -231,18 +230,15 @@ class TestPipelineInstrumentation:
         tpgcl = next(s for s in tracer.spans if s.name == "tpgcl.fit")
         assert tpgcl.counters["optimizer_steps"] > 0
 
-    def test_detect_only_and_cache_hit_spans(self):
+    def test_detect_only_spans(self):
         detector = TPGrGAD(_tiny_config())
         detector.fit_detect(GRAPH)
         tracer = Tracer()
         with use_tracer(tracer):
             detector.detect_only(GRAPH)
-            detector.fit_detect(GRAPH)  # stage cache hit
         names = [s.name for s in tracer.spans]
         assert "pipeline.detect_only" in names
         assert "stage.warm_bind" in names and "stage.warm_embed" in names
-        cached_fit = [s for s in tracer.spans if s.name == "pipeline.fit_detect"]
-        assert cached_fit and cached_fit[0].counters.get("cache_hits") == 1
 
     def test_stream_tick_spans(self):
         from repro.datasets.stream import make_event_stream
@@ -357,8 +353,6 @@ class TestPrometheus:
                 "config_hash": "abcdef0123456789ffff",
                 "requests_served": 5,
                 "tape_nodes_total": 123,
-                "cache_evictions": 1,
-                "fit_cache": {"hits": 2, "misses": 1, "evictions": 1, "currsize": 1},
             }
         },
     }
@@ -383,8 +377,6 @@ class TestPrometheus:
         assert 'repro_model_swap_count{model="fraud"} 2' in text
         assert 'repro_model_requests_served{model="fraud"} 5' in text
         assert 'repro_model_tape_nodes_total{model="fraud"} 123' in text
-        assert 'repro_model_cache_evictions{model="fraud"} 1' in text
-        assert 'repro_model_fit_cache_hits{model="fraud"} 2' in text
 
     def test_label_escaping(self):
         text = render_prometheus({"models": {'we"ird\\name\n': {"version": 1}}})
@@ -522,7 +514,7 @@ class TestCLI:
         tracer = Tracer()
         with use_tracer(tracer):
             with tracer.span("pipeline.fit_detect") as span:
-                span.add("cache_misses")
+                span.add("retries")
                 with tracer.span("gae.fit"):
                     pass
         tracer.dump_jsonl(str(path))
@@ -534,7 +526,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert tracer.trace_id in out
         assert "pipeline.fit_detect" in out and "gae.fit" in out
-        assert "cache_misses=1" in out
+        assert "retries=1" in out
         assert "2 spans" in out
 
     def test_diff(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Sharded execution: serial parity, seed derivation, cache counters."""
+"""Sharded execution: serial parity, seed derivation, artifact broadcast."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.core import TPGrGAD, TPGrGADConfig
 from repro.datasets import make_example_graph
 from repro.gae import MHGAEConfig
 from repro.gcl import TPGCLConfig
-from repro.parallel import ParallelExecutor, default_worker_count, parallel_fit_detect_many
+from repro.parallel import ParallelExecutor, default_worker_count
 from repro.sampling import SamplerConfig
 from repro.seeding import derive_stage_seeds, resolve_seed, spawn_seeds
 
@@ -91,10 +91,6 @@ class TestShardedParity:
         warm = TPGrGAD.load(tmp_path / "after-sharded").detect_only(graphs[-1])
         assert np.abs(warm.scores - serial.fit_detect(graphs[-1]).scores).max() <= 1e-8
 
-    def test_convenience_wrapper(self, graphs, serial_results):
-        results = parallel_fit_detect_many(graphs, _tiny_config(), n_workers=2)
-        assert [r.to_json_dict() for r in results] == serial_results
-
     def test_empty_batch(self):
         assert ParallelExecutor(_tiny_config(), n_workers=2).fit_detect_many([]) == []
 
@@ -103,18 +99,11 @@ class TestShardedParity:
             ParallelExecutor(_tiny_config(), chunk_size=0)
 
 
-class TestDuplicateCollapse:
-    def test_cache_counters_match_serial_detector(self, graphs):
+class TestRepeatedGraphs:
+    def test_repeated_graphs_match_serial(self, graphs):
         batch = [graphs[0], graphs[1], graphs[0], graphs[1]]
-
-        serial = TPGrGAD(_tiny_config())
-        serial_results = serial.fit_detect_many(batch)
-
-        executor = ParallelExecutor(_tiny_config(), n_workers=2)
-        sharded = executor.fit_detect_many(batch)
-
-        assert executor.cache_hits == serial.cache_hits == 2
-        assert executor.cache_misses == serial.cache_misses == 2
+        serial_results = TPGrGAD(_tiny_config()).fit_detect_many(batch)
+        sharded = ParallelExecutor(_tiny_config(), n_workers=2).fit_detect_many(batch)
         assert [r.to_json_dict() for r in sharded] == [r.to_json_dict() for r in serial_results]
 
     def test_duplicate_results_are_independent_copies(self, graphs):
@@ -122,12 +111,6 @@ class TestDuplicateCollapse:
         results = executor.fit_detect_many([graphs[0], graphs[0]])
         results[0].embeddings[:] = 0.0
         assert np.abs(results[1].embeddings).sum() > 0.0
-
-    def test_pipeline_route_merges_counters(self, graphs):
-        detector = TPGrGAD(_tiny_config())
-        detector.fit_detect_many([graphs[0], graphs[0]], n_workers=2)
-        assert detector.cache_hits == 1
-        assert detector.cache_misses == 1
 
     def test_sharded_batch_supersedes_loaded_artifact_state(self, graphs, tmp_path):
         """A loaded detector that runs a sharded batch saves the new models."""
@@ -145,20 +128,6 @@ class TestDuplicateCollapse:
             == graphs[1].fingerprint()
         )
 
-    def test_cache_size_zero_disables_collapse_like_serial(self, graphs):
-        config = _tiny_config()
-        config.cache_size = 0
-        batch = [graphs[0], graphs[0]]
-
-        serial = TPGrGAD(config)
-        serial_results = serial.fit_detect_many(batch)
-
-        executor = ParallelExecutor(config, n_workers=2)
-        sharded = executor.fit_detect_many(batch)
-        assert executor.cache_hits == serial.cache_hits == 0
-        assert executor.cache_misses == serial.cache_misses == 2
-        assert [r.to_json_dict() for r in sharded] == [r.to_json_dict() for r in serial_results]
-
 
 class TestDerivedSeeds:
     def test_sharding_invariant(self, graphs):
@@ -173,8 +142,6 @@ class TestDerivedSeeds:
         results = executor.fit_detect_many([graphs[0], graphs[0]])
         # Distinct per-index master seeds: same graph, different pipelines.
         assert results[0].to_json_dict() != results[1].to_json_dict()
-        # And no duplicate-collapse hits were (wrongly) recorded.
-        assert executor.cache_hits == 0
 
 
 class TestArtifactBroadcast:
@@ -193,7 +160,7 @@ class TestArtifactBroadcast:
         for result in warm:
             assert np.isfinite(result.scores).all()
 
-    def test_artifact_mode_collapses_duplicate_graphs(self, tmp_path, graphs):
+    def test_artifact_mode_repeated_graphs_score_alike(self, tmp_path, graphs):
         detector = TPGrGAD(_tiny_config())
         detector.fit_detect(graphs[0])
         artifact = tmp_path / "artifact"
@@ -201,10 +168,6 @@ class TestArtifactBroadcast:
 
         executor = ParallelExecutor(n_workers=1, artifact=str(artifact))
         results = executor.fit_detect_many([graphs[0], graphs[1], graphs[0], graphs[1]])
-        # Warm detect_only is deterministic per graph, so duplicates are
-        # scored once and fanned out (counted like stage-cache hits) —
-        # what the scoring service's sharded micro-batches rely on.
-        assert executor.cache_hits == 2
         assert results[0].to_json_dict() == results[2].to_json_dict()
         assert results[1].to_json_dict() == results[3].to_json_dict()
         direct = TPGrGAD.load(str(artifact)).detect_only(graphs[1])

@@ -205,8 +205,8 @@ class TestArtifactRoundtrip:
         with pytest.raises(RuntimeError, match="attach"):
             MultiHopGAE(MHGAEConfig()).attach(example_graph)
 
-    def test_cache_hit_refreshes_warm_serving_state(self, example_graph):
-        """Rebinding a cached generation must invalidate a stale export."""
+    def test_refit_refreshes_warm_serving_state(self, example_graph):
+        """Refitting an earlier graph must replace the state detect_only serves."""
         from repro.datasets import make_example_graph
 
         other = make_example_graph(seed=23)
@@ -215,7 +215,7 @@ class TestArtifactRoundtrip:
         detector.detect_only(example_graph)
         detector.fit_detect(other)
         detector.detect_only(other)   # caches other's export
-        detector.fit_detect(example_graph)  # stage-cache hit rebinds models
+        detector.fit_detect(example_graph)  # refit replaces the state
         replay = detector.detect_only(example_graph)
         assert np.abs(replay.scores - oracle.scores).max() <= SCORE_TOLERANCE
 
@@ -300,6 +300,19 @@ class TestManifest:
         with pytest.raises(ValueError, match="format_version"):
             PipelineState.load(path)
 
+    def test_v1_manifest_refused_with_format_error(self, saved):
+        # Format 1 configs carried the since-removed ``cache_size`` field;
+        # the version check must refuse them before the config is parsed.
+        _, path, _ = saved
+        with open(path / "manifest.json") as handle:
+            manifest = json.load(handle)
+        manifest["format_version"] = 1
+        manifest["config"]["cache_size"] = 8
+        with open(path / "manifest.json", "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValueError, match="format_version 1"):
+            PipelineState.load(path)
+
     def test_tampered_manifest_config_rejected_by_hash(self, saved):
         _, path, _ = saved
         with open(path / "manifest.json") as handle:
@@ -372,7 +385,7 @@ class TestDtypeManifest:
 
 
 class TestContentHash:
-    """One config identity for the stage cache, the manifest and the registry."""
+    """One config identity for the manifest, the registry and the job store."""
 
     def test_hash_equality_implies_manifest_config_equality(self):
         first, second = _tiny_config(seed=9), _tiny_config(seed=9)
@@ -403,14 +416,6 @@ class TestContentHash:
             == loaded.config.content_hash()
             == detector.config.content_hash()
         )
-
-    def test_stage_cache_is_keyed_by_content_hash(self, example_graph):
-        # Two detector instances with *equal* (not identical) configs must
-        # produce the same cache key — repr-keyed caching did that too,
-        # but only content_hash also matches the manifest identity.
-        first = TPGrGAD(_tiny_config(seed=9))
-        second = TPGrGAD(_tiny_config(seed=9))
-        assert first._cache_key(example_graph) == second._cache_key(example_graph)
 
 
 class TestStreamWarmStart:

@@ -223,16 +223,16 @@ class TestScoringServerEndToEnd:
         assert response["result"] == _reference(artifacts["beta"], GRAPHS["g11"], threshold=1e12)
         assert response["result"]["anomalous_groups"] == []
 
-    def test_fit_mode_matches_cold_pipeline_and_hits_lru(self, running, registry):
+    def test_fit_mode_matches_cold_pipeline(self, running, registry):
         _, client = running
-        config = registry.get("alpha").state.config
-        expected = TPGrGAD(config).fit_detect(GRAPHS["g13"]).to_json_dict()
+        entry = registry.get("alpha")
+        expected = TPGrGAD(entry.state.config).fit_detect(GRAPHS["g13"]).to_json_dict()
         first = client.score(GRAPHS["g13"], model="alpha", mode="fit_detect")
         second = client.score(GRAPHS["g13"], model="alpha", mode="fit_detect")
         assert first["result"] == expected
         assert second["result"] == expected
-        fit_cache = client.metrics()["models"]["alpha"]["fit_cache"]
-        assert fit_cache["hits"] >= 1  # the repeat skipped retraining
+        # Cold fits never replace the warm state the entry advertises.
+        assert entry.detector.state is entry.state
 
     def test_concurrent_mixed_model_load_parity(self, running, artifacts):
         handle, _ = running
@@ -328,6 +328,27 @@ class TestHttpHardening:
                     {"graph": GRAPHS["g7"].to_json_dict(), "timeout_ms": "soon"},
                 )
                 assert status == 400, body
+        finally:
+            handle.stop()
+
+    def test_threshold_and_timeout_must_be_finite_json_numbers(self, registry):
+        bad_values = [
+            ("threshold", "nan"), ("threshold", "1e309"), ("threshold", True),
+            ("threshold", float("nan")), ("threshold", float("inf")), ("threshold", 10 ** 400),
+            ("timeout_ms", "100"), ("timeout_ms", False), ("timeout_ms", float("nan")),
+            ("timeout_ms", -5), ("timeout_ms", 0),
+        ]
+        handle = start_server_thread(registry, ServeConfig())
+        try:
+            with ScoringClient(port=handle.port) as client:
+                for key, value in bad_values:
+                    # json.dumps writes NaN / Infinity literals, which json.loads accepts.
+                    status, _, body = client._request(
+                        "POST", "/score", {"graph": GRAPHS["g7"].to_json_dict(), key: value}
+                    )
+                    assert status == 400, (key, value, body)
+                    assert key in body["error"]
+                assert client.metrics()["scored_total"] == 0
         finally:
             handle.stop()
 

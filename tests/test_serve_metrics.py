@@ -179,7 +179,7 @@ class TestMetricsOverHTTP:
         row = client.metrics()["models"]["fraud"]
         for key in (
             "version", "swap_count", "config_hash", "loaded_at_unix",
-            "requests_served", "tape_nodes_total", "cache_evictions", "fit_cache",
+            "requests_served", "tape_nodes_total",
         ):
             assert key in row
         assert row["version"] == 2 and row["swap_count"] == 1
