@@ -28,7 +28,7 @@ class TPGrGADConfig:
         top 10%.
     max_anchors:
         Hard cap on the anchor count so the quadratic pair enumeration in
-        sampling stays cheap on large graphs.
+        sampling stays cheap on large graphs; at least 1.
     detector:
         Name of the outlier detector applied to group embeddings
         (``ecod`` by default, as in the paper; see
@@ -61,6 +61,8 @@ class TPGrGADConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.anchor_fraction <= 1.0:
             raise ValueError("anchor_fraction must be in (0, 1]")
+        if self.max_anchors < 1:
+            raise ValueError(f"max_anchors must be >= 1, got {self.max_anchors}")
         if not 0.0 < self.contamination < 1.0:
             raise ValueError("contamination must be in (0, 1)")
         # Fill unset (None) stage seeds with distinct streams derived from

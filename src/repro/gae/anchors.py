@@ -23,8 +23,8 @@ def select_anchor_nodes(
         Lower bound on the number of anchors (sampling needs at least a few
         seeds even on tiny graphs).
     maximum:
-        Optional hard cap, useful to bound the O(m²) pair enumeration of the
-        group-sampling stage on large graphs.
+        Optional non-negative hard cap, useful to bound the O(m²) pair
+        enumeration of the group-sampling stage on large graphs.
 
     Returns
     -------
@@ -36,6 +36,8 @@ def select_anchor_nodes(
         raise ValueError("scores must be a 1-D array")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
+    if maximum is not None and maximum < 0:
+        raise ValueError(f"maximum must be >= 0, got {maximum}")
     count = max(int(minimum), int(round(fraction * scores.shape[0])))
     count = min(count, scores.shape[0])
     if maximum is not None:

@@ -10,11 +10,18 @@ paper:
 * per-node anomaly score — the weighted sum of that node's structure and
   attribute reconstruction errors (Eqn. 1).
 
-The structure target is stored only as CSR (it has the sparsity of ``A``).
-Training densifies it once per :meth:`GraphAutoEncoder.fit` for the fused
-loss; scoring never does: :meth:`GraphAutoEncoder.score_nodes` encodes
-once and forms ``sigmoid(Z_B Zᵀ)`` and the residual one row block at a
-time, so warm scoring allocates no ``n × n`` array.  Only the public
+The structure target is stored only as CSR (it has the sparsity of ``A``)
+and neither training nor scoring densifies it.  Both walk row blocks of
+``SCORE_BLOCK_ELEMENTS // n`` rows (:func:`_row_blocks`):
+
+* each training step records the whole objective as one tape node
+  (:class:`_ReconstructionLoss`) that forms ``sigmoid(Z_B Zᵀ)``, the
+  residual, its squared sum and the gradient ``∂L/∂Z`` block by block in
+  three block buffers allocated once per fit;
+* :meth:`GraphAutoEncoder.score_nodes` encodes once and forms the residual
+  row norms block by block.
+
+So neither path allocates an ``n × n`` array.  Only the public
 :meth:`GraphAutoEncoder.reconstruct` still returns the dense ``A'``.
 """
 
@@ -31,13 +38,116 @@ from repro.nn import Adam, GCNConv, MLP, Module
 from repro.obs.tracer import get_tracer
 from repro.seeding import resolve_seed
 from repro.tensor import Tensor, default_dtype, no_grad, sigmoid_, tape_node_count
-from repro.tensor.functional import gae_reconstruction_loss
 
 Propagation = Union[np.ndarray, sp.spmatrix]
 
-# Elements of one ``sigmoid(Z_B Zᵀ)`` row block in score_nodes (8 MB in
-# float64); the block holds ``max(1, budget // n)`` rows.
+# Elements of one ``sigmoid(Z_B Zᵀ)`` row block in training and scoring
+# (8 MB in float64); the block holds ``max(1, budget // n)`` rows.
 SCORE_BLOCK_ELEMENTS = 1 << 20
+
+
+def _row_blocks(n: int) -> List[slice]:
+    """Row slices of ``SCORE_BLOCK_ELEMENTS // n`` rows covering ``range(n)``."""
+    rows = max(1, SCORE_BLOCK_ELEMENTS // max(n, 1))
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+class _ReconstructionLoss:
+    """The GAE objective ``λ·mean((Ã − σ(ZZᵀ))²) + (1−λ)·mean((X − X̂)²)``.
+
+    Calling it records one tape node whose parents are ``Z`` and ``X̂``.
+    The forward pass walks row blocks ``B`` and, per block, forms
+    ``S_B = σ(Z_B Zᵀ)``, the residual ``D_B = S_B − Ã_B`` (``Ã``'s nonzeros
+    are subtracted in place, the CSR is never densified), adds ``ΣD_B²`` to
+    the loss and, when ``Z`` needs a gradient, turns ``D_B`` in place into
+    ``G_B = ∂L/∂(Z_B Zᵀ) = c·D_B ⊙ S_B ⊙ (1 − S_B)`` and adds ``G_B Z`` to
+    ``dZ_B`` and ``(Z_Bᵀ G_B)ᵀ`` to ``dZ``.  The three block buffers are
+    allocated once, by the constructor.
+
+    These are the ops of the autodiff chain ``(Z Zᵀ).sigmoid()`` → squared
+    error mean, in the same order.  With one block (``n ≤ 1024`` at the
+    default budget) the float64 loss and gradients are therefore bitwise
+    equal to it; across blocks only the loss sum and the ``Zᵀ G`` products
+    are split, which moves the result by rounding (≤1e-10).  The gradient
+    is formed for an upstream gradient of 1, which is what ``backward()``
+    on the loss passes; any other upstream gradient walks the blocks again.
+    """
+
+    def __init__(self, target: sp.csr_matrix, features: np.ndarray, structure_weight: float) -> None:
+        if not target.has_canonical_format:
+            target = target.copy()
+            target.sum_duplicates()
+        n = target.shape[0]
+        self._n = n
+        self._blocks = _row_blocks(n)
+        self._features = features
+        self._lam = float(structure_weight)
+        rows = self._blocks[0].stop if self._blocks else 0
+        shape = (rows, n)
+        self._product = np.empty(shape, dtype=features.dtype)
+        self._residual = np.empty(shape, dtype=features.dtype)
+        self._square = np.empty(shape, dtype=features.dtype)
+        # Ã's nonzeros as flat positions inside their row block.
+        row_of = np.repeat(np.arange(n), np.diff(target.indptr))
+        self._flat = (row_of % max(rows, 1)) * n + target.indices
+        self._values = target.data
+        self._indptr = target.indptr
+
+    @staticmethod
+    def _coefficient(grad: np.ndarray, weight: float, size: int) -> np.ndarray:
+        # The autodiff chain's upstream factor: ((g * weight) * (1/size)) * 2.
+        return ((grad * weight) * (1.0 / size)) * 2
+
+    def _walk(self, z: np.ndarray, coefficient: Optional[np.ndarray]):
+        """``(ΣD², dZ)`` over all row blocks; ``dZ`` is None without a coefficient."""
+        total = z.dtype.type(0)
+        dz = None if coefficient is None else np.zeros_like(z)
+        for block in self._blocks:
+            rows = block.stop - block.start
+            product = np.matmul(z[block], z.T, out=self._product[:rows])
+            sigmoid_(product)
+            residual = self._residual[:rows]
+            np.copyto(residual, product)
+            nonzeros = slice(self._indptr[block.start], self._indptr[block.stop])
+            residual.reshape(-1)[self._flat[nonzeros]] -= self._values[nonzeros]
+            total = total + np.multiply(residual, residual, out=self._square[:rows]).sum()
+            if dz is None:
+                continue
+            residual *= coefficient
+            residual *= product
+            residual *= np.subtract(1.0, product, out=product)
+            if block.start == 0:
+                np.matmul(residual, z, out=dz[block])
+            else:
+                dz[block] += residual @ z
+            dz += (z[block].T @ residual).T
+        return total, dz
+
+    def __call__(self, z: Tensor, attribute_hat: Tensor) -> Tensor:
+        lam = self._lam
+        structure_size = self._n * self._n
+        unit = np.ones((), dtype=z.data.dtype)
+        total, dz = self._walk(
+            z.data, self._coefficient(unit, lam, structure_size) if z.requires_grad else None
+        )
+        attribute_diff = attribute_hat.data - self._features
+        attribute_sum = (attribute_diff * attribute_diff).sum()
+        loss = (total * (1.0 / structure_size)) * lam + (
+            attribute_sum * (1.0 / attribute_diff.size)
+        ) * (1.0 - lam)
+
+        def backward(grad: np.ndarray) -> None:
+            g = np.asarray(grad)
+            if z.requires_grad:
+                structure_grad = dz
+                if g != 1:
+                    _, structure_grad = self._walk(z.data, self._coefficient(g, lam, structure_size))
+                z._accumulate(structure_grad, owned=True)
+            attribute_hat._accumulate(
+                attribute_diff * self._coefficient(g, 1.0 - lam, attribute_diff.size), owned=True
+            )
+
+        return Tensor._make(np.asarray(loss), (z, attribute_hat), backward, "gae_loss")
 
 
 @dataclass
@@ -54,8 +164,8 @@ class GAEConfig:
     neither term dominates purely because of its scale.
     ``sparse_propagation`` keeps the GCN propagation matrix in CSR form so
     message passing runs as sparse-dense products and never materialises a
-    dense ``n × n`` matrix.  (The reconstruction target is always CSR; only
-    training densifies it, once per fit.)
+    dense ``n × n`` matrix.  (The reconstruction target is always CSR, and
+    training and scoring read it one row block at a time.)
 
     ``dtype`` selects the training precision: ``"float64"`` (default) is
     the bit-reproducible reference path; ``"float32"`` is the fast mode —
@@ -197,11 +307,10 @@ class GraphAutoEncoder:
             rng = np.random.default_rng(resolve_seed(config.seed))
             with tracer.span("gae.bind_graph"):
                 self._bind_graph(graph)
-            lam = config.structure_weight
             self.training_result = GAETrainingResult()
-            workspace: dict = {}
-            # The fused loss wants a dense target; it lives only for this fit.
-            structure_target = self._structure_target.toarray()
+            reconstruction_loss = _ReconstructionLoss(
+                self._structure_target, self._scaled_features, config.structure_weight
+            )
 
             with default_dtype(self.dtype):
                 self._model = _GAEModel(graph.n_features, graph.n_nodes, config, rng)
@@ -213,13 +322,7 @@ class GraphAutoEncoder:
                     with tracer.span("gae.epoch") as epoch_span:
                         optimizer.zero_grad()
                         z = self._model.encode(features, self._propagation)
-                        structure_hat = self._model.decode_structure(z)
-                        attribute_hat = self._model.decode_attributes(z)
-
-                        loss = gae_reconstruction_loss(
-                            structure_hat, structure_target, attribute_hat, self._scaled_features, lam,
-                            workspace=workspace,
-                        )
+                        loss = reconstruction_loss(z, self._model.decode_attributes(z))
                         loss.backward()
                         optimizer.step()
                         value = loss.item()
@@ -309,11 +412,8 @@ class GraphAutoEncoder:
             z = self._model.encode(Tensor(self._scaled_features), self._propagation)
             attribute_hat = self._model.decode_attributes(z).numpy()
         z = z.numpy()
-        n = z.shape[0]
-        rows = max(1, SCORE_BLOCK_ELEMENTS // max(n, 1))
-        structure_error = np.empty(n, dtype=z.dtype)
-        for start in range(0, n, rows):
-            block = slice(start, start + rows)
+        structure_error = np.empty(z.shape[0], dtype=z.dtype)
+        for block in _row_blocks(z.shape[0]):
             residual = self._structure_target[block].toarray()
             residual -= sigmoid_(z[block] @ z.T)
             structure_error[block] = np.linalg.norm(residual, axis=1)

@@ -13,12 +13,15 @@ node set that seeds candidate-group sampling.
 
 Every target is built and stored as CSR.  The GraphSNN propagation mix is
 formed from that CSR directly; only the ``k_hop`` mix, whose reachability
-mass is dense for any connected graph, densifies.  Scoring inherits the
-row-blocked :meth:`GraphAutoEncoder.score_nodes`.
+mass is dense for any connected graph, densifies, and a graph whose dense
+mix would exceed ``DENSE_MIX_BUDGET_BYTES`` is refused before anything is
+built.  Training and scoring inherit the row-blocked structure walk of
+:class:`GraphAutoEncoder`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +30,12 @@ import scipy.sparse as sp
 
 from repro.gae.autoencoder import GAEConfig, GraphAutoEncoder, Propagation
 from repro.graph import Graph, graphsnn_weighted_adjacency, k_hop_matrix, row_normalize
+
+# Byte budget of the dense propagation mix.  At its peak the mix holds four
+# n × n float64 arrays (the dense one-hop propagation, the dense target, the
+# identity and their sum), so 1 GiB admits graphs of up to 5792 nodes.
+DENSE_MIX_BUDGET_BYTES = 1 << 30
+_DENSE_MIX_BYTES_PER_ENTRY = 4 * 8
 
 
 @dataclass
@@ -72,6 +81,28 @@ class MultiHopGAE(GraphAutoEncoder):
     # Differences from the vanilla GAE: the structure target and,
     # optionally, the propagation matrix of the encoder.
     # ------------------------------------------------------------------
+    def _mixes_densely(self) -> bool:
+        """Whether :meth:`_build_propagation` forms the dense ``n × n`` mix."""
+        config: MHGAEConfig = self.config  # type: ignore[assignment]
+        return (
+            config.propagate_with_target
+            and config.target != "adjacency"
+            and (config.target == "k_hop" or not config.sparse_propagation)
+        )
+
+    def _bind_graph(self, graph: Graph) -> None:
+        n = graph.n_nodes
+        projected = _DENSE_MIX_BYTES_PER_ENTRY * n * n
+        if self._mixes_densely() and projected > DENSE_MIX_BUDGET_BYTES:
+            limit = math.isqrt(DENSE_MIX_BUDGET_BYTES // _DENSE_MIX_BYTES_PER_ENTRY)
+            raise ValueError(
+                f"MH-GAE target '{self.config.target}' mixes a dense propagation matrix: "
+                f"{n} nodes need ~{projected / 2**20:.0f} MB, over the "
+                f"{DENSE_MIX_BUDGET_BYTES / 2**20:.0f} MB budget ({limit} nodes at most); "
+                "use target='graphsnn' with sparse_propagation=True for larger graphs"
+            )
+        super()._bind_graph(graph)
+
     def _build_structure_target(self, graph: Graph) -> sp.csr_matrix:
         config: MHGAEConfig = self.config  # type: ignore[assignment]
         if config.target == "adjacency":
@@ -91,14 +122,14 @@ class MultiHopGAE(GraphAutoEncoder):
         # and renormalise rows, so messages travel along the same long-range
         # relations the reconstruction loss penalises.
         target = self._structure_target
+        if not self._mixes_densely():
+            # Ã shares the sparsity of A, so the mixed propagation stays
+            # sparse: one_hop + row-normalised (Ã + I), all in CSR.
+            target_norm = row_normalize(target + sp.identity(graph.n_nodes, format="csr"))
+            return row_normalize((one_hop + target_norm).tocsr())
+        # k-hop reachability mass is dense for any connected graph;
+        # densify the mix rather than pretending it is sparse.
         if sp.issparse(one_hop):
-            if config.target == "graphsnn":
-                # Ã shares the sparsity of A, so the mixed propagation stays
-                # sparse: one_hop + row-normalised (Ã + I), all in CSR.
-                target_norm = row_normalize(target + sp.identity(graph.n_nodes, format="csr"))
-                return row_normalize((one_hop + target_norm).tocsr())
-            # k-hop reachability mass is dense for any connected graph;
-            # densify the mix rather than pretending it is sparse.
             one_hop = one_hop.toarray()
         mixed = one_hop + row_normalize(target.toarray() + np.eye(graph.n_nodes))
         return row_normalize(mixed)

@@ -30,6 +30,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             TPGrGADConfig(anchor_fraction=0.0)
 
+    @pytest.mark.parametrize("max_anchors", [0, -1])
+    def test_invalid_max_anchors(self, max_anchors):
+        # -1 used to keep 109 of 110 nodes as anchors; 0 ran the pipeline
+        # with no anchors at all.
+        with pytest.raises(ValueError, match="max_anchors"):
+            TPGrGADConfig(max_anchors=max_anchors)
+
     def test_invalid_contamination(self):
         with pytest.raises(ValueError):
             TPGrGADConfig(contamination=1.0)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.gae.multihop as multihop
 from repro.gae import GAEConfig, GraphAutoEncoder, MHGAEConfig, MultiHopGAE, select_anchor_nodes
-from repro.graph import graphsnn_weighted_adjacency, k_hop_matrix
+from repro.graph import Graph, graphsnn_weighted_adjacency, k_hop_matrix
 
 
 FAST = dict(epochs=8, hidden_dim=16, embedding_dim=8, seed=0)
@@ -40,6 +43,14 @@ class TestAnchorSelection:
     def test_non_1d_scores_raise(self):
         with pytest.raises(ValueError):
             select_anchor_nodes(np.ones((3, 3)))
+
+    def test_negative_maximum_raises(self):
+        # A negative cap used to slice ``order[:-1]``: all nodes but one.
+        with pytest.raises(ValueError, match="maximum"):
+            select_anchor_nodes(np.arange(10, dtype=float), maximum=-1)
+
+    def test_zero_maximum_selects_nothing(self):
+        assert len(select_anchor_nodes(np.arange(10, dtype=float), maximum=0)) == 0
 
 
 class TestGraphAutoEncoder:
@@ -108,6 +119,35 @@ class TestMultiHopGAE:
     def test_unknown_target_raises(self, example_graph):
         with pytest.raises(ValueError):
             MultiHopGAE(MHGAEConfig(target="spectral", **FAST)).fit(example_graph)
+
+    def test_dense_k_hop_mix_over_budget_raises_before_allocating(self):
+        n_nodes = 6000  # four 6000² float64 arrays are ~1.1 GB, over the 1 GiB budget
+        edges = np.random.default_rng(0).integers(0, n_nodes, size=(3 * n_nodes, 2))
+        graph = Graph(n_nodes, edges, np.ones((n_nodes, 2)))
+        model = MultiHopGAE(MHGAEConfig(target="k_hop", k_hops=5, **FAST))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n_nodes} nodes"):
+                model.fit(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_nodes * n_nodes * 8 // 100
+        assert model._structure_target is None
+
+    def test_dense_mix_budget_covers_every_dense_branch(self, monkeypatch, example_graph):
+        monkeypatch.setattr(multihop, "DENSE_MIX_BUDGET_BYTES", 4 * 8 * (example_graph.n_nodes - 1) ** 2)
+        for config in (
+            MHGAEConfig(target="k_hop", k_hops=3, **FAST),
+            MHGAEConfig(target="graphsnn", sparse_propagation=False, **FAST),
+        ):
+            with pytest.raises(ValueError, match=f"{example_graph.n_nodes} nodes"):
+                MultiHopGAE(config).fit(example_graph)
+        # No dense mix, no budget: the sparse GraphSNN mix and the unmixed k_hop target.
+        MultiHopGAE(MHGAEConfig(**FAST)).fit(example_graph)
+        MultiHopGAE(MHGAEConfig(target="k_hop", k_hops=3, propagate_with_target=False, **FAST)).fit(
+            example_graph
+        )
 
     def test_propagation_mixes_multi_hop(self, example_graph):
         mixed = MultiHopGAE(MHGAEConfig(target="k_hop", k_hops=5, **FAST)).fit(example_graph)

@@ -15,7 +15,9 @@ Four oracle families:
   in float32 legitimately drift — chaotic contrastive dynamics amplify
   rounding — so score closeness is pinned on the inference path, decisions
   on the end-to-end path.)
-* **Kernel equivalence** — the fused GAE loss matches the unfused autodiff
+* **Kernel equivalence** — the dense fused GAE loss of the training
+  oracle (``tests/gae_oracle.py``, which ``tests/test_gae_fused_step.py``
+  pins the row-blocked training step to) matches the unfused autodiff
   graph bit for bit in float64; the fused group-encoder kernel matches the
   per-subgraph autodiff encoder (``tests/encoder_oracle.py``) bit for bit
   in float64, embeddings and gradients, and within 1e-5 in float32.
@@ -48,9 +50,10 @@ from repro.tensor import (
     set_default_dtype,
     tape_node_count,
 )
-from repro.tensor.functional import gae_reconstruction_loss, spmm
+from repro.tensor.functional import spmm
 
 from encoder_oracle import AutodiffGroupEncoder
+from gae_oracle import gae_reconstruction_loss
 
 
 # ======================================================================
@@ -227,7 +230,7 @@ class TestDtypePlumbing:
 
 
 # ======================================================================
-# Fused / batched kernels
+# The dense fused GAE loss of the training oracle (tests/gae_oracle.py)
 # ======================================================================
 class TestFusedKernels:
     def _unfused_loss(self, s_hat, s_target, a_hat, a_target, lam):
