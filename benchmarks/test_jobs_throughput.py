@@ -63,8 +63,6 @@ def test_job_burst_throughput_dedup_and_parity(benchmark, tmp_path):
             max_batch=16,
             max_wait_ms=2,
             job_store_path=store_path,
-            job_workers=2,
-            job_claim_batch=8,
             job_poll_interval_s=0.01,
         ),
     )
@@ -107,7 +105,6 @@ def test_job_burst_throughput_dedup_and_parity(benchmark, tmp_path):
             "n_submissions": n_submissions,
             "n_distinct_jobs": n_distinct,
             "dedup_hits": n_submissions - n_distinct,
-            "job_workers": 2,
             "submit_seconds": round(run["submit_seconds"], 3),
             "elapsed_seconds": round(run["elapsed_seconds"], 3),
             "jobs_per_second": round(jobs_per_second, 2),

@@ -9,7 +9,7 @@ metrics.  Everything runs headless in one process; against a real
 deployment you would start the server with::
 
     python -m repro.serve --artifact fraud=artifacts/fraud \\
-        --job-store jobs.sqlite --job-workers 2 --port 8000
+        --job-store jobs.sqlite --port 8000
 
 and inspect the store offline with ``python -m repro.jobs ls --store
 jobs.sqlite``.
@@ -44,7 +44,6 @@ def main() -> None:
         max_batch=16,
         max_wait_ms=5,
         job_store_path=str(store_path),
-        job_workers=2,
         job_poll_interval_s=0.01,
     )
     with start_server_thread(registry, config) as handle:
@@ -84,7 +83,7 @@ def main() -> None:
                 cancelled = client.cancel_job(extra["job_id"])
                 print(f"cancelled queued job {cancelled['job_id']}")
             except Exception:
-                # The worker pool may have raced us to it — equally fine.
+                # The job worker may have raced us to it — equally fine.
                 client.wait_job(extra["job_id"], timeout=120)
                 print(f"job {extra['job_id']} completed before cancel landed")
 

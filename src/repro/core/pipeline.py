@@ -324,36 +324,17 @@ class TPGrGAD:
             return result
 
     def fit_detect_many(
-        self,
-        graphs: Iterable[Graph],
-        threshold: Optional[float] = None,
-        n_workers: Optional[int] = None,
+        self, graphs: Iterable[Graph], threshold: Optional[float] = None
     ) -> List[GroupDetectionResult]:
         """Score a list of graphs through one call (the batched API).
 
         Each graph is scored independently with this detector's config —
         the result for a graph does not depend on batch order or
         composition, so ``fit_detect_many(gs) == [fit_detect(g) for g in
-        gs]``.
-
-        ``n_workers > 1`` shards the batch across a process pool via
-        :class:`repro.parallel.ParallelExecutor`; results are bit-identical
-        to the serial order, and the post-fit contract survives: ``state``
-        becomes the executor's ``final_state`` (the batch's last graph)
-        and ``mhgae`` / ``tpgcl`` are bound from it, so ``save()`` /
-        ``mhgae.score_nodes()`` work exactly as after a serial call.
+        gs]``, and afterwards ``state`` is the batch's last graph's.
+        :class:`repro.parallel.ParallelExecutor` shards such a batch
+        across processes with serial-identical results.
         """
-        if n_workers is not None and n_workers > 1:
-            from repro.parallel import ParallelExecutor
-
-            graphs = list(graphs)
-            executor = ParallelExecutor(self.config, n_workers=n_workers)
-            results = executor.fit_detect_many(graphs, threshold=threshold)
-            if executor.final_state is not None:
-                self.state = executor.final_state
-                self.mhgae = self.state.bind_mhgae(graphs[-1])
-                self.tpgcl = self.state.bind_tpgcl()
-            return results
         return [self.fit_detect(graph, threshold=threshold) for graph in graphs]
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The asynchronous counterpart of the ``/score`` endpoint (DESIGN.md,
 "Async batch jobs"): :class:`JobStore` is a WAL-mode sqlite log of every
 accepted job — deduplicated by the full input identity, quota-bounded
-per tenant, and replayable as audit history — and :class:`JobWorkerPool`
+per tenant, and replayable as audit history — and :class:`JobWorker`
 drains it through the serving layer's micro-batcher so stored results
 are bit-identical to synchronous responses.  ``python -m repro.jobs``
 is the operator CLI (``ls`` / ``show`` / ``requeue`` / ``gc``).
@@ -20,7 +20,7 @@ from repro.jobs.store import (
     UnknownJobError,
     dedup_key,
 )
-from repro.jobs.worker import JobWorker, JobWorkerPool
+from repro.jobs.worker import JobWorker
 
 __all__ = [
     "JOB_SCHEMA_VERSION",
@@ -29,7 +29,6 @@ __all__ = [
     "JobRecord",
     "JobStore",
     "JobWorker",
-    "JobWorkerPool",
     "QuotaExceededError",
     "TenantQuota",
     "UnknownJobError",

@@ -40,7 +40,7 @@ caps accepted-but-unscored jobs (checked at submit; violations raise
 :class:`QuotaExceededError`, which the HTTP layer maps to ``429`` +
 ``Retry-After``), and ``max_running`` caps concurrently leased jobs
 (enforced by :meth:`JobStore.claim`, which skips tenants at their
-limit — one noisy tenant cannot monopolise the worker pool).
+limit — one noisy tenant cannot monopolise the worker).
 
 Retention
 ---------

@@ -1,10 +1,10 @@
-"""Asyncio worker pool draining the durable job store.
+"""Asyncio worker draining the durable job store.
 
-Each :class:`JobWorker` task runs the lease protocol against the shared
+The :class:`JobWorker` task runs the lease protocol against the
 :class:`~repro.jobs.store.JobStore`:
 
 1. requeue any expired leases (crash recovery — also run once at start),
-2. atomically *claim* up to ``claim_batch`` queued jobs (skipping
+2. atomically *claim* up to :data:`CLAIM_BATCH` queued jobs (skipping
    tenants at their ``max_running`` quota),
 3. submit every claimed job to the **existing**
    :class:`~repro.serve.batcher.MicroBatcher` — async jobs ride the very
@@ -20,8 +20,9 @@ Each :class:`JobWorker` task runs the lease protocol against the shared
    charged.
 
 Because a claimed batch is submitted to the batcher in one sweep, jobs
-coalesce exactly like concurrent interactive requests do; a pool of
-``n_workers`` tasks just overlaps claim latency with scoring.
+coalesce exactly like concurrent interactive requests do.  The server runs
+one worker: the batcher has a single consumer, so a second worker would
+only overlap a sqlite claim with scoring, and measured no faster.
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; runtime import is lazy.
     from repro.serve.batcher import MicroBatcher
     from repro.serve.metrics import ServerMetrics
 
-__all__ = ["JobWorker", "JobWorkerPool"]
+__all__ = ["JobWorker"]
 
 log = get_logger("jobs")
 
+#: Queued jobs leased per claim, all submitted to the batcher in one sweep.
+CLAIM_BATCH = 8
+
 
 class JobWorker:
-    """One claim-score-complete loop; run several for a pool."""
+    """The claim-score-complete loop."""
 
     def __init__(
         self,
@@ -56,8 +60,6 @@ class JobWorker:
         batcher: MicroBatcher,
         metrics: Optional[ServerMetrics] = None,
         *,
-        owner: Optional[str] = None,
-        claim_batch: int = 8,
         lease_ttl_s: float = 30.0,
         poll_interval_s: float = 0.05,
         max_attempts: int = 3,
@@ -65,14 +67,11 @@ class JobWorker:
         self.store = store
         self.batcher = batcher
         self.metrics = metrics
-        self.owner = owner or f"worker-{uuid.uuid4().hex[:8]}"
-        self.claim_batch = int(claim_batch)
+        self.owner = f"worker-{uuid.uuid4().hex[:8]}"
         self.lease_ttl_s = float(lease_ttl_s)
         self.poll_interval_s = float(poll_interval_s)
         self.max_attempts = int(max_attempts)
         self._task: Optional["asyncio.Task"] = None
-        self.jobs_completed = 0
-        self.jobs_failed = 0
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -100,7 +99,7 @@ class JobWorker:
                 next_sweep = loop.time() + self.lease_ttl_s / 2
                 for record in self.store.requeue_expired():
                     log.warning("requeued expired-lease job %s", record.job_id)
-            claimed = self.store.claim(self.owner, limit=self.claim_batch, lease_ttl_s=self.lease_ttl_s)
+            claimed = self.store.claim(self.owner, limit=CLAIM_BATCH, lease_ttl_s=self.lease_ttl_s)
             if not claimed:
                 await asyncio.sleep(self.poll_interval_s)
                 continue
@@ -179,7 +178,6 @@ class JobWorker:
             trace_id=response.get("trace_id"),
             score_digest=provenance.get("score_digest"),
         )
-        self.jobs_completed += 1
         if self.metrics is not None:
             self.metrics.record_job_completed(
                 stored.tenant, stored.wait_seconds() or 0.0, stored.run_seconds() or 0.0
@@ -191,56 +189,7 @@ class JobWorker:
         if retry:
             log.warning("job %s attempt %d failed (%s); requeued", record.job_id, record.attempts, error)
             return
-        self.jobs_failed += 1
         log.error("job %s failed permanently after %d attempts: %s", record.job_id, record.attempts, error)
         if self.metrics is not None:
             self.metrics.record_job_failed(stored.tenant)
 
-
-class JobWorkerPool:
-    """A fixed set of :class:`JobWorker` tasks sharing one store + batcher."""
-
-    def __init__(
-        self,
-        store: JobStore,
-        batcher: MicroBatcher,
-        metrics: Optional[ServerMetrics] = None,
-        *,
-        n_workers: int = 1,
-        claim_batch: int = 8,
-        lease_ttl_s: float = 30.0,
-        poll_interval_s: float = 0.05,
-        max_attempts: int = 3,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.store = store
-        self.workers = [
-            JobWorker(
-                store,
-                batcher,
-                metrics,
-                owner=f"worker-{index}-{uuid.uuid4().hex[:6]}",
-                claim_batch=claim_batch,
-                lease_ttl_s=lease_ttl_s,
-                poll_interval_s=poll_interval_s,
-                max_attempts=max_attempts,
-            )
-            for index in range(int(n_workers))
-        ]
-
-    async def start(self) -> None:
-        for worker in self.workers:
-            await worker.start()
-
-    async def stop(self) -> None:
-        """Stop every worker; claimed-but-unscored jobs return to queued."""
-        await asyncio.gather(*(worker.stop() for worker in self.workers))
-
-    @property
-    def jobs_completed(self) -> int:
-        return sum(worker.jobs_completed for worker in self.workers)
-
-    @property
-    def jobs_failed(self) -> int:
-        return sum(worker.jobs_failed for worker in self.workers)

@@ -17,10 +17,9 @@ pre-fitted artifact (see :mod:`repro.persist`) can instead be broadcast
 by path so every worker serves warm ``detect_only`` rather than
 retraining from scratch.
 
-Fitting workers hand back the fitted ``TPGrGAD.state`` (a picklable
-:class:`repro.persist.PipelineState`) of the batch's last graph as
-``final_state``; artifact-mode workers load the broadcast artifact once
-per chunk and serve ``detect_only`` from its state.
+Fitting workers hand back results only; artifact-mode workers load the
+broadcast artifact once per chunk and serve ``detect_only`` from its
+state.
 
 On a single-core host the pool still shards correctly (parity is a
 property of seed derivation, not of concurrency); wall-clock speedups
@@ -61,16 +60,9 @@ def _worker_fit_detect(
     threshold: Optional[float],
     seeds: Optional[List[int]],
     artifact_path: Optional[str],
-    state_index: Optional[int] = None,
     trace: Optional[Tuple[str, str, Optional[str], int]] = None,
-) -> Tuple[List[GroupDetectionResult], Optional[object]]:
-    """Score one chunk; returns ``(results, state)``.
-
-    ``state_index`` asks for the fitted ``state`` of that chunk-local
-    graph (the fitted models themselves hold unpicklable closures; a
-    :class:`repro.persist.PipelineState` is plain arrays).  The parent
-    adopts it so the serial post-fit contract — the caller's detector
-    holds the state of the batch's last graph — survives sharding.
+) -> List[GroupDetectionResult]:
+    """Score one chunk in batch order.
 
     ``trace`` is ``(shard_dir, trace_id, parent_span_id, chunk_index)``:
     tracer memory cannot cross the process boundary, so a traced parent
@@ -78,34 +70,26 @@ def _worker_fit_detect(
     the parent's trace id and to dump its spans to a per-shard JSONL
     file in ``shard_dir``; the parent merges the shards afterwards.
     """
-    from repro.persist import PipelineState
-
     if trace is not None:
         shard_dir, trace_id, parent_span_id, chunk_index = trace
         tracer = Tracer(trace_id=trace_id, parent_span_id=parent_span_id)
         with use_tracer(tracer):
             with tracer.span("parallel.chunk", chunk=chunk_index, n_graphs=len(graphs)):
-                output = _worker_fit_detect(
-                    config, graphs, threshold, seeds, artifact_path, state_index, None
-                )
+                output = _worker_fit_detect(config, graphs, threshold, seeds, artifact_path)
         tracer.dump_jsonl(os.path.join(shard_dir, f"shard-{chunk_index:05d}.jsonl"))
         return output
 
     if artifact_path is not None:
         detector = TPGrGAD.load(artifact_path)
-        return [detector.detect_only(graph, threshold=threshold) for graph in graphs], None
+        return [detector.detect_only(graph, threshold=threshold) for graph in graphs]
     results: List[GroupDetectionResult] = []
-    state: Optional[PipelineState] = None
     for index, graph in enumerate(graphs):
         # Per-item derived seeds come in via ``seeds`` (the graph's batch
         # index), so the result cannot depend on which worker or chunk
         # ran it.
         item_config = config if seeds is None else config.reseed(seeds[index])
-        detector = TPGrGAD(item_config)
-        results.append(detector.fit_detect(graph, threshold=threshold))
-        if index == state_index:
-            state = detector.state
-    return results, state
+        results.append(TPGrGAD(item_config).fit_detect(graph, threshold=threshold))
+    return results
 
 
 def _worker_experiment(name: str, settings) -> Tuple[str, List, str]:
@@ -167,10 +151,6 @@ class ParallelExecutor:
         self.chunk_size = chunk_size
         self.derive_seeds = derive_seeds
         self.artifact = None if artifact is None else str(artifact)
-        # Fitted state of the latest batch's last item (None in artifact
-        # mode) — what fit_detect_many's parallel route adopts to keep the
-        # serial post-fit contract.
-        self.final_state = None
 
     # ------------------------------------------------------------------
     def _chunks(self, n_items: int) -> List[Tuple[int, int]]:
@@ -211,10 +191,6 @@ class ParallelExecutor:
                     threshold,
                     None if seeds is None else seeds[start:end],
                     self.artifact,
-                    # Only the last chunk hands back a fitted state: the
-                    # caller ends up holding the batch's last graph's
-                    # (artifact mode trains nothing).
-                    end - start - 1 if self.artifact is None and end == len(graphs) else None,
                     (shard_dir, tracer.trace_id, parent_span_id, chunk)
                     if shard_dir is not None
                     else None,
@@ -236,13 +212,7 @@ class ParallelExecutor:
                 if shard_dir is not None:
                     shutil.rmtree(shard_dir, ignore_errors=True)
 
-        results: List[GroupDetectionResult] = []
-        self.final_state = None
-        for chunk_results, state in shard_outputs:
-            results.extend(chunk_results)
-            if state is not None:
-                self.final_state = state
-        return results
+        return [result for chunk_results in shard_outputs for result in chunk_results]
 
     # ------------------------------------------------------------------
     def run_experiments(

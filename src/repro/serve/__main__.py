@@ -9,7 +9,7 @@ existing ones hot-swapped — at runtime via ``POST /models``.
 
 ``--job-store PATH`` additionally enables the durable async job API
 (``POST /jobs`` + friends) backed by a sqlite store at PATH, drained by
-``--job-workers`` asyncio workers through the same micro-batcher.
+one asyncio worker through the same micro-batcher.
 
 Operational events (model loads, bind address, shutdown) go through
 :mod:`repro.obs.logging`, so each line carries the active trace id when
@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(self-contained replay via `python -m repro.obs verify`)")
     parser.add_argument("--job-store", metavar="PATH", default=None,
                         help="sqlite path for the durable async job API (enables POST /jobs)")
-    parser.add_argument("--job-workers", type=int, default=1,
-                        help="asyncio workers draining the job queue (default 1)")
     parser.add_argument("--job-lease-ttl-s", type=float, default=30.0,
                         help="claim lease TTL; crashed workers' jobs requeue after this")
     parser.add_argument("--job-max-attempts", type=int, default=3,
@@ -110,7 +108,6 @@ async def _serve(args: argparse.Namespace) -> int:
         provenance_path=args.provenance_log,
         provenance_include_graph=args.provenance_include_graph,
         job_store_path=args.job_store,
-        job_workers=args.job_workers,
         job_lease_ttl_s=args.job_lease_ttl_s,
         job_max_attempts=args.job_max_attempts,
         job_max_queued=args.job_max_queued,

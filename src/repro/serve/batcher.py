@@ -89,7 +89,7 @@ class ServeConfig:
     ``job_store_path`` turns on the durable async batch API (see
     :mod:`repro.jobs`): ``POST /jobs`` submissions are persisted to a
     WAL-mode sqlite store and drained through this same micro-batcher by
-    ``job_workers`` lease-holding worker tasks.  ``job_max_queued`` /
+    one lease-holding worker task.  ``job_max_queued`` /
     ``job_max_running`` are the *per-tenant* quotas (tenants are
     identified by the ``X-API-Key`` request header), and
     ``job_lease_ttl_s`` bounds how long a crashed worker can hold a job
@@ -105,8 +105,6 @@ class ServeConfig:
     provenance_path: Optional[str] = None
     provenance_include_graph: bool = False
     job_store_path: Optional[str] = None
-    job_workers: int = 1
-    job_claim_batch: int = 8
     job_lease_ttl_s: float = 30.0
     job_poll_interval_s: float = 0.05
     job_max_attempts: int = 3
@@ -120,8 +118,6 @@ class ServeConfig:
             raise ValueError("max_wait_ms must be >= 0")
         if self.queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        if self.job_workers < 1:
-            raise ValueError("job_workers must be >= 1")
         if self.job_lease_ttl_s <= 0:
             raise ValueError("job_lease_ttl_s must be > 0")
 

@@ -54,7 +54,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.graph import Graph
 from repro.jobs.store import JobStore, QuotaExceededError, TenantQuota, UnknownJobError
-from repro.jobs.worker import JobWorkerPool
+from repro.jobs.worker import JobWorker
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.obs.tracer import get_tracer
@@ -117,7 +117,7 @@ class ScoringServer:
             if self.config.job_store_path
             else None
         )
-        self.job_pool: Optional[JobWorkerPool] = None
+        self.job_worker: Optional[JobWorker] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self.host: Optional[str] = None
@@ -135,17 +135,15 @@ class ScoringServer:
         self._server = await asyncio.start_server(self._handle_connection, host, port)
         await self.batcher.start()
         if self.job_store is not None:
-            self.job_pool = JobWorkerPool(
+            self.job_worker = JobWorker(
                 self.job_store,
                 self.batcher,
                 self.metrics,
-                n_workers=self.config.job_workers,
-                claim_batch=self.config.job_claim_batch,
                 lease_ttl_s=self.config.job_lease_ttl_s,
                 poll_interval_s=self.config.job_poll_interval_s,
                 max_attempts=self.config.job_max_attempts,
             )
-            await self.job_pool.start()
+            await self.job_worker.start()
         self.host = host
         self.port = int(self._server.sockets[0].getsockname()[1])
         return self.port
@@ -158,7 +156,7 @@ class ScoringServer:
     async def stop(self, drain: bool = False) -> None:
         """Tear the service down; ``drain=True`` is the graceful path.
 
-        Graceful order: stop accepting connections, stop the job workers
+        Graceful order: stop accepting connections, stop the job worker
         (claimed-but-unscored jobs go back to ``queued`` — the lease
         release), drain the micro-batcher so every admitted request is
         answered, then close the sqlite store cleanly.
@@ -167,9 +165,9 @@ class ScoringServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.job_pool is not None:
-            await self.job_pool.stop()
-            self.job_pool = None
+        if self.job_worker is not None:
+            await self.job_worker.stop()
+            self.job_worker = None
         # Idle keep-alive connections block on readline forever; cancel
         # them so shutdown never hangs on a client that forgot to close.
         for task in list(self._connections):

@@ -7,8 +7,9 @@ Layers (bottom up):
   updates, incremental CSR refresh and a rolling content fingerprint.
 * :mod:`repro.stream.incremental` — :class:`IncrementalTPGrGAD`, the
   dirty-region re-scoring detector with drift-budget refits.
-* :mod:`repro.stream.replay` — the micro-batching replay driver,
-  latency/throughput counters and the ``python -m repro.stream`` CLI.
+* :mod:`repro.stream.replay` — the replay driver (one detector tick per
+  delta), latency/throughput counters and the ``python -m repro.stream``
+  CLI.
 
 Event-stream views of the generated datasets live in
 :mod:`repro.datasets.stream`.
@@ -17,7 +18,6 @@ Event-stream views of the generated datasets live in
 from repro.stream.delta import DeltaReport, GraphDelta, StreamingGraph, content_fingerprint
 from repro.stream.incremental import IncrementalTPGrGAD, StreamConfig, TickReport
 from repro.stream.replay import (
-    MicroBatchQueue,
     ReplayDriver,
     ReplaySummary,
     group_detected,
@@ -33,7 +33,6 @@ __all__ = [
     "IncrementalTPGrGAD",
     "StreamConfig",
     "TickReport",
-    "MicroBatchQueue",
     "ReplayDriver",
     "ReplaySummary",
     "group_detected",

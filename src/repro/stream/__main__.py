@@ -95,7 +95,7 @@ def main(argv=None) -> int:
             args.artifact,
         )
     stream_config = StreamConfig(refit_policy=args.policy, drift_budget=args.drift_budget)
-    driver = ReplayDriver.for_stream(stream, config, stream_config, artifact=args.artifact)
+    driver = ReplayDriver(stream.base, config, stream_config, artifact=args.artifact)
     summary = driver.run_stream(stream, finalize=not args.no_finalize)
     print(summary.render())
     summaries = [summary]

@@ -121,42 +121,6 @@ class GraphDelta:
             feature_update_values=update_values,
         )
 
-    @classmethod
-    def merge(cls, deltas: Sequence["GraphDelta"]) -> "GraphDelta":
-        """Coalesce consecutive deltas into one equivalent batch.
-
-        Node ids are absolute (relative to the snapshot the *first* delta
-        applies to), so concatenating node batches preserves every id a
-        later delta refers to.  Feature updates are composed left to right:
-        the last update of a node wins.  Applying the merged delta equals
-        applying the sequence one by one (property-tested).
-        """
-        deltas = [d for d in deltas if not d.is_empty]
-        if not deltas:
-            return cls()
-        if len(deltas) == 1:
-            return deltas[0]
-        node_batches = [d.new_node_features for d in deltas if d.n_new_nodes]
-        update_nodes = np.concatenate([d.feature_update_nodes for d in deltas])
-        if update_nodes.size:
-            update_values = np.vstack(
-                [d.feature_update_values for d in deltas if d.n_feature_updates]
-            )
-            # keep the LAST update per node, in first-update order
-            last = {int(node): row for node, row in zip(update_nodes, update_values)}
-            seen = set()
-            ordered = [n for n in update_nodes.tolist() if not (n in seen or seen.add(n))]
-            update_nodes = np.asarray(ordered, dtype=np.int64)
-            update_values = np.vstack([last[n] for n in ordered]) if ordered else _NO_NODES
-        else:
-            update_values = _NO_NODES
-        return cls(
-            new_node_features=np.vstack(node_batches) if node_batches else _NO_NODES,
-            new_edges=np.vstack([d.new_edges for d in deltas]),
-            feature_update_nodes=update_nodes,
-            feature_update_values=update_values,
-        )
-
     # ------------------------------------------------------------------
     @property
     def n_new_nodes(self) -> int:
@@ -169,10 +133,6 @@ class GraphDelta:
     @property
     def n_feature_updates(self) -> int:
         return self.feature_update_nodes.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.n_new_nodes or self.n_new_edges or self.n_feature_updates)
 
     def touched_nodes(self, n_nodes_before: int) -> np.ndarray:
         """Node ids this delta *references*, given the pre-apply node count.

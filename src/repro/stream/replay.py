@@ -1,11 +1,10 @@
-"""Event-stream replay: micro-batching queue, driver and counters.
+"""Event-stream replay: driver and counters.
 
 :class:`ReplayDriver` feeds an event stream (any iterable of
-:class:`GraphDelta`) through an :class:`IncrementalTPGrGAD`.  Events pass
-through a :class:`MicroBatchQueue` — a bounded queue that coalesces
-consecutive deltas into one *tick* — so a bursty producer does not force
-one detector pass per edge.  Per tick the driver records latency, dirty
-statistics and reuse counters; :meth:`ReplayDriver.run` returns a
+:class:`GraphDelta`) through an :class:`IncrementalTPGrGAD`, one detector
+*tick* per delta, so tick indices are the stream's own tick grid.  Per
+tick the driver records latency, dirty statistics and reuse counters;
+:meth:`ReplayDriver.run` returns a
 :class:`ReplaySummary` with throughput (events/sec), p50/p95 tick
 latency, refit/incremental split and (when the stream declares a burst
 group) the detection lag in ticks.
@@ -20,53 +19,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.config import TPGrGADConfig
 from repro.core.result import GroupDetectionResult
 from repro.graph import Graph, Group
 from repro.stream.delta import GraphDelta
 from repro.stream.incremental import IncrementalTPGrGAD, StreamConfig, TickReport
-
-
-class MicroBatchQueue:
-    """Bounded queue that coalesces pushed deltas into tick-sized batches.
-
-    ``max_events_per_tick`` is the coalescing width: :meth:`pop_tick`
-    merges up to that many queued deltas into one :class:`GraphDelta`.
-    ``capacity`` bounds the number of *queued* events; a push beyond it
-    signals backpressure by returning False (the replay driver responds
-    by draining a tick first — a real ingestion loop would block).
-    """
-
-    def __init__(self, capacity: int = 1024, max_events_per_tick: int = 32) -> None:
-        if capacity < 1 or max_events_per_tick < 1:
-            raise ValueError("capacity and max_events_per_tick must be positive")
-        self.capacity = capacity
-        self.max_events_per_tick = max_events_per_tick
-        self._queue: List[GraphDelta] = []
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
-    def push(self, delta: GraphDelta) -> bool:
-        """Enqueue one event; False signals backpressure (queue full)."""
-        if self.full:
-            return False
-        self._queue.append(delta)
-        return True
-
-    def pop_tick(self) -> Optional[GraphDelta]:
-        """Merge and return the next tick's worth of events (None if idle)."""
-        if not self._queue:
-            return None
-        batch = self._queue[: self.max_events_per_tick]
-        del self._queue[: self.max_events_per_tick]
-        return GraphDelta.merge(batch)
 
 
 @dataclass
@@ -83,7 +40,6 @@ class ReplaySummary:
     """
 
     name: str
-    n_events: int
     n_ticks: int
     total_seconds: float
     tick_seconds: List[float]
@@ -100,12 +56,16 @@ class ReplaySummary:
     final_result: Optional[GroupDetectionResult] = None
     ticks: List[TickReport] = field(default_factory=list)
     tick_modes: List[str] = field(default_factory=list)
-    tick_event_counts: List[int] = field(default_factory=list)
     finalize_seconds: float = 0.0
 
     # ------------------------------------------------------------------
     # Throughput
     # ------------------------------------------------------------------
+    @property
+    def n_events(self) -> int:
+        """Events replayed: the driver runs one tick per event."""
+        return self.n_ticks
+
     @property
     def processing_seconds(self) -> float:
         """Seconds spent handling events: all ticks plus the flush refit."""
@@ -124,12 +84,7 @@ class ReplaySummary:
         tick ran)."""
         if self.incremental_seconds <= 0:
             return 0.0
-        events = sum(
-            count
-            for count, mode in zip(self.tick_event_counts, self.tick_modes)
-            if mode == "incremental"
-        )
-        return events / self.incremental_seconds
+        return self.n_incremental / self.incremental_seconds
 
     # ------------------------------------------------------------------
     # Per-mode latency splits
@@ -253,42 +208,16 @@ def group_detected(result: GroupDetectionResult, target: Group, min_jaccard: flo
 
 
 class ReplayDriver:
-    """Drive an incremental detector over an event stream."""
+    """Drive an incremental detector over an event stream, one tick per delta."""
 
     def __init__(
         self,
         base_graph: Graph,
         config: Optional[TPGrGADConfig] = None,
         stream_config: Optional[StreamConfig] = None,
-        queue: Optional[MicroBatchQueue] = None,
         artifact: Optional[str] = None,
     ) -> None:
         self.detector = IncrementalTPGrGAD(base_graph, config, stream_config, artifact=artifact)
-        # Not ``queue or ...``: an empty MicroBatchQueue is falsy (__len__).
-        self.queue = queue if queue is not None else MicroBatchQueue()
-
-    @classmethod
-    def for_stream(
-        cls,
-        stream,
-        config: Optional[TPGrGADConfig] = None,
-        stream_config: Optional[StreamConfig] = None,
-        artifact: Optional[str] = None,
-    ) -> "ReplayDriver":
-        """A driver wired for an :class:`~repro.datasets.stream.EventStream`.
-
-        One queued event per stream tick delta (``max_events_per_tick=1``)
-        so detection lag is reported in stream-tick units — the single
-        home of that contract, shared by :func:`replay_event_stream` and
-        the ``python -m repro.stream`` CLI.
-        """
-        return cls(
-            stream.base,
-            config,
-            stream_config,
-            MicroBatchQueue(max_events_per_tick=1),
-            artifact=artifact,
-        )
 
     def run_stream(self, stream, finalize: bool = True) -> ReplaySummary:
         """Replay an ``EventStream``'s deltas with its burst metadata wired in."""
@@ -319,38 +248,20 @@ class ReplayDriver:
         """
         detector = self.detector
         ticks: List[TickReport] = []
-        tick_event_counts: List[int] = []
-        n_events = 0
         detection_tick: Optional[int] = None
         start = time.perf_counter()
-
-        def drain() -> None:
-            nonlocal detection_tick
-            queued_before = len(self.queue)
-            tick = self.queue.pop_tick()
-            if tick is None:
-                return
-            # Empty ticks are still driven through the detector so tick
+        for delta in events:
+            # Empty deltas are still driven through the detector so tick
             # indices stay aligned with the event stream's own tick grid
             # (detection lag is reported in those units).
-            report = detector.update(tick)
+            report = detector.update(delta)
             ticks.append(report)
-            tick_event_counts.append(queued_before - len(self.queue))
             if (
                 watch_group is not None
                 and detection_tick is None
                 and group_detected(report.result, watch_group, min_jaccard)
             ):
                 detection_tick = len(ticks) - 1
-
-        for event in events:
-            n_events += 1
-            while not self.queue.push(event):
-                drain()
-            while len(self.queue) >= self.queue.max_events_per_tick:
-                drain()
-        while len(self.queue):
-            drain()
 
         refit_seconds = sum(t.seconds for t in ticks if t.mode == "refit")
         incremental_seconds = sum(t.seconds for t in ticks if t.mode == "incremental")
@@ -369,7 +280,6 @@ class ReplayDriver:
         reuse = detector.reuse_info()
         return ReplaySummary(
             name=name,
-            n_events=n_events,
             n_ticks=len(ticks),
             total_seconds=total,
             tick_seconds=[t.seconds for t in ticks],
@@ -386,7 +296,6 @@ class ReplayDriver:
             final_result=final_result,
             ticks=ticks,
             tick_modes=[t.mode for t in ticks],
-            tick_event_counts=tick_event_counts,
             finalize_seconds=finalize_seconds,
         )
 
@@ -395,21 +304,16 @@ def replay_event_stream(
     stream,
     config: Optional[TPGrGADConfig] = None,
     stream_config: Optional[StreamConfig] = None,
-    queue: Optional[MicroBatchQueue] = None,
     finalize: bool = True,
     artifact: Optional[str] = None,
 ) -> ReplaySummary:
     """Convenience wrapper: replay a :class:`repro.datasets.stream.EventStream`.
 
-    One queued event per stream tick delta; the default queue keeps that
-    1:1 mapping (``max_events_per_tick=1``) so detection lag is reported
-    in stream-tick units.  ``artifact`` warm-starts the detector from a
-    saved pipeline instead of an initial training refit.
+    One tick per stream delta, so detection lag is reported in
+    stream-tick units.  ``artifact`` warm-starts the detector from a saved
+    pipeline instead of an initial training refit.
     """
-    if queue is None:
-        driver = ReplayDriver.for_stream(stream, config, stream_config, artifact=artifact)
-    else:
-        driver = ReplayDriver(stream.base, config, stream_config, queue, artifact=artifact)
+    driver = ReplayDriver(stream.base, config, stream_config, artifact=artifact)
     return driver.run_stream(stream, finalize=finalize)
 
 

@@ -230,12 +230,12 @@ class TestFittedState:
         detector.detect_only(make_example_graph(seed=11))
         assert detector.state is state
 
-    def test_sharded_fit_detect_many_holds_last_graphs_state(self, example_graph):
+    def test_fit_detect_many_holds_last_graphs_state(self, example_graph):
         from repro.datasets import make_example_graph
 
         graphs = [make_example_graph(seed=11), example_graph]
         detector = TPGrGAD(TPGrGADConfig.fast(seed=1))
-        detector.fit_detect_many(graphs, n_workers=2)
+        detector.fit_detect_many(graphs)
         serial = TPGrGAD(TPGrGADConfig.fast(seed=1))
         serial.fit_detect(graphs[-1])
         assert detector.state.graph_fingerprint == graphs[-1].fingerprint()

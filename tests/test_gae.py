@@ -139,15 +139,27 @@ class TestMultiHopGAE:
         monkeypatch.setattr(multihop, "DENSE_MIX_BUDGET_BYTES", 4 * 8 * (example_graph.n_nodes - 1) ** 2)
         for config in (
             MHGAEConfig(target="k_hop", k_hops=3, **FAST),
+            MHGAEConfig(target="k_hop", k_hops=3, propagate_with_target=False, **FAST),
             MHGAEConfig(target="graphsnn", sparse_propagation=False, **FAST),
         ):
             with pytest.raises(ValueError, match=f"{example_graph.n_nodes} nodes"):
                 MultiHopGAE(config).fit(example_graph)
-        # No dense mix, no budget: the sparse GraphSNN mix and the unmixed k_hop target.
+        # No dense mix and no k-hop target, no budget: the sparse GraphSNN mix.
         MultiHopGAE(MHGAEConfig(**FAST)).fit(example_graph)
-        MultiHopGAE(MHGAEConfig(target="k_hop", k_hops=3, propagate_with_target=False, **FAST)).fit(
-            example_graph
-        )
+
+    def test_unmixed_k_hop_target_over_budget_raises_before_building(self, monkeypatch):
+        n_nodes = 6000  # past the 5792-node budget, with only ~n edges
+        edges = np.random.default_rng(0).integers(0, n_nodes, size=(n_nodes, 2))
+        graph = Graph(n_nodes, edges, np.ones((n_nodes, 2)))
+
+        def k_hop_matrix_must_not_run(*args, **kwargs):
+            raise AssertionError("k_hop_matrix ran before the budget check")
+
+        monkeypatch.setattr(multihop, "k_hop_matrix", k_hop_matrix_must_not_run)
+        model = MultiHopGAE(MHGAEConfig(target="k_hop", k_hops=5, propagate_with_target=False, **FAST))
+        with pytest.raises(ValueError, match=f"{n_nodes} nodes"):
+            model.fit(graph)
+        assert model._structure_target is None
 
     def test_propagation_mixes_multi_hop(self, example_graph):
         mixed = MultiHopGAE(MHGAEConfig(target="k_hop", k_hops=5, **FAST)).fit(example_graph)

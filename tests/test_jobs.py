@@ -23,7 +23,6 @@ from repro.gcl import TPGCLConfig
 from repro.jobs import (
     JobStore,
     JobWorker,
-    JobWorkerPool,
     QuotaExceededError,
     TenantQuota,
     UnknownJobError,
@@ -386,7 +385,7 @@ class TestWorkerAndCrashRecovery:
         assert record.attempts == 2
         assert record.error
 
-    def test_pool_stop_releases_unfinished_claims(self, tmp_path, registry):
+    def test_worker_stop_releases_unfinished_claims(self, tmp_path, registry):
         graph = make_example_graph(seed=17)
 
         async def scenario():
@@ -394,14 +393,13 @@ class TestWorkerAndCrashRecovery:
             job_id = self._submit_graph(store, registry, graph, mode="fit_detect").record.job_id
             batcher = MicroBatcher(registry, ServeConfig(max_batch=4, max_wait_ms=2))
             await batcher.start()
-            pool = JobWorkerPool(store, batcher, n_workers=2,
-                                 poll_interval_s=0.01, lease_ttl_s=30)
-            await pool.start()
+            worker = JobWorker(store, batcher, poll_interval_s=0.01, lease_ttl_s=30)
+            await worker.start()
             # Stop as soon as the claim lands, before the fit can finish.
             deadline = time.monotonic() + 30
             while store.get(job_id).state == "queued" and time.monotonic() < deadline:
                 await asyncio.sleep(0.002)
-            await pool.stop()
+            await worker.stop()
             await batcher.stop()
             record = store.get(job_id)
             store.close()

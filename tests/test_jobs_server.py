@@ -72,7 +72,6 @@ def _serve_config(tmp_path, **overrides) -> ServeConfig:
         max_batch=8,
         max_wait_ms=2,
         job_store_path=str(tmp_path / "jobs.sqlite"),
-        job_workers=1,
         job_poll_interval_s=0.01,
         provenance_path=str(tmp_path / "provenance.jsonl"),
     )

@@ -7,7 +7,11 @@ public surface (``TPGrGAD.state``, the stage functions of
 written off a ``detector`` expression (a name or attribute ending in
 ``detector``) in a module outside ``repro/core/``.
 
-The second scan fails on any function or method defined under
+The second scan fails on any module under ``repro/core/`` that imports
+a surface built on top of it (``repro.parallel``, ``repro.serve``,
+``repro.jobs`` or ``repro.stream``), at module level or inside a function.
+
+The third scan fails on any function or method defined under
 ``src/repro`` whose name occurs nowhere in the repository's Python trees
 except in its own ``def``: code nothing calls, tests or documents.
 """
@@ -65,6 +69,60 @@ def test_no_surface_reaches_into_detector_privates():
         if relative.parts[0] == "core":
             continue
         offenders += private_detector_accesses(path.read_text(), str(relative))
+    assert not offenders, "\n".join(offenders)
+
+
+#: Packages layered on top of ``repro.core``; core must not import them.
+SURFACES = ("repro.parallel", "repro.serve", "repro.jobs", "repro.stream")
+
+
+def surface_imports(source: str, filename: str) -> List[str]:
+    """``file:line: module`` for every import of a :data:`SURFACES` package in ``source``.
+
+    ``filename`` is the module's path relative to the ``repro`` package
+    (``core/pipeline.py``); it anchors relative imports.
+    """
+    package = ["repro", *Path(filename).parent.parts]
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if any(module == surface or module.startswith(surface + ".") for surface in SURFACES):
+                found.append((node.lineno, f"{filename}:{node.lineno}: {module}"))
+                break
+    return [entry for _, entry in sorted(found)]
+
+
+def test_surface_import_scan_flags_absolute_relative_and_local_imports():
+    source = (
+        "import repro.serve.batcher\n"
+        "from repro.graph import Graph\n"
+        "from .. import stream\n"
+        "def f():\n"
+        "    from repro.parallel import ParallelExecutor\n"
+        "from repro.jobs.store import JobStore\n"
+        "from . import config\n"
+    )
+    assert surface_imports(source, "core/pipeline.py") == [
+        "core/pipeline.py:1: repro.serve.batcher",
+        "core/pipeline.py:3: repro.stream",
+        "core/pipeline.py:5: repro.parallel",
+        "core/pipeline.py:6: repro.jobs.store",
+    ]
+
+
+def test_core_imports_no_surface():
+    offenders = []
+    for path in sorted((PACKAGE / "core").rglob("*.py")):
+        relative = str(path.relative_to(PACKAGE))
+        offenders += surface_imports(path.read_text(), relative)
     assert not offenders, "\n".join(offenders)
 
 

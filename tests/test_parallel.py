@@ -71,26 +71,6 @@ class TestShardedParity:
         executor = ParallelExecutor(_tiny_config(), n_workers=1)
         assert [r.to_json_dict() for r in executor.fit_detect_many(graphs)] == serial_results
 
-    def test_pipeline_n_workers_route(self, graphs, serial_results):
-        detector = TPGrGAD(_tiny_config())
-        sharded = detector.fit_detect_many(graphs, n_workers=2)
-        assert [r.to_json_dict() for r in sharded] == serial_results
-
-    def test_pipeline_n_workers_keeps_post_fit_contract(self, graphs, tmp_path):
-        """After a sharded batch the detector holds the last graph's models."""
-        serial = TPGrGAD(_tiny_config())
-        serial.fit_detect_many(graphs)
-        serial_scores = serial.mhgae.score_nodes()
-
-        sharded = TPGrGAD(_tiny_config())
-        sharded.fit_detect_many(graphs, n_workers=2)
-        assert sharded.mhgae is not None
-        assert np.abs(sharded.mhgae.score_nodes() - serial_scores).max() <= 1e-12
-        # And the detector is saveable, exactly as after a serial batch.
-        sharded.save(tmp_path / "after-sharded")
-        warm = TPGrGAD.load(tmp_path / "after-sharded").detect_only(graphs[-1])
-        assert np.abs(warm.scores - serial.fit_detect(graphs[-1]).scores).max() <= 1e-8
-
     def test_empty_batch(self):
         assert ParallelExecutor(_tiny_config(), n_workers=2).fit_detect_many([]) == []
 
@@ -111,22 +91,6 @@ class TestRepeatedGraphs:
         results = executor.fit_detect_many([graphs[0], graphs[0]])
         results[0].embeddings[:] = 0.0
         assert np.abs(results[1].embeddings).sum() > 0.0
-
-    def test_sharded_batch_supersedes_loaded_artifact_state(self, graphs, tmp_path):
-        """A loaded detector that runs a sharded batch saves the new models."""
-        from repro.persist import PipelineState
-
-        original = TPGrGAD(_tiny_config())
-        original.fit_detect(graphs[0])
-        original.save(tmp_path / "old")
-
-        loaded = TPGrGAD.load(tmp_path / "old")
-        loaded.fit_detect_many([graphs[1]], n_workers=2)
-        loaded.save(tmp_path / "new")
-        assert (
-            PipelineState.load(tmp_path / "new").graph_fingerprint
-            == graphs[1].fingerprint()
-        )
 
 
 class TestDerivedSeeds:
