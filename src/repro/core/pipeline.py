@@ -20,8 +20,7 @@ detector patches between refits.
 
 :class:`TPGrGAD` is a thin facade over them.  Its one fitted state is the
 public ``state`` attribute, a :class:`~repro.persist.PipelineState`: set
-by :meth:`TPGrGAD.fit_detect`, taken from the executor after a sharded
-``fit_detect_many``, or given by :meth:`TPGrGAD.from_state` /
+by :meth:`TPGrGAD.fit_detect` or given by :meth:`TPGrGAD.from_state` /
 :meth:`TPGrGAD.load`; read by :meth:`TPGrGAD.detect_only` and
 :meth:`TPGrGAD.save`.  Besides the single-graph
 :meth:`TPGrGAD.fit_detect`, the facade exposes a batched

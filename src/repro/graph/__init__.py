@@ -6,7 +6,7 @@ undirected graph with optional ground-truth anomaly groups attached.
 """
 
 from repro.graph.group import Group
-from repro.graph.graph import Graph, InducedSubgraphs, MultiSourceBFS
+from repro.graph.graph import Graph, InducedSubgraphs, MultiSourceBFS, as_edge_array
 from repro.graph.adjacency import (
     adjacency_matrix,
     normalized_adjacency,
@@ -21,6 +21,7 @@ __all__ = [
     "Group",
     "InducedSubgraphs",
     "MultiSourceBFS",
+    "as_edge_array",
     "adjacency_matrix",
     "normalized_adjacency",
     "k_hop_matrix",

@@ -150,7 +150,7 @@ def _bfs_forest_row(
             order_row[beyond] = -1
 
 
-def _as_edge_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
+def as_edge_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
     """Coerce any iterable of ``(u, v)`` pairs into an ``(E, 2)`` int array."""
     if isinstance(edges, np.ndarray):
         array = edges
@@ -201,7 +201,7 @@ class Graph:
         groups: Optional[Sequence[Group]] = None,
         name: str = "graph",
     ) -> None:
-        edge_index = self._canonicalize(_as_edge_array(edges), int(n_nodes))
+        edge_index = self._canonicalize(as_edge_array(edges), int(n_nodes))
         self._init_fields(int(n_nodes), edge_index, features, groups, name)
 
     def _init_fields(
@@ -248,7 +248,6 @@ class Graph:
         features: Optional[np.ndarray] = None,
         groups: Optional[Sequence[Group]] = None,
         name: str = "graph",
-        adjacency: Optional[sp.csr_matrix] = None,
     ) -> "Graph":
         """Build a graph from an *already canonical* ``(2, E)`` edge index.
 
@@ -260,17 +259,14 @@ class Graph:
         :meth:`induced_subgraphs` take it for the same reason.  The caller
         guarantees each column satisfies ``u < v`` with columns in strictly
         increasing lexicographic order — :meth:`validate` checks exactly
-        these invariants when in doubt.
-        ``adjacency`` optionally seeds the CSR cache (it must equal the
-        adjacency the edge index implies; again trusted, not checked).
+        these invariants when in doubt.  Derived state (the CSR adjacency,
+        neighbour lists) is built lazily, as for any other graph.
         """
         edge_index = np.ascontiguousarray(np.asarray(edge_index, dtype=np.int64))
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:
             raise ValueError(f"edge_index must have shape (2, E); got {edge_index.shape}")
         graph = cls.__new__(cls)
         graph._init_fields(int(n_nodes), edge_index, features, groups, name)
-        if adjacency is not None:
-            graph._adjacency_cache = adjacency
         return graph
 
     @staticmethod
@@ -569,7 +565,7 @@ class Graph:
         features = (
             np.vstack([self.features, new_node_features]) if new_node_features.size else self.features
         )
-        edges = np.vstack([self._edge_index.T, _as_edge_array(new_edges)])
+        edges = np.vstack([self._edge_index.T, as_edge_array(new_edges)])
         return Graph(total, edges, features, groups=self.groups, name=name or self.name)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Layers (bottom up):
 
 * :mod:`repro.stream.delta` — :class:`GraphDelta` batches and the
   :class:`StreamingGraph` that applies them with sorted-merge edge-index
-  updates, incremental CSR refresh and a rolling content fingerprint.
+  updates; each snapshot is a plain :class:`~repro.graph.Graph`.
 * :mod:`repro.stream.incremental` — :class:`IncrementalTPGrGAD`, the
   dirty-region re-scoring detector with drift-budget refits.
 * :mod:`repro.stream.replay` — the replay driver (one detector tick per
@@ -15,7 +15,7 @@ Event-stream views of the generated datasets live in
 :mod:`repro.datasets.stream`.
 """
 
-from repro.stream.delta import DeltaReport, GraphDelta, StreamingGraph, content_fingerprint
+from repro.stream.delta import DeltaReport, GraphDelta, StreamingGraph
 from repro.stream.incremental import IncrementalTPGrGAD, StreamConfig, TickReport
 from repro.stream.replay import (
     ReplayDriver,
@@ -29,7 +29,6 @@ __all__ = [
     "DeltaReport",
     "GraphDelta",
     "StreamingGraph",
-    "content_fingerprint",
     "IncrementalTPGrGAD",
     "StreamConfig",
     "TickReport",

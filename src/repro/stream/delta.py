@@ -7,9 +7,9 @@ edges and in-place feature updates.  This module provides
 
 * :class:`GraphDelta` — one immutable batch of such events,
 * :class:`StreamingGraph` — a snapshot holder that applies deltas with a
-  sorted-merge into the canonical edge index (``O(E + E_new log E)``), an
-  incremental per-row CSR refresh (no global re-sort) and an incrementally
-  maintained content fingerprint (``O(|delta|)`` per tick).
+  sorted-merge into the canonical edge index (``O(E + E_new log E)``).
+  Each snapshot is a plain :class:`Graph`; it builds its CSR adjacency
+  lazily and its content hash is :meth:`Graph.fingerprint`.
 
 Replaying any delta sequence yields a graph *identical* — edge index,
 features, CSR adjacency and fingerprint — to building the final graph in
@@ -23,28 +23,16 @@ what makes the dirty-region invalidation rule of
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.graph import Graph
-from repro.graph.graph import _as_edge_array
+from repro.graph import Graph, as_edge_array
 
 _NO_NODES = np.zeros((0, 0), dtype=np.float64)
 _NO_EDGES = np.zeros((0, 2), dtype=np.int64)
 _NO_IDS = np.zeros(0, dtype=np.int64)
-
-
-def _hash64(*parts: bytes) -> int:
-    """64-bit blake2b of the concatenated parts (building block of the
-    order-independent rolling fingerprint)."""
-    digest = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        digest.update(part)
-    return int.from_bytes(digest.digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -74,7 +62,7 @@ class GraphDelta:
 
     def __post_init__(self) -> None:
         nodes = np.atleast_2d(np.asarray(self.new_node_features, dtype=np.float64))
-        edges = _as_edge_array(self.new_edges)
+        edges = as_edge_array(self.new_edges)
         update_nodes = np.asarray(self.feature_update_nodes, dtype=np.int64).reshape(-1)
         update_values = np.atleast_2d(np.asarray(self.feature_update_values, dtype=np.float64))
         if nodes.size == 0:
@@ -84,8 +72,8 @@ class GraphDelta:
         if update_nodes.shape[0] != update_values.shape[0]:
             raise ValueError("one feature row per updated node is required")
         if update_nodes.size and np.unique(update_nodes).size != update_nodes.size:
-            # Keep the last update per node (numpy fancy assignment would do
-            # the same; deduping here keeps the rolling fingerprint exact).
+            # The last update per node wins (as numpy fancy assignment
+            # would), and deduping makes ``n_feature_updates`` count nodes.
             _, last_pos = np.unique(update_nodes[::-1], return_index=True)
             keep = np.sort(update_nodes.size - 1 - last_pos)
             update_nodes = update_nodes[keep]
@@ -116,7 +104,7 @@ class GraphDelta:
         update_nodes, update_values = feature_updates if feature_updates else ((), _NO_NODES)
         return cls(
             new_node_features=node_features if node_features is not None else _NO_NODES,
-            new_edges=_as_edge_array(edges) if edges is not None else _NO_EDGES,
+            new_edges=as_edge_array(edges) if edges is not None else _NO_EDGES,
             feature_update_nodes=np.asarray(list(update_nodes), dtype=np.int64),
             feature_update_values=update_values,
         )
@@ -151,50 +139,6 @@ class GraphDelta:
         return np.unique(np.concatenate(parts))
 
 
-def content_fingerprint(graph: Graph) -> str:
-    """Order-independent content hash of ``(n_nodes, edges, features)``.
-
-    Unlike :meth:`Graph.fingerprint` (a sequential blake2b over the full
-    arrays, ``O(E + n·d)`` per call) this hash is a modular *sum* of
-    per-edge and per-feature-row 64-bit hashes, so a
-    :class:`StreamingGraph` can maintain it in ``O(|delta|)`` per tick.
-    Additive mixing trades a little collision resistance for
-    updatability — fine for cache invalidation, not for content
-    addressing, which keeps using :meth:`Graph.fingerprint`.
-    """
-    edge_acc = int(_edge_hashes(graph.edge_index.T).sum(dtype=np.uint64))
-    feature_acc = int(
-        sum(_row_hash(i, graph.features[i]) for i in range(graph.n_nodes)) % _MOD
-    )
-    return _mix_fingerprint(graph.n_nodes, edge_acc, feature_acc)
-
-
-_MOD = 2 ** 64
-
-
-def _edge_hashes(edges: np.ndarray) -> np.ndarray:
-    """One 64-bit hash per ``(u, v)`` row."""
-    if edges.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    return np.fromiter(
-        (_hash64(np.int64(u).tobytes(), np.int64(v).tobytes()) for u, v in edges),
-        dtype=np.uint64,
-        count=edges.shape[0],
-    )
-
-
-def _row_hash(node: int, row: np.ndarray) -> int:
-    return _hash64(np.int64(node).tobytes(), np.ascontiguousarray(row, dtype=np.float64).tobytes())
-
-
-def _mix_fingerprint(n_nodes: int, edge_acc: int, feature_acc: int) -> str:
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.int64(n_nodes).tobytes())
-    digest.update(np.uint64(edge_acc).tobytes())
-    digest.update(np.uint64(feature_acc).tobytes())
-    return digest.hexdigest()
-
-
 @dataclass
 class DeltaReport:
     """What one :meth:`StreamingGraph.apply` actually changed.
@@ -217,36 +161,23 @@ class StreamingGraph:
     """A graph snapshot that grows by :class:`GraphDelta` batches.
 
     Each :meth:`apply` produces a fresh immutable :class:`Graph` (downstream
-    code keeps its value semantics and older snapshots stay valid), but the
-    expensive derived state is carried over incrementally:
-
-    * the canonical edge index is extended by a **sorted merge** — binary
-      search positions for the (deduplicated) new edge keys, one
-      ``np.insert`` — instead of re-sorting all ``E`` edges;
-    * the cached CSR adjacency is rebuilt by merging the new directed
-      edges into the existing row-major index stream (again positions via
-      binary search + one insert), so no global lexsort runs;
-    * an order-independent content fingerprint (:func:`content_fingerprint`)
-      is updated from the delta alone.
+    code keeps its value semantics and older snapshots stay valid).  The
+    canonical edge index is extended by a **sorted merge** — binary search
+    positions for the (deduplicated) new edge keys, one ``np.insert`` —
+    instead of re-sorting all ``E`` edges; everything derived from it (CSR
+    adjacency, neighbour lists, fingerprint) is built lazily by the
+    snapshot :class:`Graph` itself.
     """
 
     def __init__(self, base: Graph) -> None:
         self._graph = base
         self.version = 0
-        self._edge_acc = int(_edge_hashes(base.edge_index.T).sum(dtype=np.uint64))
-        self._feature_acc = int(
-            sum(_row_hash(i, base.features[i]) for i in range(base.n_nodes)) % _MOD
-        )
 
     # ------------------------------------------------------------------
     @property
     def graph(self) -> Graph:
         """The current snapshot."""
         return self._graph
-
-    def fingerprint(self) -> str:
-        """Incrementally maintained :func:`content_fingerprint` of the snapshot."""
-        return _mix_fingerprint(self._graph.n_nodes, self._edge_acc, self._feature_acc)
 
     # ------------------------------------------------------------------
     def apply(self, delta: GraphDelta) -> DeltaReport:
@@ -263,24 +194,16 @@ class StreamingGraph:
             )
 
         # --- features: append new rows, then apply in-place updates --------
-        feature_acc = self._feature_acc
         if n_new_nodes or delta.n_feature_updates:
             features = np.vstack([graph.features, delta.new_node_features]) \
                 if n_new_nodes else graph.features.copy()
-            for offset in range(n_new_nodes):
-                feature_acc += _row_hash(n_old + offset, features[n_old + offset])
             update_nodes = delta.feature_update_nodes
             if update_nodes.size:
                 if update_nodes.min() < 0 or update_nodes.max() >= n_total:
                     raise ValueError(f"feature update out of range for {n_total} nodes")
                 if delta.feature_update_values.shape[1] != graph.n_features:
                     raise ValueError("feature update rows must match the graph feature dimension")
-                for node in update_nodes:
-                    feature_acc -= _row_hash(int(node), features[int(node)])
                 features[update_nodes] = delta.feature_update_values
-                for node in update_nodes:
-                    feature_acc += _row_hash(int(node), features[int(node)])
-            feature_acc %= _MOD
         else:
             features = graph.features
 
@@ -311,20 +234,8 @@ class StreamingGraph:
             merged_keys = old_keys  # fresh array from the key arithmetic above
         edge_index = np.vstack([merged_keys // n_total, merged_keys % n_total])
 
-        adjacency = self._merged_adjacency(n_old, n_total, fresh_keys)
-
-        fresh_edge_hashes = _edge_hashes(
-            np.stack([fresh_keys // n_total, fresh_keys % n_total], axis=1)
-        )
-        self._edge_acc = (self._edge_acc + int(fresh_edge_hashes.sum(dtype=np.uint64))) % _MOD
-        self._feature_acc = feature_acc
         self._graph = Graph.from_canonical(
-            n_total,
-            edge_index,
-            features,
-            groups=graph.groups,
-            name=graph.name,
-            adjacency=adjacency,
+            n_total, edge_index, features, groups=graph.groups, name=graph.name
         )
         self.version += 1
         appended = np.arange(n_old, n_total, dtype=np.int64)
@@ -346,37 +257,3 @@ class StreamingGraph:
     def apply_all(self, deltas: Iterable[GraphDelta]) -> List[DeltaReport]:
         """Apply a sequence of deltas, returning one report per delta."""
         return [self.apply(delta) for delta in deltas]
-
-    # ------------------------------------------------------------------
-    def _merged_adjacency(
-        self, n_old: int, n_total: int, fresh_keys: np.ndarray
-    ) -> Optional[sp.csr_matrix]:
-        """Merge the fresh edges into the cached CSR without a global sort.
-
-        The CSR index stream of a canonical adjacency, read row by row, is
-        exactly the sorted array of directed keys ``row * n + col``; new
-        directed edges are merged into it with binary-searched positions
-        and one ``np.insert`` — ``O(E + E_new log E)``, same recipe as the
-        edge index.  Returns None (stay lazy) when the current snapshot
-        never materialised its adjacency.
-        """
-        cached = self._graph._adjacency_cache
-        if cached is None:
-            return None
-        old_directed = (
-            np.repeat(np.arange(n_old, dtype=np.int64), np.diff(cached.indptr))
-            * np.int64(n_total)
-            + cached.indices
-        )
-        u, v = fresh_keys // n_total, fresh_keys % n_total
-        fresh_directed = np.sort(np.concatenate([u * np.int64(n_total) + v, v * np.int64(n_total) + u]))
-        merged = np.insert(old_directed, np.searchsorted(old_directed, fresh_directed), fresh_directed)
-        rows = (merged // n_total).astype(np.int64)
-        cols = merged % n_total
-        indptr = np.zeros(n_total + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_total), out=indptr[1:])
-        matrix = sp.csr_matrix(
-            (np.ones(cols.shape[0], dtype=np.float64), cols, indptr), shape=(n_total, n_total)
-        )
-        matrix.sort_indices()  # already sorted per row; this just sets the flag
-        return matrix

@@ -96,16 +96,14 @@ class StreamConfig:
         provisional anchors.  At most :data:`MAX_PROVISIONAL_ANCHORS`
         (the most recent) are kept, each paired with its
         :data:`PROVISIONAL_PAIR_BUDGET` nearest scored anchors.
-    threshold:
-        Optional fixed score threshold τ; ``None`` re-derives the
-        ``1 - contamination`` quantile every tick, like the batch
-        pipeline.
+
+    τ is re-derived as the ``1 - contamination`` quantile every tick, like
+    the batch pipeline.
     """
 
     refit_policy: str = "budget"
     drift_budget: float = 0.25
     promote_new_nodes: bool = True
-    threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.refit_policy not in ("budget", "always", "never"):
@@ -314,7 +312,7 @@ class IncrementalTPGrGAD:
         embeddings: Optional[np.ndarray],
         anchors: List[int],
     ) -> GroupDetectionResult:
-        """:func:`build_result` with the stream's τ and padded node scores.
+        """:func:`build_result` with padded node scores.
 
         Stage-1 scores are padded with NaN for nodes arrived since the
         last refit.
@@ -323,9 +321,7 @@ class IncrementalTPGrGAD:
         if node_scores is not None and node_scores.shape[0] != graph.n_nodes:
             node_scores = np.full(graph.n_nodes, np.nan)
             node_scores[: self._node_scores.shape[0]] = self._node_scores
-        return build_result(
-            self.config, candidates, embeddings, anchors, node_scores, self.stream_config.threshold
-        )
+        return build_result(self.config, candidates, embeddings, anchors, node_scores)
 
     # ------------------------------------------------------------------
     # The streaming entry point

@@ -37,16 +37,13 @@ class ReplaySummary:
     to seconds).  Throughput is measured over *processing* time — the
     seconds actually spent inside tick handling plus the flush — never
     over ambient wall clock that includes producing the events.
+
+    Tick counts and seconds, overall and per mode, are read off ``ticks``
+    (one :class:`TickReport` per tick), never stored twice.
     """
 
     name: str
-    n_ticks: int
     total_seconds: float
-    tick_seconds: List[float]
-    n_refits: int
-    n_incremental: int
-    refit_seconds: float
-    incremental_seconds: float
     pair_hits: int
     pair_misses: int
     embed_hits: int
@@ -55,8 +52,45 @@ class ReplaySummary:
     burst_tick: Optional[int] = None
     final_result: Optional[GroupDetectionResult] = None
     ticks: List[TickReport] = field(default_factory=list)
-    tick_modes: List[str] = field(default_factory=list)
     finalize_seconds: float = 0.0
+
+    # ------------------------------------------------------------------
+    # Per-tick views
+    # ------------------------------------------------------------------
+    @property
+    def n_ticks(self) -> int:
+        return len(self.ticks)
+
+    @property
+    def tick_seconds(self) -> List[float]:
+        return [t.seconds for t in self.ticks]
+
+    def _mode_seconds(self, mode: str) -> List[float]:
+        return [t.seconds for t in self.ticks if t.mode == mode]
+
+    @property
+    def incremental_tick_seconds(self) -> List[float]:
+        return self._mode_seconds("incremental")
+
+    @property
+    def refit_tick_seconds(self) -> List[float]:
+        return self._mode_seconds("refit")
+
+    @property
+    def n_refits(self) -> int:
+        return len(self.refit_tick_seconds)
+
+    @property
+    def n_incremental(self) -> int:
+        return len(self.incremental_tick_seconds)
+
+    @property
+    def refit_seconds(self) -> float:
+        return sum(self.refit_tick_seconds)
+
+    @property
+    def incremental_seconds(self) -> float:
+        return sum(self.incremental_tick_seconds)
 
     # ------------------------------------------------------------------
     # Throughput
@@ -89,17 +123,6 @@ class ReplaySummary:
     # ------------------------------------------------------------------
     # Per-mode latency splits
     # ------------------------------------------------------------------
-    def _mode_seconds(self, mode: str) -> List[float]:
-        return [s for s, m in zip(self.tick_seconds, self.tick_modes) if m == mode]
-
-    @property
-    def incremental_tick_seconds(self) -> List[float]:
-        return self._mode_seconds("incremental")
-
-    @property
-    def refit_tick_seconds(self) -> List[float]:
-        return self._mode_seconds("refit")
-
     @staticmethod
     def _percentile(values: List[float], q: float) -> float:
         # Shared with ServerMetrics so replay and serve report identical
@@ -263,8 +286,6 @@ class ReplayDriver:
             ):
                 detection_tick = len(ticks) - 1
 
-        refit_seconds = sum(t.seconds for t in ticks if t.mode == "refit")
-        incremental_seconds = sum(t.seconds for t in ticks if t.mode == "incremental")
         finalize_start = time.perf_counter()
         final_result = detector.finalize() if finalize else detector.result
         finalize_seconds = time.perf_counter() - finalize_start
@@ -280,13 +301,7 @@ class ReplayDriver:
         reuse = detector.reuse_info()
         return ReplaySummary(
             name=name,
-            n_ticks=len(ticks),
             total_seconds=total,
-            tick_seconds=[t.seconds for t in ticks],
-            n_refits=sum(1 for t in ticks if t.mode == "refit"),
-            n_incremental=sum(1 for t in ticks if t.mode == "incremental"),
-            refit_seconds=refit_seconds,
-            incremental_seconds=incremental_seconds,
             pair_hits=reuse["pair_hits"],
             pair_misses=reuse["pair_misses"],
             embed_hits=reuse["embed_hits"],
@@ -295,7 +310,6 @@ class ReplayDriver:
             burst_tick=burst_tick,
             final_result=final_result,
             ticks=ticks,
-            tick_modes=[t.mode for t in ticks],
             finalize_seconds=finalize_seconds,
         )
 

@@ -11,7 +11,12 @@ The second scan fails on any module under ``repro/core/`` that imports
 a surface built on top of it (``repro.parallel``, ``repro.serve``,
 ``repro.jobs`` or ``repro.stream``), at module level or inside a function.
 
-The third scan fails on any function or method defined under
+The third scan fails on any module under ``src/repro`` that imports a
+``_``-prefixed name from a ``repro`` package other than its own
+(``from repro.graph.graph import _helper`` in ``repro/stream/``): a
+helper two packages share is public and exported as such.
+
+The fourth scan fails on any function or method defined under
 ``src/repro`` whose name occurs nowhere in the repository's Python trees
 except in its own ``def``: code nothing calls, tests or documents.
 """
@@ -76,6 +81,12 @@ def test_no_surface_reaches_into_detector_privates():
 SURFACES = ("repro.parallel", "repro.serve", "repro.jobs", "repro.stream")
 
 
+def _from_module(node: ast.ImportFrom, package: List[str]) -> str:
+    """The absolute module a ``from ... import`` reads, ``package`` anchoring relative ones."""
+    base = package[: len(package) - node.level + 1] if node.level else []
+    return ".".join(base + ([node.module] if node.module else []))
+
+
 def surface_imports(source: str, filename: str) -> List[str]:
     """``file:line: module`` for every import of a :data:`SURFACES` package in ``source``.
 
@@ -88,8 +99,7 @@ def surface_imports(source: str, filename: str) -> List[str]:
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else []
-            module = ".".join(base + ([node.module] if node.module else []))
+            module = _from_module(node, package)
             modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
         else:
             continue
@@ -123,6 +133,55 @@ def test_core_imports_no_surface():
     for path in sorted((PACKAGE / "core").rglob("*.py")):
         relative = str(path.relative_to(PACKAGE))
         offenders += surface_imports(path.read_text(), relative)
+    assert not offenders, "\n".join(offenders)
+
+
+def private_cross_package_imports(source: str, filename: str) -> List[str]:
+    """``file:line: module.name`` for every ``_name`` imported from another ``repro`` package.
+
+    ``filename`` is the module's path relative to the ``repro`` package;
+    its first directory is the module's own package, whose private names
+    it may import.  Dunder names are exempt.
+    """
+    package = ["repro", *Path(filename).parent.parts]
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = _from_module(node, package)
+        parts = module.split(".")
+        if parts[0] != "repro" or len(parts) < 2 or parts[:2] == package[:2]:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                found.append((node.lineno, f"{filename}:{node.lineno}: {module}.{alias.name}"))
+    return [entry for _, entry in sorted(found)]
+
+
+def test_private_import_scan_flags_only_other_packages_privates():
+    source = (
+        "from repro.graph.graph import _as_edge_array, Graph\n"
+        "from repro.stream.incremental import _own_helper\n"
+        "from .incremental import _relative_own_helper\n"
+        "def f():\n"
+        "    from ..core import pipeline, _hidden\n"
+        "from repro.graph import __all__, as_edge_array\n"
+        "import repro.persist._io\n"
+    )
+    assert private_cross_package_imports(source, "stream/delta.py") == [
+        "stream/delta.py:1: repro.graph.graph._as_edge_array",
+        "stream/delta.py:5: repro.core._hidden",
+    ]
+    assert private_cross_package_imports("from repro.graph import _x\n", "seeding.py") == [
+        "seeding.py:1: repro.graph._x",
+    ]
+
+
+def test_no_private_imports_across_packages():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relative = str(path.relative_to(PACKAGE))
+        offenders += private_cross_package_imports(path.read_text(), relative)
     assert not offenders, "\n".join(offenders)
 
 
