@@ -14,12 +14,11 @@ Pins the acceptance claims of the jobs subsystem:
 
 Writes ``BENCH_jobs.json`` with the host facts of
 ``benchmarks/hostinfo.py`` (tracked in git, uploaded by the CI jobs job);
-set ``BENCH_JOBS_JSON`` to redirect it.
+``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core import TPGrGAD, TPGrGADConfig
@@ -48,7 +47,7 @@ def _config() -> TPGrGADConfig:
     )
 
 
-def test_job_burst_throughput_dedup_and_parity(benchmark, tmp_path):
+def test_job_burst_throughput_dedup_and_parity(benchmark, tmp_path, bench_json_path):
     graphs = [make_example_graph(seed=seed) for seed in GRAPH_POOL_SEEDS]
     detector = TPGrGAD(_config())
     detector.fit_detect(graphs[0])
@@ -117,7 +116,7 @@ def test_job_burst_throughput_dedup_and_parity(benchmark, tmp_path):
         benchmark.extra_info.update(
             {key: value for key, value in payload.items() if not isinstance(value, dict)}
         )
-        dump_json(os.environ.get("BENCH_JOBS_JSON", "BENCH_jobs.json"), payload)
+        dump_json(bench_json_path("BENCH_jobs.json"), payload)
 
         print(
             f"\n{n_submissions} submissions ({n_distinct} distinct) drained in "

@@ -16,8 +16,8 @@ this records, each stage in its own subprocess at one BLAS thread:
 Seconds are the stage's wall time; ``peak_rss_mb`` is the subprocess's
 peak RSS, ``baseline_rss_mb`` the same after imports and graph build.
 Pinned: every change arm completes, and at 5k nodes the change's fit
-peaks under half the parent's.  Writes ``BENCH_scale.json``; set
-``BENCH_SCALE_JSON`` to redirect it.
+peaks under half the parent's.  Writes ``BENCH_scale.json``; ``BENCH_OUT_DIR``
+picks its directory (see ``conftest.py``).
 
 Run one arm by hand with ``python benchmarks/test_mhgae_scale.py fit 5000 DIR``.
 """
@@ -107,7 +107,7 @@ def _run_all() -> dict:
     return {"change": change, "parent": parent}
 
 
-def test_mhgae_fit_memory_is_flat_in_n(benchmark):
+def test_mhgae_fit_memory_is_flat_in_n(benchmark, bench_json_path):
     arms = benchmark.pedantic(_run_all, rounds=1, iterations=1)
     change, parent = arms["change"], arms["parent"]
 
@@ -141,7 +141,7 @@ def test_mhgae_fit_memory_is_flat_in_n(benchmark):
         "fit_peak_rss_ratio_5k": round(peak_ratio, 3),
         "max_peak_rss_ratio_5k": MAX_PEAK_RATIO,
     }
-    dump_json(os.environ.get("BENCH_SCALE_JSON", "BENCH_scale.json"), payload)
+    dump_json(bench_json_path("BENCH_scale.json"), payload)
     benchmark.extra_info["fit_peak_rss_ratio_5k"] = payload["fit_peak_rss_ratio_5k"]
 
     for n in SIZES:

@@ -21,12 +21,11 @@ tallies), and projects::
 The raw wall-clock ratio is still recorded in the JSON for eyeballing.
 
 Writes ``BENCH_obs.json`` (the artifact the CI obs job uploads and
-schema-guards); set ``BENCH_OBS_JSON`` to redirect it.
+schema-guards); ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core import TPGrGAD, TPGrGADConfig
@@ -68,7 +67,7 @@ def _trace_points(spans) -> int:
     return points
 
 
-def test_disabled_tracer_overhead_under_2pct(benchmark):
+def test_disabled_tracer_overhead_under_2pct(benchmark, bench_json_path):
     graph = _synthetic_graph()
     config = TPGrGADConfig.fast(seed=1)
 
@@ -111,7 +110,7 @@ def test_disabled_tracer_overhead_under_2pct(benchmark):
     benchmark.extra_info["null_op_ns"] = round(null_op_seconds * 1e9, 1)
 
     dump_json(
-        os.environ.get("BENCH_OBS_JSON", "BENCH_obs.json"),
+        bench_json_path("BENCH_obs.json"),
         {
             "host": host_facts(),
             "n_nodes": graph.n_nodes,

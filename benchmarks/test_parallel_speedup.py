@@ -13,12 +13,11 @@ Pins the acceptance claims of the parallel executor:
 
 Writes ``BENCH_parallel.json`` with the host facts of
 ``benchmarks/hostinfo.py`` (tracked in git, uploaded by the CI parallel
-job); set ``BENCH_PARALLEL_JSON`` to redirect it.
+job); ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -51,7 +50,7 @@ def _config() -> TPGrGADConfig:
     )
 
 
-def test_sharded_batch_parity_and_speedup(benchmark):
+def test_sharded_batch_parity_and_speedup(benchmark, bench_json_path):
     graphs = [make_example_graph(seed=seed) for seed in range(N_GRAPHS)]
 
     serial_detector = TPGrGAD(_config())
@@ -92,7 +91,7 @@ def test_sharded_batch_parity_and_speedup(benchmark):
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
     dump_json(
-        os.environ.get("BENCH_PARALLEL_JSON", "BENCH_parallel.json"),
+        bench_json_path("BENCH_parallel.json"),
         {
             "host": host_facts(),
             "n_graphs": N_GRAPHS,

@@ -20,12 +20,11 @@ Pins the acceptance claims of the online scoring service:
 
 Writes ``BENCH_serve.json`` with the host facts of
 ``benchmarks/hostinfo.py`` (tracked in git, uploaded by the CI serve
-job); set ``BENCH_SERVE_JSON`` to redirect it.
+job); ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -101,7 +100,7 @@ def _arm_summary(metrics: Dict) -> Dict:
     }
 
 
-def test_micro_batched_serving_speedup(tmp_path, benchmark):
+def test_micro_batched_serving_speedup(tmp_path, benchmark, bench_json_path):
     graphs = [make_example_graph(seed=seed) for seed in GRAPH_POOL_SEEDS]
     n_requests = CONCURRENCY * REQUESTS_PER_CLIENT
     distinct = [make_example_graph(seed=DISTINCT_SEED_BASE + i) for i in range(n_requests)]
@@ -180,7 +179,7 @@ def test_micro_batched_serving_speedup(tmp_path, benchmark):
     benchmark.extra_info["mean_batch_size"] = batched_metrics["mean_batch_size"]
 
     dump_json(
-        os.environ.get("BENCH_SERVE_JSON", "BENCH_serve.json"),
+        bench_json_path("BENCH_serve.json"),
         {
             "host": host_facts(),
             "concurrency": CONCURRENCY,

@@ -12,12 +12,11 @@ Pins the two acceptance claims of the streaming subsystem:
 The run also writes ``BENCH_stream.json`` (events/sec, p50/p95 tick
 latency, incremental-vs-refit speedup, cache counters) with the host facts
 of ``benchmarks/hostinfo.py`` — tracked in git and uploaded by the CI
-benchmark job; set ``BENCH_STREAM_JSON`` to redirect it.
+benchmark job; ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ def _config(seed: int = 1) -> TPGrGADConfig:
     )
 
 
-def test_stream_replay_parity_and_speedup(benchmark):
+def test_stream_replay_parity_and_speedup(benchmark, bench_json_path):
     stream = make_burst_stream(dataset="simml", scale=SCALE, seed=1, n_ticks=N_TICKS)
     assert stream.final.n_nodes >= 4500, "benchmark is specified for a ~5k-node stream"
 
@@ -118,7 +117,7 @@ def test_stream_replay_parity_and_speedup(benchmark):
 
     refit_summary.name = f"{stream.name}-refit-per-tick"
     write_summary_json(
-        os.environ.get("BENCH_STREAM_JSON", "BENCH_stream.json"),
+        bench_json_path("BENCH_stream.json"),
         [incremental_summary, refit_summary],
         extra={"host": host_facts(), "incremental_vs_refit_speedup": round(speedup, 2)},
     )

@@ -21,13 +21,12 @@ keeps its fastest time per graph, so host drift and a neighbour's burst
 hit both arms alike.
 
 Writes ``BENCH_tpgcl.json`` (tracked in git, uploaded by the CI train
-job); set ``BENCH_TPGCL_JSON`` to redirect it.
+job); ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import time
 from pathlib import Path
@@ -93,7 +92,7 @@ def _compare(config, workload):
     return seconds, identical
 
 
-def test_fused_encoder_faster_than_autodiff_oracle(benchmark):
+def test_fused_encoder_faster_than_autodiff_oracle(benchmark, bench_json_path):
     config = TPGrGADConfig.fast()
     # Candidates do not depend on TPGCL, so sample them with that stage off.
     sampling_only = dataclasses.replace(config, use_tpgcl=False)
@@ -109,7 +108,7 @@ def test_fused_encoder_faster_than_autodiff_oracle(benchmark):
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
     dump_json(
-        os.environ.get("BENCH_TPGCL_JSON", "BENCH_tpgcl.json"),
+        bench_json_path("BENCH_tpgcl.json"),
         {
             "host": host_facts(),
             "n_graphs": len(workload),

@@ -19,12 +19,11 @@ Three arms are timed:
   float64), in-place everything.
 
 Writes ``BENCH_train.json`` (the artifact the CI train job uploads);
-set ``BENCH_TRAIN_JSON`` to redirect it.
+``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -116,7 +115,7 @@ def _groups(result):
     return sorted(tuple(sorted(group.nodes)) for group in result.anomalous_groups)
 
 
-def test_fast_mode_at_least_3x_faster_than_seed_loop(benchmark):
+def test_fast_mode_at_least_3x_faster_than_seed_loop(benchmark, bench_json_path):
     graph = _synthetic_graph()
     config = TPGrGADConfig.fast(seed=1)
 
@@ -158,7 +157,7 @@ def test_fast_mode_at_least_3x_faster_than_seed_loop(benchmark):
     benchmark.extra_info["speedup_vs_float64"] = round(speedup_vs_float64, 2)
 
     dump_json(
-        os.environ.get("BENCH_TRAIN_JSON", "BENCH_train.json"),
+        bench_json_path("BENCH_train.json"),
         {
             "host": host_facts(),
             "n_nodes": graph.n_nodes,

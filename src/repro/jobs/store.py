@@ -167,8 +167,9 @@ def dedup_key(
     """Content address of one scoring job.
 
     Covers every input of the (deterministic) pipeline run: the graph's
-    fingerprint, the artifact's config hash, the scoring mode, the
-    resolved model name + version, and the threshold override —
+    fingerprint, the artifact's config hash, the scoring mode (always
+    ``"detect_only"`` from the server), the resolved model name +
+    version, and the threshold override —
     identical keys are guaranteed identical results, which is what makes
     returning the existing record sound.
     """

@@ -12,15 +12,17 @@ The :class:`JobWorker` task runs the lease protocol against the
    synchronous ``/score`` traffic, which is what makes a stored job
    result **bit-identical** to the synchronous response for the same
    graph + model + config,
-4. heartbeat the leases while the batch scores, so a slow ``fit_detect``
-   is never mistaken for a dead worker,
+4. heartbeat the leases while the batch scores, so a slow batch is
+   never mistaken for a dead worker,
 5. write each outcome back: ``done`` with the full response payload,
    ``failed`` (retried up to ``max_attempts``), or — on cancellation /
    graceful shutdown — *released* back to ``queued`` with no attempt
    charged.
 
 Because a claimed batch is submitted to the batcher in one sweep, jobs
-coalesce exactly like concurrent interactive requests do.  The server runs
+coalesce exactly like concurrent interactive requests do.  Every job is a
+warm ``detect_only``: a job an older store holds with another ``mode`` (a
+fit) fails permanently rather than being scored warm.  The server runs
 one worker: the batcher has a single consumer, so a second worker would
 only overlap a sqlite claim with scoring, and measured no faster.
 """
@@ -49,6 +51,9 @@ log = get_logger("jobs")
 
 #: Queued jobs leased per claim, all submitted to the batcher in one sweep.
 CLAIM_BATCH = 8
+
+#: Where training lives: the server only scores loaded artifacts.
+TRAIN_OFFLINE = "train with `python -m repro.parallel fit --out DIR`, then POST /models"
 
 
 class JobWorker:
@@ -107,7 +112,7 @@ class JobWorker:
 
     async def _execute(self, claimed: List[JobRecord]) -> None:
         """Score one claimed batch through the micro-batcher."""
-        from repro.serve.batcher import RequestError, ShedError
+        from repro.serve.batcher import ShedError
 
         tracer = get_tracer()
         submitted: List[Tuple[JobRecord, "asyncio.Future"]] = []
@@ -115,13 +120,15 @@ class JobWorker:
             if tracer.enabled:
                 span.set("n_claimed", len(claimed))
             for record in claimed:
+                if record.mode != "detect_only":
+                    self._fail(record, f"mode {record.mode!r} is not served; {TRAIN_OFFLINE}", retry=False)
+                    continue
                 try:
                     graph = Graph.from_json_dict(record.graph_payload())
                     future = self.batcher.submit(
                         graph,
                         model=record.model or None,
                         threshold=record.threshold,
-                        mode=record.mode,
                     )
                 except ShedError:
                     # The interactive queue is full: hand the job back and
@@ -130,7 +137,7 @@ class JobWorker:
                     if self.metrics is not None:
                         self.metrics.record_job_backpressure()
                     continue
-                except (RequestError, ValueError, TypeError, json.JSONDecodeError) as error:
+                except (ValueError, TypeError, json.JSONDecodeError) as error:
                     self._fail(record, f"submit failed: {error}")
                     continue
                 submitted.append((record, future))
@@ -183,8 +190,8 @@ class JobWorker:
                 stored.tenant, stored.wait_seconds() or 0.0, stored.run_seconds() or 0.0
             )
 
-    def _fail(self, record: JobRecord, error: str) -> None:
-        retry = record.attempts < self.max_attempts
+    def _fail(self, record: JobRecord, error: str, retry: bool = True) -> None:
+        retry = retry and record.attempts < self.max_attempts
         stored = self.store.fail(record.job_id, error, requeue=retry)
         if retry:
             log.warning("job %s attempt %d failed (%s); requeued", record.job_id, record.attempts, error)

@@ -14,6 +14,8 @@ detection against the artifact and checks the digest bit-for-bit.  With
 ``include_graph`` the graph itself is embedded in the record, making the
 log self-contained; otherwise the verifier needs the graph supplied (or
 looked up by fingerprint via :func:`verify_log`'s ``graphs`` mapping).
+A ``mode="fit_detect"`` record, left by a server that still trained on
+request, names no artifact that scored it and fails verification.
 
 Records are JSON lines; :class:`ProvenanceLog` only ever appends, under
 a lock, flushing per record so a crash loses at most the in-flight line.
@@ -64,7 +66,6 @@ def build_record(
     config_hash: str,
     graph_fingerprint: str,
     result_json: Dict[str, Any],
-    mode: str = "detect_only",
     threshold: Optional[float] = None,
     digest: Optional[str] = None,
     graph: Optional[Any] = None,
@@ -86,7 +87,7 @@ def build_record(
         "version": int(version),
         "config_hash": config_hash,
         "graph_fingerprint": graph_fingerprint,
-        "mode": mode,
+        "mode": "detect_only",
         "threshold": threshold,
         "n_candidates": len(result_json.get("scores", [])),
         "n_anomalous": len(result_json.get("anomalous_groups", [])),
@@ -177,6 +178,11 @@ def verify_record(
     from repro.core import TPGrGAD
     from repro.graph import Graph
 
+    mode = record.get("mode", "detect_only")
+    if mode != "detect_only":
+        # Served fits were trained on the fly, so no artifact commits to
+        # what scored them: nothing can replay such a record.
+        return _fail(record, f"mode {mode!r} was a served fit with no artifact to replay")
     if graph is None:
         if "graph" not in record:
             return _fail(record, "no embedded graph; pass graph= or log with include_graph")
@@ -189,12 +195,7 @@ def verify_record(
     if detector.config.content_hash() != record["config_hash"]:
         return _fail(record, "artifact config_hash mismatch")
 
-    threshold = record.get("threshold")
-    mode = record.get("mode", "detect_only")
-    if mode == "fit_detect":
-        result = TPGrGAD(detector.config).fit_detect(graph, threshold=threshold)
-    else:
-        result = detector.detect_only(graph, threshold=threshold)
+    result = detector.detect_only(graph, threshold=record.get("threshold"))
     replayed = score_digest(result.to_json_dict())
     if replayed != record["score_digest"]:
         return VerificationResult(

@@ -4,18 +4,17 @@ Concurrent ``/score`` requests are coalesced into micro-batches: the
 scheduler takes the first queued request, then waits at most
 ``max_wait_ms`` for up to ``max_batch - 1`` more before scoring the whole
 batch in one executor-thread pass.  Within a batch, requests are grouped
-by ``(model, mode, threshold)`` and **deduplicated by graph
-fingerprint** — ten dashboards asking for the same snapshot cost one
-``detect_only``.  Warm ``detect_only`` scoring runs on the executor
-thread against the registry's loaded detector; ``mode="fit_detect"``
-groups are fitted from scratch on a fresh ``TPGrGAD`` built from the
-entry's config, so nothing a cold fit trains outlives its batch.
+by ``(model, threshold)`` and **deduplicated by graph fingerprint** — ten
+dashboards asking for the same snapshot cost one ``detect_only``.  The
+scheduler only ever runs warm ``detect_only`` against the registry's
+loaded detector; it never trains (training is ``TPGrGAD.save`` or
+``python -m repro.parallel fit --out DIR``, then ``POST /models``).
 
 Scoring a request through a batch returns **exactly** the result of
-calling ``detect_only`` / ``fit_detect`` directly on the same graph and
-artifact: grouping keys pin every input of the (deterministic) pipeline,
-so coalescing can change latency, never scores.  Pinned by
-``tests/test_serve.py`` and ``benchmarks/test_serve_throughput.py``.
+calling ``detect_only`` directly on the same graph and artifact: grouping
+keys pin every input of the (deterministic) pipeline, so coalescing can
+change latency, never scores.  Pinned by ``tests/test_serve.py`` and
+``benchmarks/test_serve_throughput.py``.
 
 Admission control lives at the mouth of the queue: a bounded
 ``asyncio.Queue`` sheds excess load with :class:`ShedError` (the HTTP
@@ -34,17 +33,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.pipeline import TPGrGAD
 from repro.graph import Graph
 from repro.obs.provenance import ProvenanceLog, build_record, score_digest
 from repro.obs.tracer import get_tracer
 from repro.serve.metrics import ServerMetrics
 from repro.serve.registry import ModelEntry, ModelRegistry
 from repro.tensor import tape_node_count
-
-#: Request modes: warm inference on the loaded artifact weights (default)
-#: vs a cold, from-scratch fit with the artifact's config.
-MODES = ("detect_only", "fit_detect")
 
 
 class ShedError(Exception):
@@ -134,7 +128,6 @@ class _Pending:
     graph: Graph
     model: Optional[str]
     threshold: Optional[float]
-    mode: str
     deadline: Optional[float]  # monotonic seconds; None = no budget
     enqueued_at: float
     future: "asyncio.Future"
@@ -209,21 +202,17 @@ class MicroBatcher:
         graph: Graph,
         model: Optional[str] = None,
         threshold: Optional[float] = None,
-        mode: str = "detect_only",
         timeout_ms: Optional[float] = None,
     ) -> "asyncio.Future":
         """Admit one request; the returned future resolves to the response dict.
 
-        Raises :class:`ShedError` immediately when the queue is full, and
-        :class:`RequestError` for an invalid mode — both before the
-        request consumes any scheduler capacity.
+        Raises :class:`ShedError` immediately when the queue is full,
+        before the request consumes any scheduler capacity.
         """
         if self._queue is None:
             raise RuntimeError("MicroBatcher.start() has not run")
         if self._stopping:
             raise ShedError(self.config.retry_after_s)
-        if mode not in MODES:
-            raise RequestError(400, f"unknown mode {mode!r}; expected one of {MODES}")
         if timeout_ms is None:
             timeout_ms = self.config.default_timeout_ms
         now = time.monotonic()
@@ -231,7 +220,6 @@ class MicroBatcher:
             graph=graph,
             model=model,
             threshold=None if threshold is None else float(threshold),
-            mode=mode,
             deadline=None if timeout_ms is None else now + float(timeout_ms) / 1e3,
             enqueued_at=now,
             future=asyncio.get_running_loop().create_future(),
@@ -319,19 +307,19 @@ class MicroBatcher:
     def _process(self, batch: List[_Pending]) -> List[Tuple[_Pending, object]]:
         outcomes: List[Tuple[_Pending, object]] = []
         now = time.monotonic()
-        groups: "OrderedDict[Tuple[Optional[str], str, Optional[float]], List[_Pending]]" = OrderedDict()
+        groups: "OrderedDict[Tuple[Optional[str], Optional[float]], List[_Pending]]" = OrderedDict()
         for pending in batch:
             if pending.deadline is not None and now > pending.deadline:
                 outcomes.append((pending, DeadlineExceededError(
                     f"deadline expired after {(now - pending.enqueued_at) * 1e3:.0f}ms in queue"
                 )))
                 continue
-            groups.setdefault((pending.model, pending.mode, pending.threshold), []).append(pending)
+            groups.setdefault((pending.model, pending.threshold), []).append(pending)
 
         live = sum(len(members) for members in groups.values())
         n_unique_total = 0
         n_scored = 0
-        for (model, mode, threshold), members in groups.items():
+        for (model, threshold), members in groups.items():
             try:
                 entry = self.registry.get(model)
             except KeyError as error:
@@ -339,7 +327,7 @@ class MicroBatcher:
                 outcomes.extend((pending, failure) for pending in members)
                 continue
             try:
-                scored, n_unique = self._score_group(entry, mode, threshold, members, len(batch))
+                scored, n_unique = self._score_group(entry, threshold, members, len(batch))
             except ValueError as error:
                 # Graph incompatible with the model (feature dim, bad shape).
                 failure = RequestError(400, str(error))
@@ -358,12 +346,11 @@ class MicroBatcher:
     def _score_group(
         self,
         entry: ModelEntry,
-        mode: str,
         threshold: Optional[float],
         members: List[_Pending],
         batch_size: int,
     ) -> Tuple[List[Tuple[_Pending, Dict]], int]:
-        """Score one ``(model, mode, threshold)`` group, deduplicated."""
+        """Score one ``(model, threshold)`` group, deduplicated."""
         unique: "OrderedDict[str, Graph]" = OrderedDict()
         keys: List[str] = []
         for pending in members:
@@ -373,17 +360,12 @@ class MicroBatcher:
         graphs = list(unique.values())
 
         tracer = get_tracer()
-        with tracer.span("serve.score_group", model=entry.name, mode=mode) as span:
+        with tracer.span("serve.score_group", model=entry.name) as span:
             # Tape growth is thread-local and this whole group scores on
-            # this executor thread, so the delta attributes the autodiff
-            # cost (which must be ~0 for warm detect_only) to the entry.
+            # this executor thread, so the delta attributes any autodiff
+            # cost (which must be 0 for warm detect_only) to the entry.
             tape_before = tape_node_count()
-            if mode == "fit_detect":
-                # A fresh pipeline per group: cold fits never touch the
-                # entry's warm detector or its advertised state.
-                results = TPGrGAD(entry.state.config).fit_detect_many(graphs, threshold=threshold)
-            else:
-                results = [entry.detector.detect_only(graph, threshold=threshold) for graph in graphs]
+            results = [entry.detector.detect_only(graph, threshold=threshold) for graph in graphs]
             tape_delta = tape_node_count() - tape_before
             if tracer.enabled:
                 span.add("tape_node_count", tape_delta)
@@ -400,7 +382,6 @@ class MicroBatcher:
         for pending, key in zip(members, keys):
             response = {
                 **entry.identity(),
-                "mode": mode,
                 "graph_fingerprint": key,
                 "batch": {"size": batch_size, "group_size": len(members), "n_unique": len(graphs)},
                 "result": by_key[key],
@@ -414,7 +395,6 @@ class MicroBatcher:
                     config_hash=entry.config_hash,
                     graph_fingerprint=key,
                     result_json=by_key[key],
-                    mode=mode,
                     threshold=threshold,
                     digest=digests[key],
                     graph=unique[key] if self.config.provenance_include_graph else None,

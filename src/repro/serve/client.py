@@ -114,23 +114,20 @@ class ScoringClient:
         graph: Union[Graph, Dict],
         model: Optional[str] = None,
         threshold: Optional[float] = None,
-        mode: str = "detect_only",
         timeout_ms: Optional[float] = None,
     ) -> Dict:
         """Score one graph; returns the full response payload.
 
         ``payload["result"]`` is bit-identical to
-        ``detector.detect_only(graph).to_json_dict()`` (or ``fit_detect``
-        for ``mode="fit_detect"``) on the served artifact — micro-batching
-        on the server changes latency, never scores.
+        ``detector.detect_only(graph).to_json_dict()`` on the served
+        artifact — micro-batching on the server changes latency, never
+        scores.
         """
         body: Dict = {"graph": graph.to_json_dict() if isinstance(graph, Graph) else graph}
         if model is not None:
             body["model"] = model
         if threshold is not None:
             body["threshold"] = float(threshold)
-        if mode != "detect_only":
-            body["mode"] = mode
         if timeout_ms is not None:
             body["timeout_ms"] = float(timeout_ms)
         return self._checked("POST", "/score", body)
@@ -143,11 +140,10 @@ class ScoringClient:
         graph: Union[Graph, Dict],
         model: Optional[str] = None,
         threshold: Optional[float] = None,
-        mode: str = "detect_only",
     ) -> Dict:
         """Enqueue a durable job; returns the job record (202 new, 200 dedup).
 
-        Resubmitting an identical ``(graph, config, mode, model, version,
+        Resubmitting an identical ``(graph, config, model, version,
         threshold)`` returns the *existing* record with
         ``deduplicated=True`` instead of queueing duplicate work.
         """
@@ -156,8 +152,6 @@ class ScoringClient:
             body["model"] = model
         if threshold is not None:
             body["threshold"] = float(threshold)
-        if mode != "detect_only":
-            body["mode"] = mode
         return self._checked("POST", "/jobs", body)
 
     def job(self, job_id: str) -> Dict:

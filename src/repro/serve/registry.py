@@ -32,10 +32,9 @@ class ModelEntry:
     """One loaded artifact: a warm serving detector plus identity metadata.
 
     ``detector`` serves ``detect_only`` (warm inference; thread-safe —
-    pinned by ``tests/test_serve.py``).  ``mode="fit_detect"`` requests
-    never touch it: the batcher fits them on a fresh ``TPGrGAD`` built
-    from ``state.config``, so a cold fit can never overwrite the warm
-    artifact state the entry's identity advertises.
+    pinned by ``tests/test_serve.py``).  It is the only thing the entry
+    runs: serving never trains, so the fitted state the entry's
+    identity advertises is the state that scored every response.
     """
 
     def __init__(self, name: str, version: int, path: str, state: PipelineState) -> None:

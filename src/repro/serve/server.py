@@ -8,14 +8,13 @@ Endpoints
 ---------
 ``POST /score``
     Body: ``{"graph": <Graph.to_json_dict()>, "model": name?,
-    "threshold": float?, "mode": "detect_only"|"fit_detect"?,
-    "timeout_ms": float?}``.  The request rides a micro-batch (see
-    :mod:`repro.serve.batcher`); the response carries the result JSON
-    plus model attribution and batch/latency metadata.  ``429`` +
+    "threshold": float?, "timeout_ms": float?}``.  The request rides a
+    micro-batch (see :mod:`repro.serve.batcher`); the response carries the
+    result JSON plus model attribution and batch/latency metadata.  ``429`` +
     ``Retry-After`` under load shedding, ``504`` on an expired deadline,
     ``404`` for unknown models, ``400`` for malformed payloads (a
     ``threshold`` / ``timeout_ms`` must be a finite JSON number, and
-    ``timeout_ms`` must be positive).
+    ``timeout_ms`` must be positive) and for a ``mode`` but ``"detect_only"``.
 ``GET /models`` / ``POST /models``
     List loaded models, or load/hot-swap one from an artifact directory
     (body ``{"name": ..., "path": ..., "default": bool?}``).
@@ -54,13 +53,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.graph import Graph
 from repro.jobs.store import JobStore, QuotaExceededError, TenantQuota, UnknownJobError
-from repro.jobs.worker import JobWorker
+from repro.jobs.worker import TRAIN_OFFLINE, JobWorker
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.obs.tracer import get_tracer
 from repro.persist import to_native
 from repro.serve.batcher import (
-    MODES,
     DeadlineExceededError,
     MicroBatcher,
     RequestError,
@@ -424,7 +422,15 @@ class ScoringServer:
             raise _HttpError(400, f"'{key}' must be > 0")
         return number
 
+    @staticmethod
+    def _refuse_training(payload: Dict) -> None:
+        """Answer 400 to any ``mode`` but warm scoring: the server never trains."""
+        mode = payload.get("mode")
+        if mode not in (None, "detect_only"):
+            raise _HttpError(400, f"mode {mode!r} is not served: the server never trains; {TRAIN_OFFLINE}")
+
     async def _score(self, payload: Dict) -> Dict:
+        self._refuse_training(payload)
         graph = self._parse_graph(payload, "/score")
         threshold = self._parse_number(payload, "threshold")
         timeout_ms = self._parse_number(payload, "timeout_ms", positive=True)
@@ -433,7 +439,6 @@ class ScoringServer:
                 graph,
                 model=payload.get("model"),
                 threshold=threshold,
-                mode=payload.get("mode", "detect_only"),
                 timeout_ms=timeout_ms,
             )
             return await future
@@ -461,9 +466,7 @@ class ScoringServer:
     def _submit_job(self, payload: Dict, headers: Dict[str, str]) -> Tuple[int, Dict, Dict[str, str]]:
         store = self._jobs_store()
         tenant = self._tenant_of(payload, headers)
-        mode = payload.get("mode", "detect_only")
-        if mode not in MODES:
-            raise _HttpError(400, f"unknown mode {mode!r}; expected one of {MODES}")
+        self._refuse_training(payload)
         graph = self._parse_graph(payload, "/jobs")
         threshold = self._parse_number(payload, "threshold")
         try:
@@ -476,7 +479,7 @@ class ScoringServer:
                 model=entry.name,
                 model_version=entry.version,
                 config_hash=entry.config_hash,
-                mode=mode,
+                mode="detect_only",
                 threshold=threshold,
                 graph_fingerprint=graph.fingerprint(),
                 graph_json=json.dumps(to_native(graph.to_json_dict()), sort_keys=True),

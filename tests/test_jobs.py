@@ -385,17 +385,37 @@ class TestWorkerAndCrashRecovery:
         assert record.attempts == 2
         assert record.error
 
+    def test_old_store_fit_job_fails_permanently_unscored(self, tmp_path, registry):
+        """A ``fit_detect`` job left by a server that still trained is never scored warm."""
+        graph = make_example_graph(seed=19)
+
+        async def scenario():
+            store = JobStore(tmp_path / "jobs.sqlite")
+            job_id = self._submit_graph(store, registry, graph, mode="fit_detect").record.job_id
+            served_before = registry.get().requests_served
+            await self._drain(store, registry, [job_id], max_attempts=3)
+            record = store.get(job_id)
+            store.close()
+            return record, registry.get().requests_served - served_before
+
+        record, served = asyncio.run(scenario())
+        assert record.state == "failed"
+        assert record.attempts == 1  # permanent: no retry of a fit the server cannot run
+        assert record.result is None
+        assert "'fit_detect'" in record.error and "repro.parallel fit" in record.error
+        assert served == 0
+
     def test_worker_stop_releases_unfinished_claims(self, tmp_path, registry):
         graph = make_example_graph(seed=17)
 
         async def scenario():
             store = JobStore(tmp_path / "jobs.sqlite")
-            job_id = self._submit_graph(store, registry, graph, mode="fit_detect").record.job_id
+            job_id = self._submit_graph(store, registry, graph).record.job_id
             batcher = MicroBatcher(registry, ServeConfig(max_batch=4, max_wait_ms=2))
             await batcher.start()
             worker = JobWorker(store, batcher, poll_interval_s=0.01, lease_ttl_s=30)
             await worker.start()
-            # Stop as soon as the claim lands, before the fit can finish.
+            # Stop as soon as the claim lands, before the score can finish.
             deadline = time.monotonic() + 30
             while store.get(job_id).state == "queued" and time.monotonic() < deadline:
                 await asyncio.sleep(0.002)

@@ -2,9 +2,9 @@
 
 Pins the serving-layer acceptance criteria of the jobs subsystem:
 
-* submit → poll → result over real HTTP, with the stored ``fit_detect``
-  / ``detect_only`` response **bit-identical** to the synchronous
-  ``/score`` path on the same server;
+* submit → poll → result over real HTTP, with the stored ``detect_only``
+  response **bit-identical** to the synchronous ``/score`` path on the
+  same server, and a job asking for a served fit refused with ``400``;
 * duplicate submissions return the same job id with a dedup marker;
 * per-tenant quotas surface as ``429`` + ``Retry-After`` and tenants are
   keyed by the ``X-API-Key`` header;
@@ -129,13 +129,17 @@ class TestSubmitPollResult:
         assert record["score_digest"] == response["provenance"]["score_digest"]
         assert record["wait_seconds"] is not None and record["run_seconds"] is not None
 
-    def test_fit_detect_job_matches_sync_fit_detect(self, running):
+    def test_fit_detect_mode_is_400_and_never_stored(self, running):
         _, client = running
-        sync = client.score(OTHER, mode="fit_detect")
-        accepted = client.submit_job(OTHER, mode="fit_detect")
-        result = client.wait_job(accepted["job_id"], timeout=120)
-        assert result["response"]["result"] == sync["result"]
-        assert result["response"]["mode"] == "fit_detect"
+        for mode in ("fit_detect", "training", 1):
+            status, _, body = client._request(
+                "POST", "/jobs", {"graph": GRAPH.to_json_dict(), "mode": mode}
+            )
+            assert status == 400, (mode, body)
+            assert "python -m repro.parallel fit --out DIR" in body["error"]
+            assert "POST /models" in body["error"]
+        assert client.jobs()["jobs"] == []
+        assert client.metrics()["jobs"]["submitted_total"] == 0
 
     def test_duplicate_submission_returns_same_job(self, running):
         _, client = running
@@ -153,9 +157,6 @@ class TestSubmitPollResult:
 
     def test_validation_errors(self, running):
         _, client = running
-        with pytest.raises(ServeError) as excinfo:
-            client.submit_job(GRAPH, mode="training")
-        assert excinfo.value.status == 400
         with pytest.raises(ServeError) as excinfo:
             client.submit_job(GRAPH, model="ghost")
         assert excinfo.value.status == 404

@@ -19,6 +19,10 @@ helper two packages share is public and exported as such.
 The fourth scan fails on any function or method defined under
 ``src/repro`` whose name occurs nowhere in the repository's Python trees
 except in its own ``def``: code nothing calls, tests or documents.
+
+The fifth scan fails on any call to ``fit``, ``fit_detect`` or
+``fit_detect_many`` in a module under ``repro/serve/`` or ``repro/jobs/``:
+the serving surfaces score loaded artifacts and never train.
 """
 
 from __future__ import annotations
@@ -228,3 +232,43 @@ def test_no_unreferenced_functions_in_src():
     }
     offenders = unreferenced_functions(sources, "src/repro/")
     assert not offenders, "unreferenced functions (delete them):\n" + "\n".join(offenders)
+
+
+#: Calls that train; the serving surfaces must make none of them.
+TRAINING_CALLS = ("fit", "fit_detect", "fit_detect_many")
+
+
+def training_calls(source: str, filename: str) -> List[str]:
+    """``file:line: call`` for every :data:`TRAINING_CALLS` call in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in TRAINING_CALLS:
+            found.append((node.lineno, f"{filename}:{node.lineno}: {ast.unparse(func)}"))
+    return [entry for _, entry in sorted(found)]
+
+
+def test_training_call_scan_flags_fits_only():
+    source = (
+        "results = TPGrGAD(entry.state.config).fit_detect_many(graphs)\n"
+        "result = entry.detector.detect_only(graph)\n"
+        "self.detector.fit(graph)\n"
+        "fit_detect(graph)\n"
+        "model.fitted = detector.fit_stages\n"
+    )
+    assert training_calls(source, "serve/batcher.py") == [
+        "serve/batcher.py:1: TPGrGAD(entry.state.config).fit_detect_many",
+        "serve/batcher.py:3: self.detector.fit",
+        "serve/batcher.py:4: fit_detect",
+    ]
+
+
+def test_serving_surfaces_never_train():
+    offenders = []
+    for package in ("serve", "jobs"):
+        for path in sorted((PACKAGE / package).rglob("*.py")):
+            offenders += training_calls(path.read_text(), str(path.relative_to(PACKAGE)))
+    assert not offenders, "\n".join(offenders)

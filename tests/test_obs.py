@@ -489,6 +489,15 @@ class TestProvenance:
         outcome = verify_record(self._record(fitted), other_path)
         assert not outcome.ok and "config_hash" in outcome.reason
 
+    def test_verify_refuses_a_served_fit_record(self, fitted):
+        # An older server logged served cold fits; their digest is the fit's.
+        record = self._record(fitted, result_json=fitted["result"].to_json_dict())
+        record["mode"] = "fit_detect"
+        outcome = verify_record(record, fitted["path"])
+        assert not outcome.ok
+        assert "served fit" in outcome.reason and "digest" not in outcome.reason
+        assert outcome.replayed_digest == ""  # refused before any replay
+
     def test_verify_log_batches(self, fitted, tmp_path):
         path = tmp_path / "prov.jsonl"
         with ProvenanceLog(path) as log:

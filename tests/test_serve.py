@@ -5,9 +5,10 @@ Covers the four acceptance surfaces of the subsystem:
 * **Registry** — versioned load / hot swap semantics, atomicity on
   failed loads, identity metadata (config hash + fitted fingerprint).
 * **Parity** — a response served through the micro-batcher is exactly
-  ``detect_only`` / ``fit_detect`` on the same graph + artifact, also
-  under concurrent mixed-model load (the batch a request rode in can
-  change its latency, never its scores).
+  ``detect_only`` on the same graph + artifact, also under concurrent
+  mixed-model load (the batch a request rode in can change its latency,
+  never its scores).  The server never trains: a request for a served
+  fit answers ``400``.
 * **Admission control** — bounded-queue shedding (429 + ``Retry-After``)
   and per-request deadline budgets (504).
 * **Warm-inference thread safety** — overlapping ``detect_only`` calls
@@ -168,20 +169,6 @@ class TestMicroBatcher:
         for response, key in zip(responses, ("g7", "g11", "g7", "g11", "g7")):
             assert response["result"] == expected[key]
 
-    def test_invalid_mode_rejected_at_admission(self, registry):
-        async def scenario():
-            batcher = MicroBatcher(registry, ServeConfig())
-            await batcher.start()
-            try:
-                from repro.serve import RequestError
-
-                with pytest.raises(RequestError, match="unknown mode"):
-                    batcher.submit(GRAPHS["g7"], mode="training")
-            finally:
-                await batcher.stop()
-
-        asyncio.run(scenario())
-
 
 # ----------------------------------------------------------------------
 class TestScoringServerEndToEnd:
@@ -213,7 +200,6 @@ class TestScoringServerEndToEnd:
         response = client.score(GRAPHS["g11"], model="alpha")
         assert response["result"] == _reference(artifacts["alpha"], GRAPHS["g11"])
         assert response["model"] == "alpha" and response["version"] == 1
-        assert response["mode"] == "detect_only"
         assert response["graph_fingerprint"] == GRAPHS["g11"].fingerprint()
         assert response["latency_ms"] > 0
 
@@ -222,17 +208,6 @@ class TestScoringServerEndToEnd:
         response = client.score(GRAPHS["g11"], model="beta", threshold=1e12)
         assert response["result"] == _reference(artifacts["beta"], GRAPHS["g11"], threshold=1e12)
         assert response["result"]["anomalous_groups"] == []
-
-    def test_fit_mode_matches_cold_pipeline(self, running, registry):
-        _, client = running
-        entry = registry.get("alpha")
-        expected = TPGrGAD(entry.state.config).fit_detect(GRAPHS["g13"]).to_json_dict()
-        first = client.score(GRAPHS["g13"], model="alpha", mode="fit_detect")
-        second = client.score(GRAPHS["g13"], model="alpha", mode="fit_detect")
-        assert first["result"] == expected
-        assert second["result"] == expected
-        # Cold fits never replace the warm state the entry advertises.
-        assert entry.detector.state is entry.state
 
     def test_concurrent_mixed_model_load_parity(self, running, artifacts):
         handle, _ = running
@@ -264,6 +239,20 @@ class TestScoringServerEndToEnd:
         with pytest.raises(ServeError) as excinfo:
             client.score(wrong_width)
         assert excinfo.value.status == 400
+        # The server never trains: an old client asking for a cold fit is
+        # refused and pointed at the offline route, not scored warm.
+        for mode in ("fit_detect", "training", 1):
+            status, _, body = client._request(
+                "POST", "/score", {"graph": GRAPHS["g7"].to_json_dict(), "mode": mode}
+            )
+            assert status == 400, (mode, body)
+            assert "python -m repro.parallel fit --out DIR" in body["error"]
+            assert "POST /models" in body["error"]
+        status, _, body = client._request(
+            "POST", "/score", {"graph": GRAPHS["g7"].to_json_dict(), "mode": "detect_only"}
+        )
+        assert status == 200, body
+        assert client.metrics()["scored_total"] == 1
 
     def test_hot_swap_under_load_never_drops_requests(self, running, artifacts):
         handle, client = running
@@ -409,25 +398,36 @@ class TestHttpHardening:
 
 
 class TestAdmissionControl:
-    def test_shed_returns_429_with_retry_after_and_deadline_504(self, registry):
+    def test_shed_returns_429_with_retry_after_and_deadline_504(self, registry, monkeypatch):
+        # Hold the scorer on purpose: beta's warm detect_only blocks until
+        # the test releases it, so the queue state below is deterministic.
+        beta = registry.get("beta").detector
+        warm_detect_only = beta.detect_only
+        scoring, release = threading.Event(), threading.Event()
+
+        def held_detect_only(graph, threshold=None):
+            scoring.set()
+            release.wait(timeout=60)
+            return warm_detect_only(graph, threshold=threshold)
+
+        monkeypatch.setattr(beta, "detect_only", held_detect_only)
         handle = start_server_thread(
             registry, ServeConfig(max_batch=1, max_wait_ms=0, queue_size=1, retry_after_s=2.0)
         )
-        big = make_example_graph(seed=5, n_background=2000)  # ~2s cold fit
         try:
             with ScoringClient(port=handle.port) as client:
-                # Occupy the scorer with a slow cold fit, then flood the
-                # 1-slot queue: the next request queues, the rest shed.
-                def slow_fit():
-                    with ScoringClient(port=handle.port, timeout=120) as fitter:
-                        fitter.score(big, model="beta", mode="fit_detect")
+                held = {}
 
-                fit_thread = threading.Thread(target=slow_fit)
-                fit_thread.start()
-                time.sleep(0.3)  # the fit is now inside the scorer
+                def held_request():
+                    with ScoringClient(port=handle.port, timeout=120) as other:
+                        held["response"] = other.score(GRAPHS["g7"], model="beta")
 
-                # This one waits in the queue with a 1ms budget — by the
-                # time the fit finishes, its deadline is long gone: 504.
+                held_thread = threading.Thread(target=held_request)
+                held_thread.start()
+                assert scoring.wait(timeout=30), "the held request never reached the scorer"
+
+                # This one waits in the 1-slot queue with a 1ms budget — by
+                # the time the scorer is released, its deadline is gone: 504.
                 doomed = {}
 
                 def doomed_request():
@@ -439,20 +439,26 @@ class TestAdmissionControl:
 
                 doomed_thread = threading.Thread(target=doomed_request)
                 doomed_thread.start()
-                time.sleep(0.15)  # let it occupy the single queue slot
+                deadline = time.monotonic() + 30
+                while client.metrics()["requests_total"] < 2:  # admitted = queued
+                    assert time.monotonic() < deadline, "the doomed request was never admitted"
+                    time.sleep(0.005)
 
                 with pytest.raises(LoadShedError) as excinfo:
                     client.score(GRAPHS["g7"])
                 assert excinfo.value.retry_after_s == pytest.approx(2.0)
 
-                fit_thread.join(timeout=120)
+                release.set()
+                held_thread.join(timeout=120)
                 doomed_thread.join(timeout=120)
+                assert held["response"]["model"] == "beta"
                 assert doomed.get("status") == 504
 
                 metrics = client.metrics()
                 assert metrics["shed_total"] >= 1
                 assert metrics["deadline_expired_total"] >= 1
         finally:
+            release.set()
             handle.stop()
 
 

@@ -174,7 +174,10 @@ class TestMetricsOverHTTP:
     def test_per_model_metrics_enrichment(self, running, artifact):
         handle, client = running
         client.score(GRAPH, model="fraud")
-        client.score(GRAPH, model="fraud", mode="fit_detect")
+        client.score(OTHER, model="fraud")
+        row = client.metrics()["models"]["fraud"]
+        assert row["requests_served"] == 2
+        assert row["tape_nodes_total"] == 0  # served scoring records no autodiff tape
         client.load_model("fraud", artifact)  # hot swap bumps version
         row = client.metrics()["models"]["fraud"]
         for key in (
@@ -185,10 +188,10 @@ class TestMetricsOverHTTP:
         assert row["version"] == 2 and row["swap_count"] == 1
         # Counters belong to the live entry: the swap reset them.
         assert row["requests_served"] == 0
-        client.score(OTHER, model="fraud", mode="fit_detect")
+        client.score(OTHER, model="fraud")
         row = client.metrics()["models"]["fraud"]
         assert row["requests_served"] == 1
-        assert row["tape_nodes_total"] > 0  # fit mode trains, so the tape grew
+        assert row["tape_nodes_total"] == 0
 
 
 # ----------------------------------------------------------------------
