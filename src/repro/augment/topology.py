@@ -130,15 +130,3 @@ class PatternPreservingAugmentation(Augmentation):
         if not new_features:
             return group_graph
         return group_graph.add_nodes_and_edges(np.vstack(new_features), new_edges)
-
-
-def make_views(
-    group_graph: Graph,
-    rng: np.random.Generator,
-    positive: Optional[Augmentation] = None,
-    negative: Optional[Augmentation] = None,
-) -> Tuple[Graph, Graph]:
-    """Produce the (positive, negative) view pair for one candidate group."""
-    positive = positive or PatternPreservingAugmentation()
-    negative = negative or PatternBreakingAugmentation()
-    return positive(group_graph, rng), negative(group_graph, rng)

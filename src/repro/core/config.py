@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 from repro.gae import MHGAEConfig
 from repro.gcl import TPGCLConfig
@@ -67,17 +66,11 @@ class TPGrGADConfig:
             raise ValueError("contamination must be in (0, 1)")
         # Fill unset (None) stage seeds with distinct streams derived from
         # the master seed.  ``None`` is the unset sentinel: an explicit
-        # stage seed — including 0 — always wins.  The names of the stages
-        # that were derived are recorded (as a plain attribute, not a
-        # dataclass field) so the parallel executor can re-derive exactly
-        # those stages when it assigns per-item child seeds.
+        # stage seed — including 0 — always wins.
         derived = derive_stage_seeds(self.seed)
-        derived_stages = []
         for stage in ("mhgae", "sampler", "tpgcl"):
             if getattr(self, stage).seed is None:
                 getattr(self, stage).seed = derived[stage]
-                derived_stages.append(stage)
-        self.derived_stage_seeds: Tuple[str, ...] = tuple(derived_stages)
 
     def content_hash(self) -> str:
         """Stable content hash of every hyperparameter of every stage.
@@ -98,24 +91,6 @@ class TPGrGADConfig:
 
         payload = json.dumps(config_to_dict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
-
-    def reseed(self, seed: int) -> "TPGrGADConfig":
-        """A deep copy of this config re-derived from a new master ``seed``.
-
-        Only the stages whose seeds were *derived* (left unset when this
-        config was built) follow the new master; explicitly pinned stage
-        seeds are preserved.  This is the per-item derivation used by the
-        parallel executor: the result depends on ``seed`` alone, never on
-        how a batch was sharded.
-        """
-        import copy
-
-        clone = copy.deepcopy(self)
-        clone.seed = int(seed)
-        derived = derive_stage_seeds(clone.seed)
-        for stage in self.derived_stage_seeds:
-            getattr(clone, stage).seed = derived[stage]
-        return clone
 
     @classmethod
     def fast(cls, seed: int = 0) -> "TPGrGADConfig":

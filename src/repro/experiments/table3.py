@@ -109,16 +109,3 @@ def render_table3(records: List[Dict[str, object]]) -> str:
         rows,
         title="Table III — group-level detection results (mean ± stderr over seeds)",
     )
-
-
-def best_method_per_dataset(records: List[Dict[str, object]], metric: str = "CR") -> Dict[str, str]:
-    """Winner per dataset for a metric (used by benchmark assertions)."""
-    winners: Dict[str, str] = {}
-    best: Dict[str, float] = {}
-    for record in records:
-        dataset = str(record["dataset"])
-        value = float(record[metric])
-        if dataset not in best or value > best[dataset]:
-            best[dataset] = value
-            winners[dataset] = str(record["method"])
-    return winners

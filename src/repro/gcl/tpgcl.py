@@ -72,10 +72,6 @@ class TPGCLTrainingResult:
     losses: List[float] = field(default_factory=list)
 
     @property
-    def final_loss(self) -> Optional[float]:
-        return self.losses[-1] if self.losses else None
-
-    @property
     def epochs_run(self) -> int:
         return len(self.losses)
 

@@ -96,10 +96,6 @@ class Group:
         """Return a copy of this group carrying ``score``."""
         return Group(nodes=self.nodes, edges=self.edges, label=self.label, score=float(score))
 
-    def with_label(self, label: str) -> "Group":
-        """Return a copy of this group carrying ``label``."""
-        return Group(nodes=self.nodes, edges=self.edges, label=label, score=self.score)
-
     def node_tuple(self) -> Tuple[int, ...]:
         """Sorted tuple of member nodes (useful as a dict key)."""
         return tuple(sorted(self.nodes))

@@ -400,6 +400,9 @@ class JobStore:
         limit: int = 100,
     ) -> List[JobRecord]:
         """Most recent jobs first, optionally filtered by tenant/state."""
+        if limit < 1:
+            # SQLite reads a negative LIMIT as "no limit".
+            raise ValueError(f"limit must be >= 1, got {limit}")
         clauses, params = [], []  # type: ignore[var-annotated]
         if tenant is not None:
             clauses.append("tenant=?")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,16 +22,6 @@ class EvaluationReport:
     n_predicted: int
     avg_predicted_size: float
     avg_truth_size: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "CR": self.cr,
-            "F1": self.f1,
-            "AUC": self.auc,
-            "n_predicted": self.n_predicted,
-            "avg_predicted_size": self.avg_predicted_size,
-            "avg_truth_size": self.avg_truth_size,
-        }
 
 
 def evaluate_detection(

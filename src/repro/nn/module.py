@@ -74,10 +74,6 @@ class Module:
             module.training = mode
         return self
 
-    def eval(self) -> "Module":
-        """Switch the module (and children) to evaluation mode."""
-        return self.train(False)
-
     # ------------------------------------------------------------------
     # Gradient helpers and state
     # ------------------------------------------------------------------
@@ -85,10 +81,6 @@ class Module:
         """Clear accumulated gradients on every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    def num_parameters(self) -> int:
-        """Total number of scalar trainable values."""
-        return sum(param.size for param in self.parameters())
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Return a copy of every parameter keyed by its qualified name."""

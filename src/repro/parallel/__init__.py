@@ -1,4 +1,4 @@
-"""Parallel sharded execution of pipeline batches and experiment runs.
+"""Parallel sharded execution of pipeline batches.
 
 See :mod:`repro.parallel.executor` for the sharding/parity design and
 ``python -m repro.parallel --help`` for the CLI front end.

@@ -1,6 +1,6 @@
 """CLI for sharded runs: ``python -m repro.parallel <command> [options]``.
 
-Three commands:
+Two commands:
 
 * ``detect`` — score a batch of generated graphs through the sharded
   ``fit_detect_many`` (optionally warm-started from a saved artifact),
@@ -8,8 +8,8 @@ Three commands:
 * ``fit`` — train the pipeline on one dataset and save the model
   artifact (``arrays.npz`` + ``manifest.json``) for later ``detect
   --artifact`` / streaming warm starts.
-* ``experiments`` — shard entries of the experiment registry across
-  worker processes and print each rendered table in input order.
+
+The paper's tables and figures run through ``python -m repro.experiments``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.parallel",
-        description="Sharded TP-GrGAD runs: batched detection, artifact fitting, experiment grids.",
+        description="Sharded TP-GrGAD runs: batched detection and artifact fitting.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -52,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(detect)
     detect.add_argument("--batch", type=int, default=4,
                         help="batch size; graph i is the dataset generated with seed (--seed + i)")
-    detect.add_argument("--chunk-size", type=int, default=None, help="graphs per worker task")
-    detect.add_argument("--derive-seeds", action="store_true",
-                        help="derive a distinct per-graph master seed from the batch index")
     detect.add_argument("--threshold", type=float, default=None, help="explicit score threshold τ")
     detect.add_argument("--artifact", default=None,
                         help="broadcast a saved artifact; workers serve warm detect_only")
@@ -68,16 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", required=True, help="artifact directory to write")
     fit.add_argument("--trace", metavar="PATH", default=None,
                         help="trace the fit (pipeline/gae/tpgcl spans) and dump JSONL")
-
-    experiments = commands.add_parser("experiments", help="shard the experiment registry")
-    experiments.add_argument("names", nargs="+", help="experiment names (or 'all')")
-    experiments.add_argument("--n-workers", type=int, default=default_worker_count())
-    experiments.add_argument("--scale", type=float, default=0.12)
-    experiments.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    experiments.add_argument("--datasets", type=str, nargs="+", default=None)
-    experiments.add_argument("--mhgae-epochs", type=int, default=50)
-    experiments.add_argument("--tpgcl-epochs", type=int, default=10)
-    experiments.add_argument("--baseline-epochs", type=int, default=40)
     return parser
 
 
@@ -99,8 +86,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     executor = ParallelExecutor(
         pipeline_config(args),
         n_workers=args.n_workers,
-        chunk_size=args.chunk_size,
-        derive_seeds=args.derive_seeds,
         artifact=args.artifact,
     )
     tracer = Tracer() if args.trace else None
@@ -163,40 +148,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import EXPERIMENTS, ExperimentSettings
-
-    settings = ExperimentSettings(
-        scale=args.scale,
-        seeds=tuple(args.seeds),
-        mhgae_epochs=args.mhgae_epochs,
-        tpgcl_epochs=args.tpgcl_epochs,
-        baseline_epochs=args.baseline_epochs,
-    )
-    if args.datasets:
-        settings.datasets = list(args.datasets)
-    names = sorted(EXPERIMENTS) if args.names == ["all"] else args.names
-
-    executor = ParallelExecutor(n_workers=args.n_workers)
-    start = time.perf_counter()
-    for name, _records, rendered in executor.run_experiments(names, settings):
-        print(rendered)
-        log.info("[%s done]", name)
-    log.info(
-        "[%d experiments on %d workers in %.1fs]",
-        len(names), args.n_workers, time.perf_counter() - start,
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     setup_logging()
     if args.command == "detect":
         return _cmd_detect(args)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    return _cmd_experiments(args)
+    return _cmd_fit(args)
 
 
 if __name__ == "__main__":

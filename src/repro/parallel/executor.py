@@ -1,28 +1,19 @@
 """Process-pool sharded execution of the TP-GrGAD pipeline.
 
-:class:`ParallelExecutor` shards two workloads across a
-``ProcessPoolExecutor``:
-
-* ``fit_detect_many`` — a batch of graphs is split into contiguous chunks,
-  each scored by a worker process.  Results are **bit-identical to the
-  serial order** by construction: every graph's pipeline is seeded from
-  its config (and, under ``derive_seeds``, from its *batch index* via
-  ``SeedSequence.spawn``), never from worker identity or chunk layout.
-* ``run_experiments`` — entries of the experiment registry
-  (:data:`repro.experiments.EXPERIMENTS`) run as one task each.
+:class:`ParallelExecutor` splits a ``fit_detect_many`` batch into even
+contiguous chunks, one per worker of a ``ProcessPoolExecutor``.  Results
+are **bit-identical to the serial order** by construction: every graph's
+pipeline runs from the config's stage seeds, never from worker identity
+or chunk layout.
 
 Every graph is scored independently, so a batch that repeats a graph
 trains it once per occurrence, exactly like the serial loop.  A
 pre-fitted artifact (see :mod:`repro.persist`) can instead be broadcast
-by path so every worker serves warm ``detect_only`` rather than
-retraining from scratch.
-
-Fitting workers hand back results only; artifact-mode workers load the
-broadcast artifact once per chunk and serve ``detect_only`` from its
-state.
+by path: each worker loads it once per chunk and serves warm
+``detect_only`` rather than retraining from scratch.
 
 On a single-core host the pool still shards correctly (parity is a
-property of seed derivation, not of concurrency); wall-clock speedups
+property of the seeds, not of concurrency); wall-clock speedups
 obviously need real cores.
 """
 
@@ -33,14 +24,13 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.config import TPGrGADConfig
 from repro.core.pipeline import TPGrGAD
 from repro.core.result import GroupDetectionResult
 from repro.graph import Graph
 from repro.obs.tracer import Tracer, current_span_id, get_tracer, use_tracer
-from repro.seeding import spawn_seeds
 
 
 def default_worker_count() -> int:
@@ -58,7 +48,6 @@ def _worker_fit_detect(
     config: TPGrGADConfig,
     graphs: List[Graph],
     threshold: Optional[float],
-    seeds: Optional[List[int]],
     artifact_path: Optional[str],
     trace: Optional[Tuple[str, str, Optional[str], int]] = None,
 ) -> List[GroupDetectionResult]:
@@ -75,35 +64,19 @@ def _worker_fit_detect(
         tracer = Tracer(trace_id=trace_id, parent_span_id=parent_span_id)
         with use_tracer(tracer):
             with tracer.span("parallel.chunk", chunk=chunk_index, n_graphs=len(graphs)):
-                output = _worker_fit_detect(config, graphs, threshold, seeds, artifact_path)
+                output = _worker_fit_detect(config, graphs, threshold, artifact_path)
         tracer.dump_jsonl(os.path.join(shard_dir, f"shard-{chunk_index:05d}.jsonl"))
         return output
 
     if artifact_path is not None:
         detector = TPGrGAD.load(artifact_path)
         return [detector.detect_only(graph, threshold=threshold) for graph in graphs]
-    results: List[GroupDetectionResult] = []
-    for index, graph in enumerate(graphs):
-        # Per-item derived seeds come in via ``seeds`` (the graph's batch
-        # index), so the result cannot depend on which worker or chunk
-        # ran it.
-        item_config = config if seeds is None else config.reseed(seeds[index])
-        results.append(TPGrGAD(item_config).fit_detect(graph, threshold=threshold))
-    return results
-
-
-def _worker_experiment(name: str, settings) -> Tuple[str, List, str]:
-    """Run one experiment registry entry; returns (name, records, rendered)."""
-    from repro.experiments import EXPERIMENTS
-
-    runner, renderer = EXPERIMENTS[name]
-    records = runner(settings)
-    return name, records, renderer(records)
+    return [TPGrGAD(config).fit_detect(graph, threshold=threshold) for graph in graphs]
 
 
 # ----------------------------------------------------------------------
 class ParallelExecutor:
-    """Shard pipeline batches and experiment runs across worker processes.
+    """Shard ``fit_detect_many`` batches across worker processes.
 
     Parameters
     ----------
@@ -113,15 +86,7 @@ class ParallelExecutor:
     n_workers:
         Process count; ``None`` uses the machine's usable CPUs and
         ``<= 1`` runs everything in-process (the serial reference path,
-        same code, no pool).
-    chunk_size:
-        Graphs per worker task; defaults to an even split over
-        ``n_workers``.
-    derive_seeds:
-        Give item ``i`` the master seed ``spawn_seeds(config.seed, n)[i]``
-        (stages that were derived re-derive from it; explicitly pinned
-        stage seeds stay pinned).  Repeated graphs then intentionally get
-        *different* streams.
+        same code, no pool).  The batch is split evenly over them.
     artifact:
         Path of a saved pipeline artifact to broadcast: every worker
         loads it once and serves warm ``detect_only`` for its whole
@@ -140,16 +105,10 @@ class ParallelExecutor:
         self,
         config: Optional[TPGrGADConfig] = None,
         n_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        derive_seeds: bool = False,
         artifact: Optional[str] = None,
     ) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.config = config or TPGrGADConfig()
         self.n_workers = default_worker_count() if n_workers is None else int(n_workers)
-        self.chunk_size = chunk_size
-        self.derive_seeds = derive_seeds
         self.artifact = None if artifact is None else str(artifact)
 
     # ------------------------------------------------------------------
@@ -157,7 +116,7 @@ class ParallelExecutor:
         """Contiguous ``[start, end)`` chunk bounds covering ``n_items``."""
         if n_items == 0:
             return []
-        size = self.chunk_size or math.ceil(n_items / max(1, self.n_workers))
+        size = math.ceil(n_items / max(1, self.n_workers))
         return [(start, min(start + size, n_items)) for start in range(0, n_items, size)]
 
     # ------------------------------------------------------------------
@@ -168,10 +127,6 @@ class ParallelExecutor:
         graphs = list(graphs)
         if not graphs:
             return []
-
-        seeds: Optional[List[int]] = (
-            spawn_seeds(self.config.seed, len(graphs)) if self.derive_seeds else None
-        )
 
         bounds = self._chunks(len(graphs))
         tracer = get_tracer()
@@ -189,7 +144,6 @@ class ParallelExecutor:
                     self.config,
                     graphs[start:end],
                     threshold,
-                    None if seeds is None else seeds[start:end],
                     self.artifact,
                     (shard_dir, tracer.trace_id, parent_span_id, chunk)
                     if shard_dir is not None
@@ -213,28 +167,3 @@ class ParallelExecutor:
                     shutil.rmtree(shard_dir, ignore_errors=True)
 
         return [result for chunk_results in shard_outputs for result in chunk_results]
-
-    # ------------------------------------------------------------------
-    def run_experiments(
-        self, names: Sequence[str], settings
-    ) -> List[Tuple[str, List, str]]:
-        """Run experiment registry entries in parallel, input order kept.
-
-        Each element of the returned list is ``(name, records, rendered)``
-        — exactly what the serial ``python -m repro.experiments`` loop
-        produces per experiment.
-        """
-        from repro.experiments import EXPERIMENTS
-
-        names = list(names)
-        unknown = sorted(set(names) - set(EXPERIMENTS))
-        if unknown:
-            raise KeyError(f"unknown experiments {unknown}; available: {sorted(EXPERIMENTS)}")
-        if not names:
-            return []
-        if self.n_workers <= 1 or len(names) == 1:
-            return [_worker_experiment(name, settings) for name in names]
-        with ProcessPoolExecutor(max_workers=min(self.n_workers, len(names))) as pool:
-            futures = [pool.submit(_worker_experiment, name, settings) for name in names]
-            return [future.result() for future in futures]
-

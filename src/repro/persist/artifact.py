@@ -9,10 +9,13 @@ An artifact is a directory with two files:
   :meth:`repro.nn.Module.state_dict`), saved uncompressed so the bytes
   round-trip exactly and a loaded pipeline reproduces in-memory scores
   bit for bit.
-* ``manifest.json`` — the full pipeline config, the fingerprint of the
-  graph the pipeline was fitted on, the feature dimensionality the
-  encoder weights require, library versions, and the artifact format
-  version.  All values pass through
+* ``manifest.json`` — the full pipeline config (its dataclass fields and
+  nothing else, so ``config_hash`` is exactly the config's identity), the
+  fingerprint of the graph the pipeline was fitted on, the feature
+  dimensionality the encoder weights require, library versions, and the
+  artifact format version (3 since the config dict holds only those
+  fields; a manifest of any other version is refused on load).  All
+  values pass through
   :func:`repro.persist.serialize.to_native`, so numpy scalars in configs
   can never corrupt the manifest.
 
@@ -37,7 +40,7 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -49,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gcl import TPGCL
     from repro.graph import Graph
 
-ARTIFACT_FORMAT_VERSION = 2
+ARTIFACT_FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
 
@@ -61,18 +64,10 @@ _TPGCL_PREFIX = "tpgcl."
 # Config (de)serialisation
 # ----------------------------------------------------------------------
 def config_to_dict(config: "TPGrGADConfig") -> Dict:
-    """The full pipeline config as a nested JSON-ready dict.
-
-    Besides the dataclass fields this records ``derived_stage_seeds`` —
-    which stage seeds were derived rather than pinned — so a round-tripped
-    config keeps its ``reseed()`` semantics (a reconstructed config whose
-    stage seeds all *look* explicit would silently stop re-deriving).
-    """
+    """The full pipeline config as a nested JSON-ready dict of its fields."""
     import dataclasses
 
-    payload = to_native(dataclasses.asdict(config))
-    payload["derived_stage_seeds"] = list(config.derived_stage_seeds)
-    return payload
+    return to_native(dataclasses.asdict(config))
 
 
 def config_from_dict(payload: Dict) -> "TPGrGADConfig":
@@ -83,13 +78,10 @@ def config_from_dict(payload: Dict) -> "TPGrGADConfig":
     from repro.sampling import SamplerConfig
 
     payload = dict(payload)
-    derived = tuple(payload.pop("derived_stage_seeds", ()))
     payload["mhgae"] = MHGAEConfig(**payload["mhgae"])
     payload["sampler"] = SamplerConfig(**payload["sampler"])
     payload["tpgcl"] = TPGCLConfig(**payload["tpgcl"])
-    config = TPGrGADConfig(**payload)
-    config.derived_stage_seeds = derived
-    return config
+    return TPGrGADConfig(**payload)
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +101,6 @@ class PipelineState:
     mhgae_state: Optional[Dict[str, np.ndarray]] = None
     tpgcl_state: Optional[Dict[str, np.ndarray]] = None
     graph_fingerprint: Optional[str] = None
-    derived_stage_seeds: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -131,7 +122,6 @@ class PipelineState:
             mhgae_state=mhgae.state_dict(),
             tpgcl_state=None if tpgcl is None else tpgcl.state_dict(),
             graph_fingerprint=graph.fingerprint(),
-            derived_stage_seeds=tuple(config.derived_stage_seeds),
         )
 
     # ------------------------------------------------------------------
@@ -202,8 +192,6 @@ class PipelineState:
             {
                 "format_version": ARTIFACT_FORMAT_VERSION,
                 "method": "TP-GrGAD",
-                # config_to_dict embeds derived_stage_seeds — the single
-                # source the loader restores reseed() semantics from.
                 "config": config_to_dict(self.config),
                 "config_hash": self.config_hash(),
                 "dtype": self.stage_dtypes(),
@@ -251,7 +239,7 @@ class PipelineState:
                 f"unsupported artifact format_version {version!r} "
                 f"(this build reads {ARTIFACT_FORMAT_VERSION})"
             )
-        config = config_from_dict(manifest["config"])  # restores derived_stage_seeds
+        config = config_from_dict(manifest["config"])
         recorded_hash = manifest.get("config_hash")
         if recorded_hash is not None and recorded_hash != config.content_hash():
             # A hand-edited manifest config no longer matches the identity
@@ -283,9 +271,6 @@ class PipelineState:
         tpgcl_state: Optional[Dict[str, np.ndarray]] = None
         with np.load(root / ARRAYS_NAME) as arrays:
             for key in arrays.files:
-                # Stored arrays from older (pre-dtype) artifacts are always
-                # float64; cast to the stage's training dtype so the bound
-                # models run in the precision their config declares.
                 if key.startswith(_MHGAE_PREFIX):
                     mhgae_state = mhgae_state or {}
                     mhgae_state[key[len(_MHGAE_PREFIX):]] = np.asarray(
@@ -306,6 +291,5 @@ class PipelineState:
             mhgae_state=mhgae_state,
             tpgcl_state=tpgcl_state,
             graph_fingerprint=manifest.get("graph_fingerprint"),
-            derived_stage_seeds=tuple(config.derived_stage_seeds),
         )
 

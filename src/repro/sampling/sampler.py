@@ -130,12 +130,6 @@ class CandidateGroupSampler:
             self._rng = np.random.default_rng(resolve_seed(self.config.seed))
         return self._rng
 
-    def reset_rng(self, seed: Optional[int] = None) -> None:
-        """Rewind the persistent stream (to ``seed`` or ``config.seed``)."""
-        self._rng = np.random.default_rng(
-            resolve_seed(self.config.seed) if seed is None else seed
-        )
-
     # ------------------------------------------------------------------
     def sample(
         self,

@@ -1,6 +1,6 @@
-"""Seed plumbing shared by configs, the parallel executor and persistence.
+"""Seed plumbing shared by the stage configs and the pipeline config.
 
-Three rules keep every execution mode (serial, sharded, warm-started)
+Two rules keep every execution mode (serial, sharded, warm-started)
 reproducible:
 
 1. **``None`` means unset.**  Stage configs default their ``seed`` to
@@ -11,16 +11,14 @@ reproducible:
    via :class:`numpy.random.SeedSequence`, so the MH-GAE, sampler and
    TPGCL stages never consume the *same* stream (the old behaviour of
    copying the master seed verbatim into every stage).
-3. **Per-item seeds are derived by index, not by worker.**
-   :func:`spawn_seeds` uses ``SeedSequence.spawn`` keyed on the item's
-   position in the batch, so sharding a batch across processes cannot
-   change any item's stream — sharded results are bit-identical to the
-   serial order.
+
+A config's stage seeds are then the only seed fact: every graph of a
+batch runs from them, whichever worker or chunk scores it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,15 +46,3 @@ def derive_stage_seeds(master: int) -> Dict[str, int]:
     state = np.random.SeedSequence(int(master)).generate_state(len(STAGE_NAMES))
     return {stage: int(value) for stage, value in zip(STAGE_NAMES, state)}
 
-
-def spawn_seeds(master: int, n: int) -> List[int]:
-    """``n`` independent child seeds of ``master`` via ``SeedSequence.spawn``.
-
-    Child ``i`` depends only on ``(master, i)`` — never on how a batch is
-    chunked or which worker processes item ``i`` — which is what makes
-    sharded execution bit-identical to the serial order.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    children = np.random.SeedSequence(int(master)).spawn(n)
-    return [int(child.generate_state(1)[0]) for child in children]

@@ -47,7 +47,7 @@ import copy
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -543,7 +543,3 @@ class IncrementalTPGrGAD:
             if tracer.enabled:
                 span.set("refit", refit)
             return self.result
-
-    def update_all(self, deltas: Sequence[GraphDelta]) -> List[TickReport]:
-        """Apply a sequence of deltas, one tick each."""
-        return [self.update(delta) for delta in deltas]

@@ -1,10 +1,9 @@
 """Functional helpers built on top of :class:`repro.tensor.Tensor`.
 
 These free functions mirror the small subset of ``torch.nn.functional``
-the models in this repository use: row-wise softmax / log-softmax,
-numerically stable binary cross entropy, mean squared error, L2
-normalisation, and a sparse-dense matrix product (``spmm``) for GCN
-propagation with scipy CSR matrices.
+the models in this repository use: a row-wise softmax, concatenation,
+and a sparse-dense matrix product (``spmm``) for GCN propagation with
+scipy CSR matrices.
 
 The fused training kernels of the fast training engine (DESIGN.md, "Fast
 training engine") live next to the models they serve: the row-blocked GAE
@@ -50,45 +49,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log of the softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error between ``prediction`` and ``target``."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).mean()
-
-
-def binary_cross_entropy(prediction: Tensor, target: Tensor, eps: float = 1e-7) -> Tensor:
-    """Binary cross entropy for probabilities in ``[0, 1]``."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    clipped = prediction.clip(eps, 1.0 - eps)
-    loss = -(target_t.detach() * clipped.log() + (1.0 - target_t.detach()) * (1.0 - clipped).log())
-    return loss.mean()
-
-
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Normalise rows (or the given axis) of ``x`` to unit L2 norm."""
-    norm = ((x * x).sum(axis=axis, keepdims=True) + eps) ** 0.5
-    return x / norm
-
-
-def row_errors(prediction: np.ndarray, target: np.ndarray, ord: int = 2) -> np.ndarray:
-    """Per-row reconstruction error (plain numpy helper, no gradients).
-
-    Used by the GAE family to turn reconstructed matrices into per-node
-    anomaly scores, cf. Eqn. (1) of the paper.
-    """
-    diff = np.asarray(prediction, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    if ord == 2:
-        return np.sqrt((diff ** 2).sum(axis=1))
-    return np.abs(diff).sum(axis=1)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -220,10 +220,6 @@ class Tensor:
         """Return the underlying array (shared, not copied)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -16,7 +16,6 @@ from repro.augment import (
     get_augmentation,
 )
 from repro.augment.patterns import pattern_statistics
-from repro.augment.topology import make_views
 from repro.graph import Graph
 
 
@@ -123,10 +122,6 @@ class TestPatternPreserving:
     def test_ppa_identity_on_patternless_graph(self, rng):
         graph = Graph(2, [], np.zeros((2, 2)))
         assert PatternPreservingAugmentation()(graph, rng).n_nodes == 2
-
-    def test_make_views_returns_pair(self, rng):
-        positive, negative = make_views(path_graph(5), rng)
-        assert positive.n_nodes > negative.n_nodes
 
 
 class TestBaselineAugmentations:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ class TestConfig:
         stage_seeds = {config.mhgae.seed, config.sampler.seed, config.tpgcl.seed}
         assert len(stage_seeds) == 3
         assert 5 not in stage_seeds
-        assert config.derived_stage_seeds == ("mhgae", "sampler", "tpgcl")
         # The derivation is deterministic: same master, same stage seeds.
         again = TPGrGADConfig.fast(seed=5)
         assert (again.mhgae.seed, again.sampler.seed, again.tpgcl.seed) == (
@@ -50,17 +51,20 @@ class TestConfig:
         # silently overwritten by the master seed.  0 must stick.
         config = TPGrGADConfig(mhgae=MHGAEConfig(seed=0), seed=7)
         assert config.mhgae.seed == 0
-        assert "mhgae" not in config.derived_stage_seeds
 
-    def test_reseed_rederives_only_unpinned_stages(self):
-        config = TPGrGADConfig(mhgae=MHGAEConfig(seed=42), seed=7)
-        clone = config.reseed(8)
-        assert clone.seed == 8
-        assert clone.mhgae.seed == 42  # pinned stays pinned
-        assert clone.sampler.seed != config.sampler.seed  # derived follows
-        assert clone.tpgcl.seed != config.tpgcl.seed
-        # Original untouched.
-        assert config.seed == 7
+    def test_pinned_stage_seeds_share_the_derived_identity(self):
+        # Pinning each stage seed to the value the master would derive
+        # builds the same pipeline, so it must be the same model identity.
+        derived = TPGrGADConfig(seed=7)
+        pinned = TPGrGADConfig(
+            mhgae=dataclasses.replace(derived.mhgae),
+            sampler=dataclasses.replace(derived.sampler),
+            tpgcl=dataclasses.replace(derived.tpgcl),
+            seed=7,
+        )
+        assert repr(pinned) == repr(derived)
+        assert pinned.content_hash() == derived.content_hash()
+        assert TPGrGADConfig(seed=8).content_hash() != derived.content_hash()
 
 
 class TestResultContainer:

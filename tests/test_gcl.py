@@ -224,7 +224,6 @@ class TestTPGCL:
         model = TPGCL(TPGCLConfig(epochs=3, batch_size=4, hidden_dim=8, embedding_dim=8))
         model.fit(example_graph, candidate_groups)
         assert len(model.training_result.losses) == 3
-        assert model.training_result.final_loss is not None
 
     def test_needs_two_groups(self, example_graph):
         model = TPGCL(TPGCLConfig(epochs=1))

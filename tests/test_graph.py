@@ -62,7 +62,7 @@ class TestGroup:
         scored = group.with_score(0.7)
         assert group.score is None
         assert scored.score == pytest.approx(0.7)
-        assert scored.with_label("x").label == "x"
+        assert scored.label == group.label
 
     def test_iteration_sorted(self):
         assert list(Group.from_nodes([5, 2, 9])) == [2, 5, 9]

@@ -243,6 +243,15 @@ class TestRetentionAndStats:
         kept = store.list(state="done")
         assert [record.result["result"]["index"] for record in kept] == [3, 2]
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_list_refuses_a_limit_below_one(self, store, limit):
+        # SQLite reads a negative LIMIT as "no limit": -1 listed every row.
+        for index in range(3):
+            _submit(store, fingerprint=f"fp-{index}")
+        assert len(store.list(limit=2)) == 2
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            store.list(limit=limit)
+
     def test_wal_mode_survives_concurrent_submit_and_poll(self, tmp_path):
         """A second connection on the same file reads while we write."""
         path = tmp_path / "wal.sqlite"
@@ -457,6 +466,8 @@ class TestJobsCli:
         payload = json.loads(capsys.readouterr().out)
         assert [job["job_id"] for job in payload["jobs"]] == [done_id]
         assert payload["stats"]["states"]["queued"] == 1
+        assert jobs_main(["ls", "--store", path, "--limit", "-1"]) == 1
+        assert "limit must be >= 1" in capsys.readouterr().err
 
     def test_show_record_and_result(self, populated, capsys):
         path, done_id, failed_id = populated

@@ -275,6 +275,16 @@ class TestTenantsAndListing:
             team_a.close()
             team_b.close()
 
+    def test_limit_below_one_is_400(self, running):
+        _, client = running
+        client.submit_job(GRAPH)
+        # SQLite reads a negative LIMIT as "no limit": -1 listed every row.
+        for limit in (0, -1):
+            with pytest.raises(ServeError) as excinfo:
+                client.jobs(limit=limit)
+            assert excinfo.value.status == 400
+            assert "limit must be >= 1" in str(excinfo.value)
+
     def test_metrics_json_and_prometheus_cover_jobs(self, running):
         handle, client = running
         client.submit_job(GRAPH)

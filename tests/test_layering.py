@@ -194,14 +194,18 @@ def unreferenced_functions(sources: Dict[str, str], package_prefix: str) -> List
 
     ``sources`` maps a repository-relative path to its text.  A name
     counts as referenced when it occurs as a word more often than it is
-    defined anywhere in ``sources`` — a call, an import, an attribute, a
-    string (``getattr`` dispatch) or a docstring all count.  Dunder
-    methods are exempt: Python calls them implicitly.
+    defined in ``sources`` outside ``tests/`` — a call, an import, an
+    attribute, a string (``getattr`` dispatch) or a docstring all count.
+    Tests are not callers: a function only a test calls is dead code
+    with a test.  Dunder methods are exempt: Python calls them
+    implicitly.
     """
     words: Counter = Counter()
     defs: Counter = Counter()
     candidates = []
     for path, text in sources.items():
+        if path.startswith("tests/"):
+            continue
         words.update(re.findall(r"\w+", text))
         for node in ast.walk(ast.parse(text, filename=path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -219,9 +223,18 @@ def test_dead_code_scan_flags_only_def_only_names():
     sources = {
         "src/repro/m.py": "def used():\n    pass\n\ndef orphan():\n    pass\n\n"
         "class A:\n    def __len__(self):\n        return 0\n",
-        "tests/test_m.py": "from repro.m import used\n\ndef test_used():\n    used()\n",
+        "src/repro/n.py": "from repro.m import used\n\nused()\n",
     }
     assert unreferenced_functions(sources, "src/repro/") == ["src/repro/m.py:4: orphan"]
+
+
+def test_dead_code_scan_does_not_count_tests_as_callers():
+    sources = {
+        "src/repro/m.py": "def tested_only():\n    pass\n",
+        "tests/test_m.py": "from repro.m import tested_only\n\n"
+        "def test_it():\n    tested_only()\n",
+    }
+    assert unreferenced_functions(sources, "src/repro/") == ["src/repro/m.py:1: tested_only"]
 
 
 def test_no_unreferenced_functions_in_src():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,7 @@ class TestEvaluationReport:
         assert report.f1 == pytest.approx(1.0)
         assert report.auc == pytest.approx(1.0)
         assert report.n_predicted == 1
-        as_dict = report.as_dict()
-        assert set(as_dict) == {"CR", "F1", "AUC", "n_predicted", "avg_predicted_size", "avg_truth_size"}
+        assert set(dataclasses.asdict(report)) == {"cr", "f1", "auc", "n_predicted", "avg_predicted_size", "avg_truth_size"}
 
     def test_report_uses_explicit_anomalous_groups(self):
         truth = [group(0, 1, 2)]

@@ -52,10 +52,6 @@ class TestModule:
         assert "linears.1.bias" in names
         assert len(names) == 4
 
-    def test_num_parameters(self, rng):
-        linear = Linear(4, 3, rng)
-        assert linear.num_parameters() == 4 * 3 + 3
-
     def test_state_dict_roundtrip(self, rng):
         source = MLP([3, 5, 2], rng)
         target = MLP([3, 5, 2], np.random.default_rng(99))
@@ -71,7 +67,7 @@ class TestModule:
 
     def test_train_eval_propagates(self, rng):
         model = Sequential(Linear(2, 2, rng), Dropout(0.5, rng))
-        model.eval()
+        model.train(False)
         assert all(not module.training for module in model.modules())
         model.train()
         assert all(module.training for module in model.modules())

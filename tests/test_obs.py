@@ -261,7 +261,7 @@ class TestPipelineInstrumentation:
         from repro.parallel import ParallelExecutor
 
         graphs = [make_example_graph(seed=s) for s in (5, 6)]
-        executor = ParallelExecutor(_tiny_config(), n_workers=2, chunk_size=1)
+        executor = ParallelExecutor(_tiny_config(), n_workers=2)
         tracer = Tracer()
         with use_tracer(tracer):
             results = executor.fit_detect_many(graphs)

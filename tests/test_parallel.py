@@ -1,4 +1,4 @@
-"""Sharded execution: serial parity, seed derivation, artifact broadcast."""
+"""Sharded execution: serial parity, stage seeds, artifact broadcast."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.gae import MHGAEConfig
 from repro.gcl import TPGCLConfig
 from repro.parallel import ParallelExecutor, default_worker_count
 from repro.sampling import SamplerConfig
-from repro.seeding import derive_stage_seeds, resolve_seed, spawn_seeds
+from repro.seeding import derive_stage_seeds, resolve_seed
 
 
 def _tiny_config(seed: int = 1) -> TPGrGADConfig:
@@ -46,15 +46,6 @@ class TestSeeding:
         assert len(set(a.values())) == 3
         assert a != derive_stage_seeds(4)
 
-    def test_spawn_seeds_by_index_not_chunk(self):
-        whole = spawn_seeds(9, 8)
-        assert whole[:4] == spawn_seeds(9, 8)[:4]
-        assert len(set(whole)) == 8
-
-    def test_spawn_seeds_validates(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
-
 
 class TestShardedParity:
     def test_two_workers_match_serial(self, graphs, serial_results):
@@ -62,8 +53,8 @@ class TestShardedParity:
         sharded = executor.fit_detect_many(graphs)
         assert [r.to_json_dict() for r in sharded] == serial_results
 
-    def test_chunk_size_one_matches_serial(self, graphs, serial_results):
-        executor = ParallelExecutor(_tiny_config(), n_workers=2, chunk_size=1)
+    def test_one_graph_per_worker_matches_serial(self, graphs, serial_results):
+        executor = ParallelExecutor(_tiny_config(), n_workers=len(graphs))
         sharded = executor.fit_detect_many(graphs)
         assert [r.to_json_dict() for r in sharded] == serial_results
 
@@ -73,10 +64,6 @@ class TestShardedParity:
 
     def test_empty_batch(self):
         assert ParallelExecutor(_tiny_config(), n_workers=2).fit_detect_many([]) == []
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(_tiny_config(), chunk_size=0)
 
 
 class TestRepeatedGraphs:
@@ -91,21 +78,6 @@ class TestRepeatedGraphs:
         results = executor.fit_detect_many([graphs[0], graphs[0]])
         results[0].embeddings[:] = 0.0
         assert np.abs(results[1].embeddings).sum() > 0.0
-
-
-class TestDerivedSeeds:
-    def test_sharding_invariant(self, graphs):
-        one = ParallelExecutor(_tiny_config(), n_workers=1, derive_seeds=True)
-        two = ParallelExecutor(_tiny_config(), n_workers=2, derive_seeds=True, chunk_size=1)
-        a = one.fit_detect_many(graphs)
-        b = two.fit_detect_many(graphs)
-        assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
-
-    def test_identical_graphs_get_distinct_streams(self, graphs):
-        executor = ParallelExecutor(_tiny_config(), n_workers=1, derive_seeds=True)
-        results = executor.fit_detect_many([graphs[0], graphs[0]])
-        # Distinct per-index master seeds: same graph, different pipelines.
-        assert results[0].to_json_dict() != results[1].to_json_dict()
 
 
 class TestArtifactBroadcast:
@@ -136,26 +108,6 @@ class TestArtifactBroadcast:
         assert results[1].to_json_dict() == results[3].to_json_dict()
         direct = TPGrGAD.load(str(artifact)).detect_only(graphs[1])
         assert np.abs(results[1].scores - direct.scores).max() <= 1e-8
-
-
-class TestExperimentSharding:
-    def test_registry_shards_and_preserves_order(self):
-        from repro.experiments import ExperimentSettings
-
-        settings = ExperimentSettings(datasets=["simml"], scale=0.05, seeds=(0,))
-        executor = ParallelExecutor(n_workers=2)
-        runs = executor.run_experiments(["table1", "table1"], settings)
-        assert [name for name, _, _ in runs] == ["table1", "table1"]
-        # Same experiment, same settings: identical records and rendering.
-        assert runs[0][1] == runs[1][1]
-        assert "simML" in runs[0][2]
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(KeyError, match="unknown experiments"):
-            ParallelExecutor(n_workers=1).run_experiments(["nope"], None)
-
-    def test_empty_names(self):
-        assert ParallelExecutor(n_workers=1).run_experiments([], None) == []
 
 
 def test_default_worker_count_positive():

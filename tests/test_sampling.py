@@ -170,16 +170,6 @@ class TestMergeAndSampler:
         ]
         assert explicit == baseline
 
-    def test_reset_rng_rewinds_the_stream(self):
-        rng = np.random.default_rng(0)
-        graph = Graph(40, rng.integers(0, 40, size=(100, 2)), np.zeros((40, 1)))
-        anchors = list(range(20))
-        sampler = CandidateGroupSampler(SamplerConfig(max_anchor_pairs=25, seed=9))
-        first = [g.node_tuple() for g in sampler.sample(graph, anchors)]
-        sampler.sample(graph, anchors)
-        sampler.reset_rng()
-        assert [g.node_tuple() for g in sampler.sample(graph, anchors)] == first
-
     def test_sampler_covers_planted_group(self, example_graph):
         """Anchors inside a planted group should produce a candidate covering most of it."""
         target = example_graph.groups[0]

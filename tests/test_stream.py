@@ -242,7 +242,8 @@ class TestIncrementalParity:
             incremental = IncrementalTPGrGAD(
                 stream_graph, config, StreamConfig(refit_policy=policy, drift_budget=0.9)
             )
-            incremental.update_all(_growth_deltas(stream_graph, steps=3, seed=7))
+            for delta in _growth_deltas(stream_graph, steps=3, seed=7):
+                incremental.update(delta)
             final = incremental.finalize()
             expected = TPGrGAD(TPGrGADConfig.fast(seed=3)).fit_detect(incremental.graph)
             assert np.array_equal(final.scores, expected.scores)

@@ -461,7 +461,6 @@ class TestFloat32Parity:
                 else None
             ),
             graph_fingerprint=state.graph_fingerprint,
-            derived_stage_seeds=state.derived_stage_seeds,
         )
         r32 = TPGrGAD.from_state(state32).detect_only(example_graph)
 

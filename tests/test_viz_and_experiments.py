@@ -19,7 +19,6 @@ from repro.experiments import (
 )
 from repro.experiments.figure6 import pba_ppa_rank
 from repro.experiments.figure7 import embedding_separation
-from repro.experiments.table3 import best_method_per_dataset
 from repro.viz import format_bar_chart, format_heatmap, format_table, tsne
 
 
@@ -114,13 +113,6 @@ class TestExperimentHarness:
         assert by_method["MH-GAE"]["deep_recall"] >= by_method["DOMINANT"]["deep_recall"]
         assert by_method["MH-GAE"]["recall"] >= 0.5
         assert "Figure 8" in render_figure8(records)
-
-    def test_best_method_helper(self):
-        records = [
-            {"dataset": "d", "method": "A", "CR": 0.2},
-            {"dataset": "d", "method": "B", "CR": 0.9},
-        ]
-        assert best_method_per_dataset(records)["d"] == "B"
 
     def test_pba_ppa_rank_helper(self):
         record = {"augmentations": ["PBA", "PPA"], "grid": [[0.1, 0.9], [0.2, 0.3]]}
