@@ -2,14 +2,19 @@
 
 A speed-up read from a ``BENCH_*.json`` only means something together with
 the host it was measured on: how many cores the process may use, which
-BLAS numpy links and how many threads that BLAS runs.
+BLAS numpy links and how many threads that BLAS runs.  :func:`arm_usage`
+adds what one arm of a wall-clock ratio cost in CPU and how loaded the
+host was meanwhile, so a missed ratio shows whether the arm did extra
+work or shared the cores with someone else.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from typing import Dict, Optional
+import resource
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -46,3 +51,31 @@ def host_facts() -> Dict:
         "blas_threads": _openblas_threads(),
         "numpy": np.__version__,
     }
+
+
+def _cpu_seconds() -> float:
+    """User + system CPU of this process and of every child it has reaped."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
+
+
+@contextmanager
+def arm_usage() -> Iterator[Dict]:
+    """CPU seconds and load average around one benchmark arm.
+
+    The yielded dict is filled on exit: ``cpu_seconds`` is the
+    ``RUSAGE_SELF`` + ``RUSAGE_CHILDREN`` delta (all threads of this
+    process, plus child processes reaped during the arm, such as a
+    process pool's workers once it shuts down), and ``loadavg_before`` /
+    ``loadavg_after`` are ``os.getloadavg()`` at the arm's edges.
+    """
+    usage: Dict = {}
+    load_before = os.getloadavg()
+    cpu_before = _cpu_seconds()
+    yield usage
+    usage["cpu_seconds"] = round(_cpu_seconds() - cpu_before, 3)
+    usage["loadavg_before"] = [round(load, 2) for load in load_before]
+    usage["loadavg_after"] = [round(load, 2) for load in os.getloadavg()]

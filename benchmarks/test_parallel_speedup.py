@@ -12,8 +12,12 @@ Pins the acceptance claims of the parallel executor:
    parity, and records the measured ratio for the trajectory.
 
 Writes ``BENCH_parallel.json`` with the host facts of
-``benchmarks/hostinfo.py`` (tracked in git, uploaded by the CI parallel
-job); ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
+``benchmarks/hostinfo.py`` and each arm's CPU seconds and load average
+(``serial_usage`` / ``sharded_usage``, see ``hostinfo.arm_usage``): a
+missed ratio with equal CPU and a high load average is host contention,
+a sharded arm with more CPU than the serial one did extra work.  The file
+is tracked in git and uploaded by the CI parallel job; ``BENCH_OUT_DIR``
+picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.datasets import make_example_graph
 from repro.parallel import ParallelExecutor, default_worker_count
 from repro.persist import dump_json
 
-from hostinfo import host_facts
+from hostinfo import arm_usage, host_facts
 
 N_GRAPHS = 8
 N_WORKERS = 2
@@ -54,16 +58,18 @@ def test_sharded_batch_parity_and_speedup(benchmark, bench_json_path):
     graphs = [make_example_graph(seed=seed) for seed in range(N_GRAPHS)]
 
     serial_detector = TPGrGAD(_config())
-    serial_start = time.perf_counter()
-    serial = serial_detector.fit_detect_many(graphs)
-    serial_seconds = time.perf_counter() - serial_start
+    with arm_usage() as serial_usage:
+        serial_start = time.perf_counter()
+        serial = serial_detector.fit_detect_many(graphs)
+        serial_seconds = time.perf_counter() - serial_start
 
     executor = ParallelExecutor(_config(), n_workers=N_WORKERS)
-    sharded_start = time.perf_counter()
-    sharded = benchmark.pedantic(
-        lambda: executor.fit_detect_many(graphs), rounds=1, iterations=1
-    )
-    sharded_seconds = time.perf_counter() - sharded_start
+    with arm_usage() as sharded_usage:
+        sharded_start = time.perf_counter()
+        sharded = benchmark.pedantic(
+            lambda: executor.fit_detect_many(graphs), rounds=1, iterations=1
+        )
+        sharded_seconds = time.perf_counter() - sharded_start
 
     # --- claim 1: bit-identical to the serial order ----------------------
     assert len(sharded) == len(serial)
@@ -103,13 +109,17 @@ def test_sharded_batch_parity_and_speedup(benchmark, bench_json_path):
             "required_speedup": REQUIRED_SPEEDUP,
             "speedup_enforced": usable_cores >= N_WORKERS,
             "parity_max_abs_diff": parity_max_abs_diff,
+            "serial_usage": serial_usage,
+            "sharded_usage": sharded_usage,
         },
     )
 
     print(
         f"\nsharded {N_GRAPHS}-graph batch on {N_WORKERS} workers "
         f"({usable_cores} usable cores): serial {serial_seconds:.1f}s, "
-        f"sharded {sharded_seconds:.1f}s ({speedup:.2f}x)"
+        f"sharded {sharded_seconds:.1f}s ({speedup:.2f}x); CPU serial "
+        f"{serial_usage['cpu_seconds']:.1f}s, sharded {sharded_usage['cpu_seconds']:.1f}s; "
+        f"1-min load {serial_usage['loadavg_before'][0]} -> {sharded_usage['loadavg_after'][0]}"
     )
     if usable_cores >= N_WORKERS:
         assert speedup >= REQUIRED_SPEEDUP, (

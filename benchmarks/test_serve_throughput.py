@@ -19,8 +19,11 @@ Pins the acceptance claims of the online scoring service:
    yet.
 
 Writes ``BENCH_serve.json`` with the host facts of
-``benchmarks/hostinfo.py`` (tracked in git, uploaded by the CI serve
-job); ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
+``benchmarks/hostinfo.py`` and, in every arm's summary, the closed loop's
+CPU seconds and load average (``usage``, see ``hostinfo.arm_usage``), so
+a missed ratio shows host load apart from extra work.  The file is
+tracked in git and uploaded by the CI serve job; ``BENCH_OUT_DIR`` picks
+its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.persist import dump_json
 from repro.sampling import SamplerConfig
 from repro.serve import ModelRegistry, ScoringClient, ServeConfig, start_server_thread
 
-from hostinfo import host_facts
+from hostinfo import arm_usage, host_facts
 
 CONCURRENCY = 8
 REQUESTS_PER_CLIENT = 6
@@ -88,8 +91,9 @@ def _max_score_diff(direct: Dict[str, np.ndarray], graphs: Sequence[Graph], resp
     return diff
 
 
-def _arm_summary(metrics: Dict) -> Dict:
+def _arm_summary(metrics: Dict, usage: Dict) -> Dict:
     return {
+        "usage": usage,
         "scored_total": metrics["scored_total"],
         "mean_batch_size": metrics["mean_batch_size"],
         "batch_size_histogram": metrics["batch_size_histogram"],
@@ -125,9 +129,10 @@ def test_micro_batched_serving_speedup(tmp_path, benchmark, bench_json_path):
         with start_server_thread(registry, config) as handle:
             with ScoringClient(port=handle.port) as client:
                 warm = [client.score(graph) for graph in graphs]  # warm + parity probe
-                elapsed, responses = _closed_loop(handle.port, schedule)
+                with arm_usage() as usage:
+                    elapsed, responses = _closed_loop(handle.port, schedule)
                 metrics = client.metrics()
-        return warm, elapsed, responses, metrics
+        return warm, elapsed, responses, _arm_summary(metrics, usage)
 
     loaded = TPGrGAD.load(artifact)
     direct = {graph.fingerprint(): loaded.detect_only(graph).scores for graph in graphs + distinct}
@@ -192,15 +197,15 @@ def test_micro_batched_serving_speedup(tmp_path, benchmark, bench_json_path):
             "distinct_speedup": round(distinct_speedup, 2),
             "distinct_dedup_hits_total": distinct_batched_metrics["dedup_hits_total"],
             "parity_max_abs_diff": parity_diff,
-            "sequential": _arm_summary(sequential_metrics),
-            "batched": _arm_summary(batched_metrics),
+            "sequential": sequential_metrics,
+            "batched": batched_metrics,
             "distinct": {
                 "graph_pool": n_requests,
                 "sequential_rps": round(distinct_sequential_rps, 2),
                 "batched_rps": round(distinct_batched_rps, 2),
                 "parity_max_abs_diff": distinct_parity_diff,
-                "sequential": _arm_summary(distinct_sequential_metrics),
-                "batched": _arm_summary(distinct_batched_metrics),
+                "sequential": distinct_sequential_metrics,
+                "batched": distinct_batched_metrics,
             },
         },
     )

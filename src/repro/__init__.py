@@ -1,6 +1,6 @@
 """TP-GrGAD: Topology Pattern Enhanced Unsupervised Group-level Graph Anomaly Detection.
 
-A pure-Python (numpy / scipy / networkx) reproduction of the ICDE 2024 paper
+A pure-Python (numpy / scipy) reproduction of the ICDE 2024 paper
 *"Graph Anomaly Detection at Group Level: A Topology Pattern Enhanced
 Unsupervised Approach"*.
 

@@ -5,16 +5,21 @@ returns the trees, paths and cycles it contains — the three basic pattern
 classes the paper builds on (triangles, diamonds and stars being special
 cases of cycles and trees).  :func:`classify_group_pattern` assigns a single
 dominant pattern to a group, which is what the Table II statistics report.
+
+The search runs over the subgraph's own edge list with plain adjacency
+lists.  PBA and PPA consume the pattern lists in order, so every traversal
+below visits nodes in exactly the order networkx 3.x does for the same
+graph (``cycle_basis``, ``connected_components``, a subgraph view, a
+Kruskal ``minimum_spanning_tree`` and a double BFS); the networkx search
+is kept in ``tests/patterns_oracle.py`` as the oracle it must match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
-import networkx as nx
-
-from repro.graph import Graph, graph_to_networkx
+from repro.graph import Graph
 
 
 @dataclass
@@ -38,15 +43,137 @@ class TopologyPatterns:
         return {"tree": len(self.trees), "path": len(self.paths), "cycle": len(self.cycles)}
 
 
-def _longest_path_in_tree(component: nx.Graph) -> List[int]:
-    """Diameter path of an acyclic component (double-BFS trick)."""
-    start = next(iter(component.nodes))
-    lengths = nx.single_source_shortest_path_length(component, start)
-    far = max(lengths, key=lengths.get)
-    paths = nx.single_source_shortest_path(component, far)
-    lengths = {node: len(p) for node, p in paths.items()}
-    other = max(lengths, key=lengths.get)
-    return paths[other]
+def _adjacency(graph: Graph) -> List[List[int]]:
+    """Neighbour lists in edge-list order, as ``networkx.Graph.add_edges_from`` keeps them."""
+    adjacency: List[List[int]] = [[] for _ in range(graph.n_nodes)]
+    for u, v in zip(*graph.edge_index.tolist()):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
+def _cycle_basis(adjacency: List[List[int]]) -> Iterator[List[int]]:
+    """Fundamental cycles in ``networkx.cycle_basis`` order, lazily.
+
+    Each component is walked depth-first from its highest-numbered node
+    (``dict.popitem`` pops the last key), closing a cycle at every non-tree
+    edge.  The graph has no self loops, so every cycle has three or more nodes.
+    """
+    remaining = dict.fromkeys(range(len(adjacency)))
+    while remaining:
+        root = remaining.popitem()[0]
+        stack = [root]
+        pred = {root: root}
+        used = {root: set()}
+        while stack:
+            z = stack.pop()
+            zused = used[z]
+            for nbr in adjacency[z]:
+                if nbr not in used:
+                    pred[nbr] = z
+                    stack.append(nbr)
+                    used[nbr] = {z}
+                elif nbr not in zused:
+                    pn = used[nbr]
+                    cycle = [nbr, z]
+                    p = pred[z]
+                    while p not in pn:
+                        cycle.append(p)
+                        p = pred[p]
+                    cycle.append(p)
+                    yield cycle
+                    used[nbr].add(z)
+        for node in pred:
+            remaining.pop(node, None)
+
+
+def _components(adjacency: List[List[int]]) -> Iterator[List[int]]:
+    """Connected components in ``networkx`` order, each as its subgraph view walks it.
+
+    Components come in order of their lowest node.  ``connected_components``
+    yields each one as a set grown in BFS order, and ``Graph.subgraph``
+    re-collects it as ``set(<generator over that set>)``, whose iteration
+    order can differ from a plain copy's.  The view walks that set when the
+    component holds under half the graph's nodes, else the graph's own
+    (ascending) node order; tree roots, BFS starts and node lists follow it.
+    """
+    n = len(adjacency)
+    seen: set = set()
+    for source in range(n):
+        if source in seen:
+            continue
+        component = {source}
+        level = [source]
+        while level:
+            next_level = []
+            for v in level:
+                for w in adjacency[v]:
+                    if w not in component:
+                        component.add(w)
+                        next_level.append(w)
+            level = next_level
+        seen.update(component)
+        members = set(node for node in component)
+        yield list(members) if 2 * len(members) < n else sorted(members)
+
+
+def _diameter_path(start: int, adjacency: Union[List[List[int]], Dict[int, List[int]]]) -> List[int]:
+    """Diameter path of a tree (double BFS), as networkx's shortest-path BFS breaks ties.
+
+    Each BFS keeps the first node it discovers at the largest depth; the
+    path runs from the first BFS's far node to the second's.
+    """
+
+    def bfs(source: int) -> tuple:
+        parent = {source: source}
+        frontier, last_level = [source], [source]
+        while frontier:
+            last_level = frontier
+            frontier = []
+            for v in last_level:
+                for w in adjacency[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        frontier.append(w)
+        return last_level[0], parent
+
+    far, _ = bfs(start)
+    other, parent = bfs(far)
+    path = [other]
+    while path[-1] != far:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _spanning_tree(order: List[int], adjacency: List[List[int]]) -> Dict[int, List[int]]:
+    """Adjacency of ``networkx.minimum_spanning_tree`` on an unweighted component.
+
+    Kruskal with equal weights keeps the view's edge order (node by node in
+    ``order``, each edge once) and takes every edge that joins two trees;
+    the tree's neighbour lists grow in that order.
+    """
+    root = {v: v for v in order}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree: Dict[int, List[int]] = {v: [] for v in order}
+    done = set()
+    for u in order:
+        for v in adjacency[u]:
+            if v in done:
+                continue
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                root[ru] = rv
+                tree[u].append(v)
+                tree[v].append(u)
+        done.add(u)
+    return tree
 
 
 def find_topology_patterns(group_graph: Graph, max_patterns_per_kind: int = 4) -> TopologyPatterns:
@@ -61,48 +188,39 @@ def find_topology_patterns(group_graph: Graph, max_patterns_per_kind: int = 4) -
         augmentation cost bounded for dense groups.
     """
     patterns = TopologyPatterns()
-    nx_graph = graph_to_networkx(group_graph)
+    adjacency = _adjacency(group_graph)
 
     # Cycles: cycle basis gives one representative per independent cycle.
-    for cycle in nx.cycle_basis(nx_graph):
-        if len(cycle) >= 3:
-            patterns.cycles.append([int(n) for n in cycle])
+    for cycle in _cycle_basis(adjacency):
+        patterns.cycles.append(cycle)
         if len(patterns.cycles) >= max_patterns_per_kind:
             break
 
-    for component_nodes in nx.connected_components(nx_graph):
+    for order in _components(adjacency):
         if len(patterns.paths) >= max_patterns_per_kind and len(patterns.trees) >= max_patterns_per_kind:
             break
-        component = nx_graph.subgraph(component_nodes)
-        n, m = component.number_of_nodes(), component.number_of_edges()
+        n = len(order)
         if n < 2:
             continue
 
-        degrees = dict(component.degree())
-        max_degree = max(degrees.values())
-        is_acyclic = m == n - 1
+        degrees = [len(adjacency[v]) for v in order]
+        max_degree = max(degrees)
+        is_acyclic = sum(degrees) == 2 * (n - 1)
 
-        # Path pattern: the longest simple chain in the component.
+        # Path pattern: the longest simple chain in the component; for a
+        # cyclic component, the diameter path of its spanning tree.
         if is_acyclic:
-            path = _longest_path_in_tree(component)
+            path = _diameter_path(order[0], adjacency)
         else:
-            # For cyclic components take a shortest path between two far-apart nodes.
-            spanning = nx.minimum_spanning_tree(component)
-            path = _longest_path_in_tree(spanning)
+            path = _diameter_path(order[0], _spanning_tree(order, adjacency))
         if len(path) >= 3 and len(patterns.paths) < max_patterns_per_kind:
-            patterns.paths.append([int(p) for p in path])
+            patterns.paths.append(path)
 
         # Tree pattern: acyclic component with branching (a pure chain is a
         # path, not a tree in the paper's taxonomy).
         if is_acyclic and max_degree >= 3 and len(patterns.trees) < max_patterns_per_kind:
-            root = max(degrees, key=degrees.get)
-            patterns.trees.append(
-                {
-                    "root": int(root),
-                    "nodes": [int(v) for v in component.nodes],
-                    "children": [int(v) for v in component.neighbors(root)],
-                }
-            )
+            root = order[degrees.index(max_degree)]
+            patterns.trees.append({"root": root, "nodes": order, "children": list(adjacency[root])})
     return patterns
 
 
@@ -113,13 +231,10 @@ def classify_group_pattern(group_graph: Graph) -> str:
     Table II: any group containing a cycle is cyclic; otherwise branching
     structures are trees; pure chains are paths.
     """
-    nx_graph = graph_to_networkx(group_graph)
-    if nx_graph.number_of_nodes() == 0:
-        return "path"
-    if nx.cycle_basis(nx_graph):
+    adjacency = _adjacency(group_graph)
+    if next(_cycle_basis(adjacency), None) is not None:
         return "cycle"
-    degrees = [d for _, d in nx_graph.degree()]
-    if degrees and max(degrees) >= 3:
+    if max(len(neighbours) for neighbours in adjacency) >= 3:
         return "tree"
     return "path"
 

@@ -1,17 +1,23 @@
-"""Conversions between :class:`repro.graph.Graph` and ``networkx`` plus helpers."""
+"""Conversions between :class:`repro.graph.Graph` and ``networkx`` plus helpers.
+
+networkx is imported inside the two converters only: nothing on the
+detection path converts, so detection runs without networkx installed.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set
 
-import networkx as nx
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.group import Group
 
+if TYPE_CHECKING:
+    import networkx as nx
 
-def graph_from_networkx(nx_graph: nx.Graph, feature_key: str = "x", name: str = "graph") -> Graph:
+
+def graph_from_networkx(nx_graph: "nx.Graph", feature_key: str = "x", name: str = "graph") -> Graph:
     """Convert a ``networkx`` graph into a :class:`Graph`.
 
     Node labels are relabelled to consecutive integers (sorted order of the
@@ -36,8 +42,10 @@ def graph_from_networkx(nx_graph: nx.Graph, feature_key: str = "x", name: str = 
     return Graph(len(nodes), edges, features, name=name)
 
 
-def graph_to_networkx(graph: Graph, feature_key: str = "x") -> nx.Graph:
+def graph_to_networkx(graph: Graph, feature_key: str = "x") -> "nx.Graph":
     """Convert a :class:`Graph` into a ``networkx`` graph with feature attributes."""
+    import networkx as nx
+
     nx_graph = nx.Graph()
     for node in range(graph.n_nodes):
         nx_graph.add_node(node, **{feature_key: graph.features[node].copy()})

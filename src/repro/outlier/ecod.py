@@ -12,9 +12,24 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.outlier.base import OutlierDetector
+
+
+def _skewness(X: np.ndarray) -> np.ndarray:
+    """Per-column sample skewness m3 / m2**1.5, NaN for a constant column.
+
+    The same operations, in the same order, as ``scipy.stats.skew(X, axis=0,
+    bias=True)``, so the result is bitwise equal to it without importing
+    ``scipy.stats``.
+    """
+    mean = X.mean(axis=0)
+    centred = X - mean
+    m2 = (centred**2).mean(axis=0)
+    m3 = (centred**2 * centred).mean(axis=0)
+    with np.errstate(all="ignore"):
+        constant = m2 <= (np.finfo(m2.dtype).eps * mean) ** 2
+        return np.where(constant, np.nan, m3 / m2**1.5)
 
 
 class ECOD(OutlierDetector):
@@ -27,7 +42,7 @@ class ECOD(OutlierDetector):
     def fit(self, X: np.ndarray) -> "ECOD":
         X = self._validate(X)
         self._train = X.copy()
-        self._skew = stats.skew(X, axis=0, bias=True)
+        self._skew = _skewness(X)
         return self
 
     def _tail_probabilities(self, X: np.ndarray) -> tuple:

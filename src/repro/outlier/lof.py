@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.outlier.base import OutlierDetector
 
@@ -26,6 +25,8 @@ class LocalOutlierFactor(OutlierDetector):
         return max(1, min(self.n_neighbors, n_samples - 1))
 
     def fit(self, X: np.ndarray) -> "LocalOutlierFactor":
+        from scipy.spatial.distance import cdist  # off the default ECOD path
+
         X = self._validate(X)
         self._train = X.copy()
         k = self._k(X.shape[0])
@@ -41,6 +42,8 @@ class LocalOutlierFactor(OutlierDetector):
         return self
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        from scipy.spatial.distance import cdist  # off the default ECOD path
+
         if self._train is None:
             raise RuntimeError("call fit() before scoring")
         X = self._validate(X, fitted_dim=self._train.shape[1])

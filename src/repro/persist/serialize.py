@@ -14,6 +14,10 @@ from typing import Any
 
 import numpy as np
 
+#: Exact types returned unchanged; checked first because result JSON is
+#: mostly such leaves and a response passes through here once more.
+_NATIVE_LEAVES = frozenset({int, float, str, bool, type(None)})
+
 
 def to_native(obj: Any) -> Any:
     """Recursively convert ``obj`` into JSON-serialisable native Python.
@@ -26,6 +30,8 @@ def to_native(obj: Any) -> Any:
     * tuples and sets become lists (sets are sorted for determinism),
     * everything else is returned unchanged.
     """
+    if type(obj) in _NATIVE_LEAVES:
+        return obj
     if isinstance(obj, np.ndarray):
         # tolist() is fully native for every ndim — including 0-d arrays,
         # where it returns a bare scalar rather than a list.
@@ -35,7 +41,7 @@ def to_native(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {_native_key(key): to_native(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [to_native(value) for value in obj]
+        return [value if type(value) in _NATIVE_LEAVES else to_native(value) for value in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(to_native(value) for value in obj)
     return obj

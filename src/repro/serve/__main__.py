@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 from typing import List, Tuple
 
+from repro.jobs.store import TenantQuota
 from repro.obs.logging import get_logger, setup_logging
 from repro.obs.tracer import Tracer, set_tracer
 from repro.serve.batcher import ServeConfig
@@ -89,17 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    registry = ModelRegistry()
-    for spec in args.artifact:
-        name, path = _parse_artifact(spec)
-        entry = registry.load(name, path)
-        log.info(
-            "loaded model '%s' v%d from %s (config %s, fitted on %s)",
-            entry.name, entry.version, entry.path,
-            entry.config_hash[:12], str(entry.state.graph_fingerprint)[:12],
-        )
+def _serve_config(args: argparse.Namespace) -> ServeConfig:
+    """The service's settings from the command line; ``ValueError`` names a bad one.
 
+    The job quota is checked here too, so a bad flag fails before any
+    artifact loads rather than after.
+    """
     config = ServeConfig(
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
@@ -113,6 +109,21 @@ async def _serve(args: argparse.Namespace) -> int:
         job_max_queued=args.job_max_queued,
         job_max_running=args.job_max_running,
     )
+    TenantQuota(max_queued=config.job_max_queued, max_running=config.job_max_running)
+    return config
+
+
+async def _serve(args: argparse.Namespace, config: ServeConfig) -> int:
+    registry = ModelRegistry()
+    for spec in args.artifact:
+        name, path = _parse_artifact(spec)
+        entry = registry.load(name, path)
+        log.info(
+            "loaded model '%s' v%d from %s (config %s, fitted on %s)",
+            entry.name, entry.version, entry.path,
+            entry.config_hash[:12], str(entry.state.graph_fingerprint)[:12],
+        )
+
     tracer = None
     if args.trace:
         tracer = Tracer()
@@ -166,10 +177,15 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _serve_config(args)
+    except ValueError as error:
+        parser.exit(2, f"{parser.prog}: error: {error}\n")
     setup_logging(args.log_level)
     try:
-        return asyncio.run(_serve(args))
+        return asyncio.run(_serve(args, config))
     except KeyboardInterrupt:  # pragma: no cover - interactive teardown
         log.info("shutting down")
         return 0

@@ -112,8 +112,12 @@ class ServeConfig:
             raise ValueError("max_wait_ms must be >= 0")
         if self.queue_size < 1:
             raise ValueError("queue_size must be >= 1")
+        if self.default_timeout_ms is not None and not self.default_timeout_ms > 0:
+            raise ValueError("default_timeout_ms must be > 0 (None for no deadline)")
         if self.job_lease_ttl_s <= 0:
             raise ValueError("job_lease_ttl_s must be > 0")
+        if self.job_max_attempts < 1:
+            raise ValueError("job_max_attempts must be >= 1")
 
 
 #: Queue sentinel: a drain-stop was requested; the scheduler finishes

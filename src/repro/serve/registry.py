@@ -43,6 +43,8 @@ class ModelEntry:
         self.path = path
         self.state = state
         self.detector = TPGrGAD.from_state(state)
+        # Hashed once: every response echoes it, and the state never changes.
+        self.config_hash = state.config_hash()
         self.loaded_at_unix = int(time.time())
         # Serving counters (batch scoring runs in executor threads, so
         # they take their own lock, not the registry's).
@@ -55,10 +57,6 @@ class ModelEntry:
         with self._serve_lock:
             self.requests_served += int(n_requests)
             self.tape_nodes_total += max(0, int(tape_nodes))
-
-    @property
-    def config_hash(self) -> str:
-        return self.state.config_hash()
 
     def identity(self) -> Dict:
         """The attribution triple every scoring surface echoes.

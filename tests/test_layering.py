@@ -23,6 +23,11 @@ except in its own ``def``: code nothing calls, tests or documents.
 The fifth scan fails on any call to ``fit``, ``fit_detect`` or
 ``fit_detect_many`` in a module under ``repro/serve/`` or ``repro/jobs/``:
 the serving surfaces score loaded artifacts and never train.
+
+The sixth scan fails on any module under ``src/repro`` that imports
+networkx, except the ``repro.graph.builders`` converters and the COMGA
+baseline: detection runs without it (``tests/test_import_budget.py``
+checks that the converters import it lazily).
 """
 
 from __future__ import annotations
@@ -284,4 +289,46 @@ def test_serving_surfaces_never_train():
     for package in ("serve", "jobs"):
         for path in sorted((PACKAGE / package).rglob("*.py")):
             offenders += training_calls(path.read_text(), str(path.relative_to(PACKAGE)))
+    assert not offenders, "\n".join(offenders)
+
+
+#: The only modules that may import networkx.
+NETWORKX_USERS = ("graph/builders.py", "baselines/comga.py")
+
+
+def networkx_imports(source: str, filename: str) -> List[str]:
+    """``file:line`` for every import of networkx (or a submodule of it) in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(module.split(".")[0] == "networkx" for module in modules):
+            found.append((node.lineno, f"{filename}:{node.lineno}"))
+    return [entry for _, entry in sorted(found)]
+
+
+def test_networkx_import_scan_flags_every_form():
+    source = (
+        "import networkx as nx\n"
+        "import numpy\n"
+        "def f():\n"
+        "    from networkx.algorithms import cycle_basis\n"
+        "from repro.graph import networkx_free\n"
+    )
+    assert networkx_imports(source, "augment/patterns.py") == [
+        "augment/patterns.py:1",
+        "augment/patterns.py:4",
+    ]
+
+
+def test_networkx_only_in_converters_and_comga():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relative = str(path.relative_to(PACKAGE))
+        if relative not in NETWORKX_USERS:
+            offenders += networkx_imports(path.read_text(), relative)
     assert not offenders, "\n".join(offenders)

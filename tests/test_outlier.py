@@ -15,6 +15,7 @@ from repro.outlier import (
     get_detector,
 )
 from repro.outlier.base import min_max_normalize
+from repro.outlier.ecod import _skewness
 
 ALL_DETECTORS = [ECOD, LocalOutlierFactor, IsolationForest, MahalanobisDetector, SUODEnsemble]
 
@@ -76,6 +77,32 @@ class TestSpecificDetectors:
         detector = ECOD().fit(data)
         mild, extreme = np.array([[1.0]]), np.array([[6.0]])
         assert detector.decision_scores(extreme)[0] > detector.decision_scores(mild)[0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ecod_skewness_bitwise_equals_scipy(self, dtype):
+        # The library avoids importing scipy.stats; its skewness must be
+        # the very bits of scipy.stats.skew(..., bias=True), NaN included.
+        import warnings
+
+        from scipy import stats
+
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            n, d = int(rng.integers(1, 120)), int(rng.integers(1, 24))
+            X = rng.standard_normal((n, d)) * rng.exponential(3.0, d) + rng.normal(0.0, 40.0, d)
+            X[:, rng.integers(0, d)] = rng.normal()  # a constant column
+            if trial % 3 == 0:
+                X = X**3
+            if trial % 4 == 0:
+                X = np.asfortranarray(X)
+            X = X.astype(dtype)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # scipy's precision-loss note
+                expected = stats.skew(X, axis=0, bias=True)
+            found = _skewness(X)
+            assert found.dtype == expected.dtype and found.shape == expected.shape
+            assert found.tobytes() == expected.tobytes()
+        assert np.isnan(_skewness(np.ones((5, 2), dtype=dtype))).all()
 
     def test_lof_local_density_sensitivity(self, rng):
         tight = rng.normal(scale=0.1, size=(50, 2))

@@ -43,6 +43,7 @@ from repro.serve import (
     ShedError,
     start_server_thread,
 )
+from repro.serve.__main__ import main as serve_main
 
 
 def _tiny_config(seed: int) -> TPGrGADConfig:
@@ -460,6 +461,42 @@ class TestAdmissionControl:
         finally:
             release.set()
             handle.stop()
+
+
+class TestServeConfigValidation:
+    """A setting that would break every request is refused up front."""
+
+    @pytest.mark.parametrize("timeout_ms", [0.0, -5.0, float("nan")])
+    def test_default_timeout_must_be_positive(self, timeout_ms):
+        # A non-positive budget put every deadline in the past: 504 for all.
+        with pytest.raises(ValueError, match="default_timeout_ms"):
+            ServeConfig(default_timeout_ms=timeout_ms)
+
+    def test_job_max_attempts_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="job_max_attempts"):
+            ServeConfig(job_max_attempts=0)
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--max-batch", "0", "max_batch"),
+            ("--job-max-queued", "0", "quota bounds"),
+            ("--job-max-running", "0", "quota bounds"),
+            ("--job-max-attempts", "0", "job_max_attempts"),
+            ("--timeout-ms", "0", "default_timeout_ms"),
+            ("--timeout-ms", "-5", "default_timeout_ms"),
+        ],
+    )
+    def test_cli_rejects_bad_setting_before_loading_artifacts(self, tmp_path, capsys, flag, value, message):
+        # The artifact does not exist: had it been loaded first, the error
+        # would be a missing-file traceback, not the setting's message.
+        missing = str(tmp_path / "no-such-artifact")
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["--artifact", missing, flag, value])
+        assert excinfo.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0], lines
+        assert lines[0].startswith("python -m repro.serve: error:"), lines
 
 
 # ----------------------------------------------------------------------
