@@ -10,9 +10,12 @@ Pins the two acceptance claims of the streaming subsystem:
    refit-per-tick (``refit_policy="always"``) tick on the same stream.
 
 The run also writes ``BENCH_stream.json`` (events/sec, p50/p95 tick
-latency, incremental-vs-refit speedup, cache counters) with the host facts
-of ``benchmarks/hostinfo.py`` — tracked in git and uploaded by the CI
-benchmark job; ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
+latency, incremental-vs-refit speedup, embedding-cache counters) with the
+host facts of ``benchmarks/hostinfo.py`` and each arm's CPU seconds and
+load average (``incremental_usage`` / ``refit_usage``, see
+``hostinfo.arm_usage``), so a slow run can be told from a loaded host —
+tracked in git and uploaded by the CI benchmark job; ``BENCH_OUT_DIR``
+picks its directory (see ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.gcl import TPGCLConfig
 from repro.sampling import SamplerConfig
 from repro.stream import StreamConfig, replay_event_stream, write_summary_json
 
-from hostinfo import host_facts
+from hostinfo import arm_usage, host_facts
 
 # simML at scale 1.8 generates ≈5k accounts (2768 * 1.8 plus ring members).
 SCALE = 1.8
@@ -50,20 +53,22 @@ def test_stream_replay_parity_and_speedup(benchmark, bench_json_path):
     stream = make_burst_stream(dataset="simml", scale=SCALE, seed=1, n_ticks=N_TICKS)
     assert stream.final.n_nodes >= 4500, "benchmark is specified for a ~5k-node stream"
 
-    incremental_summary = benchmark.pedantic(
-        lambda: replay_event_stream(
-            stream,
-            _config(),
-            StreamConfig(refit_policy="budget", drift_budget=0.5),
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    with arm_usage() as incremental_usage:
+        incremental_summary = benchmark.pedantic(
+            lambda: replay_event_stream(
+                stream,
+                _config(),
+                StreamConfig(refit_policy="budget", drift_budget=0.5),
+            ),
+            rounds=1,
+            iterations=1,
+        )
     # The oracle's per-tick cost is a full batch refit — near constant per
     # tick — so two ticks (no flush) pin it without doubling the benchmark.
-    refit_summary = replay_event_stream(
-        stream.truncated(2), _config(), StreamConfig(refit_policy="always"), finalize=False
-    )
+    with arm_usage() as refit_usage:
+        refit_summary = replay_event_stream(
+            stream.truncated(2), _config(), StreamConfig(refit_policy="always"), finalize=False
+        )
 
     # --- claim 1: parity with the batch pipeline on the final snapshot ----
     batch = TPGrGAD(_config()).fit_detect(stream.final)
@@ -85,7 +90,6 @@ def test_stream_replay_parity_and_speedup(benchmark, bench_json_path):
     benchmark.extra_info["p50_tick_ms"] = round(incremental_summary.p50_latency * 1e3, 1)
     benchmark.extra_info["p95_tick_ms"] = round(incremental_summary.p95_latency * 1e3, 1)
     benchmark.extra_info["incremental_vs_refit_speedup"] = round(speedup, 1)
-    benchmark.extra_info["pair_cache_hits"] = incremental_summary.pair_hits
     benchmark.extra_info["detection_lag_ticks"] = incremental_summary.detection_lag
 
     # --- claim 3: the summary schema splits refit vs incremental stats ---
@@ -119,7 +123,12 @@ def test_stream_replay_parity_and_speedup(benchmark, bench_json_path):
     write_summary_json(
         bench_json_path("BENCH_stream.json"),
         [incremental_summary, refit_summary],
-        extra={"host": host_facts(), "incremental_vs_refit_speedup": round(speedup, 2)},
+        extra={
+            "host": host_facts(),
+            "incremental_vs_refit_speedup": round(speedup, 2),
+            "incremental_usage": incremental_usage,
+            "refit_usage": refit_usage,
+        },
     )
 
     print(

@@ -5,8 +5,8 @@ The batch examples score a frozen snapshot; production AML systems watch a
 appearing, transactions arriving, one laundering ring planted mid-stream —
 through the incremental detector, and shows:
 
-* cheap incremental ticks (dirty-region re-scoring) between drift-budget
-  refits,
+* cheap incremental ticks (fresh candidate sampling, re-embedding only
+  the touched groups) between drift-budget refits,
 * the planted burst being picked up within a tick or two of arriving,
 * the final streamed result matching the batch pipeline on the final
   snapshot exactly.
@@ -44,8 +44,8 @@ def main() -> None:
     for i, tick in enumerate(summary.ticks):
         print(
             f"  tick {i}: {tick.mode:11s} {tick.seconds * 1e3:7.1f}ms  "
-            f"touched={tick.n_touched:3d} dirty-ball={tick.dirty_ball:4d} "
-            f"pairs reused/redone {tick.pairs_reused}/{tick.pairs_recomputed}  "
+            f"touched={tick.n_touched:3d} pairs={tick.pairs_recomputed:4d} "
+            f"embeddings reused/redone {tick.embeddings_reused}/{tick.embeddings_recomputed}  "
             f"flagged={tick.result.n_anomalous}"
         )
 

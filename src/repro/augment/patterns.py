@@ -17,6 +17,7 @@ is kept in ``tests/patterns_oracle.py`` as the oracle it must match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.graph import Graph
@@ -191,10 +192,7 @@ def find_topology_patterns(group_graph: Graph, max_patterns_per_kind: int = 4) -
     adjacency = _adjacency(group_graph)
 
     # Cycles: cycle basis gives one representative per independent cycle.
-    for cycle in _cycle_basis(adjacency):
-        patterns.cycles.append(cycle)
-        if len(patterns.cycles) >= max_patterns_per_kind:
-            break
+    patterns.cycles.extend(islice(_cycle_basis(adjacency), max_patterns_per_kind))
 
     for order in _components(adjacency):
         if len(patterns.paths) >= max_patterns_per_kind and len(patterns.trees) >= max_patterns_per_kind:

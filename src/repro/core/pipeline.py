@@ -15,8 +15,8 @@ The stages are module-level functions shared by every surface:
 trained models → sample → embed, no training) and :func:`build_result`
 (outlier scores → τ → :class:`GroupDetectionResult`).  Both stage paths
 sample through ``propose_pairs → collect → finalize`` and hand back the
-pairs and :class:`~repro.sampling.SampleCollection`, which the streaming
-detector patches between refits.
+anchor pairs, which the streaming detector searches again every tick
+until its next refit.
 
 :class:`TPGrGAD` is a thin facade over them.  Its one fitted state is the
 public ``state`` attribute, a :class:`~repro.persist.PipelineState`: set
@@ -44,7 +44,7 @@ from repro.graph import Graph, Group
 from repro.obs.tracer import get_tracer
 from repro.outlier import get_detector
 from repro.persist import PipelineState
-from repro.sampling import CandidateGroupSampler, SampleCollection
+from repro.sampling import CandidateGroupSampler
 
 _UNFITTED = "unfitted pipeline: call fit_detect (or load / from_state) first"
 
@@ -61,7 +61,6 @@ class StageOutputs:
     anchor_nodes: np.ndarray
     node_scores: np.ndarray
     pairs: List[Tuple[int, int]]
-    collection: SampleCollection
     candidates: List[Group]
     embeddings: Optional[np.ndarray]
     mhgae: MultiHopGAE
@@ -81,8 +80,8 @@ def select_anchors(config: TPGrGADConfig, node_scores: np.ndarray) -> np.ndarray
 
 def sample_stage(
     config: TPGrGADConfig, graph: Graph, anchor_nodes: Sequence[int]
-) -> Tuple[List[Tuple[int, int]], SampleCollection, List[Group]]:
-    """Stage 2: Algorithm 1 from the anchors as ``(pairs, collection, candidates)``.
+) -> Tuple[List[Tuple[int, int]], List[Group]]:
+    """Stage 2: Algorithm 1 from the anchors as ``(pairs, candidates)``.
 
     The same ``propose_pairs → collect → finalize`` sequence as
     :meth:`CandidateGroupSampler.sample`, on a fresh seeded sampler, so
@@ -90,11 +89,10 @@ def sample_stage(
     """
     anchors = [int(a) for a in anchor_nodes]
     if not anchors:
-        return [], SampleCollection(), []
+        return [], []
     sampler = CandidateGroupSampler(config.sampler)
     pairs = sampler.propose_pairs(anchors)
-    collection = sampler.collect(graph, anchors, pairs)
-    return pairs, collection, sampler.finalize(collection.ordered_candidates(pairs, anchors))
+    return pairs, sampler.finalize(sampler.collect(graph, anchors, pairs))
 
 
 def represent_groups(tpgcl: Optional[TPGCL], graph: Graph, groups: Sequence[Group]) -> np.ndarray:
@@ -147,7 +145,7 @@ def fit_stages(config: TPGrGADConfig, graph: Graph) -> StageOutputs:
     with tracer.span("stage.anchors"):
         mhgae, node_scores, anchors = fit_anchors(config, graph)
     with tracer.span("stage.sampling") as span:
-        pairs, collection, candidates = sample_stage(config, graph, anchors)
+        pairs, candidates = sample_stage(config, graph, anchors)
         span.add("n_candidates", len(candidates))
     with tracer.span("stage.embed"):
         tpgcl, embeddings = _embed(
@@ -157,7 +155,6 @@ def fit_stages(config: TPGrGADConfig, graph: Graph) -> StageOutputs:
         anchor_nodes=anchors,
         node_scores=node_scores,
         pairs=pairs,
-        collection=collection,
         candidates=candidates,
         embeddings=embeddings,
         mhgae=mhgae,
@@ -181,7 +178,7 @@ def warm_stages(config: TPGrGADConfig, state: PipelineState, graph: Graph) -> St
         node_scores = mhgae.score_nodes()
         anchors = select_anchors(config, node_scores)
     with tracer.span("stage.sampling") as span:
-        pairs, collection, candidates = sample_stage(config, graph, anchors)
+        pairs, candidates = sample_stage(config, graph, anchors)
         span.add("n_candidates", len(candidates))
     with tracer.span("stage.warm_embed"):
         tpgcl, embeddings = _embed(config, graph, candidates, state.bind_tpgcl)
@@ -189,7 +186,6 @@ def warm_stages(config: TPGrGADConfig, state: PipelineState, graph: Graph) -> St
         anchor_nodes=anchors,
         node_scores=node_scores,
         pairs=pairs,
-        collection=collection,
         candidates=candidates,
         embeddings=embeddings,
         mhgae=mhgae,
@@ -279,7 +275,7 @@ class TPGrGAD:
 
     def sample_candidates(self, graph: Graph, anchor_nodes: Sequence[int]) -> List[Group]:
         """Run Algorithm 1 from the anchor nodes."""
-        return sample_stage(self.config, graph, anchor_nodes)[2]
+        return sample_stage(self.config, graph, anchor_nodes)[1]
 
     def _result(self, outputs: StageOutputs, threshold: Optional[float]) -> GroupDetectionResult:
         # Rebind the inspection attributes to the models behind this result.

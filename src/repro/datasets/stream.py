@@ -83,6 +83,12 @@ class EventStream:
         )
 
 
+def _check_ticks(n_ticks: int) -> None:
+    # Before any tick is drawn: numpy's error for an empty range names no tick.
+    if n_ticks < 1:
+        raise ValueError(f"a stream needs at least one tick, got n_ticks={n_ticks}")
+
+
 def _build_stream(
     graph: Graph,
     n_ticks: int,
@@ -97,8 +103,6 @@ def _build_stream(
     order) arrives; background churn edges are spread uniformly over all
     ticks.
     """
-    if n_ticks < 1:
-        raise ValueError("a stream needs at least one tick")
     if not 0.0 < base_edge_fraction <= 1.0:
         raise ValueError("base_edge_fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -208,6 +212,7 @@ def make_event_stream(
     Groups arrive at ticks drawn uniformly; a ``1 - base_edge_fraction``
     share of background edges churns in alongside them.
     """
+    _check_ticks(n_ticks)
     graph = load_dataset(dataset, scale=scale, seed=seed)
     rng = np.random.default_rng((seed, 1))
     group_ticks = rng.integers(0, n_ticks, size=len(graph.groups))
@@ -231,6 +236,7 @@ def make_burst_stream(
     (default: two-thirds in).  The returned stream carries ``burst_group``
     and ``burst_tick`` for detection-lag measurement.
     """
+    _check_ticks(n_ticks)
     graph = load_dataset(dataset, scale=scale, seed=seed)
     if not graph.groups:
         raise ValueError(f"dataset '{dataset}' has no ground-truth groups to plant")

@@ -640,12 +640,11 @@ class Graph:
         the per-source forests of :meth:`multi_source_bfs` — but is computed
         as one joint frontier expansion (``k`` boolean SpMVs over the CSR
         adjacency) instead of one BFS per source, so it stays cheap even
-        when a streaming delta touches many nodes at once.  This is the
-        *dirty region* primitive of the streaming subsystem: every candidate
-        group a bounded search from an anchor outside the ball can produce
-        is provably unaffected by changes at ``sources`` (see DESIGN.md,
-        "Dirty-region invalidation").  ``k=None`` expands exhaustively
-        (the ball becomes the union of connected components).
+        when a streaming delta touches many nodes at once.  The streaming
+        subsystem reports the size of this *dirty ball* around each tick's
+        topology changes: a bounded search from an anchor outside it cannot
+        see those changes.  ``k=None`` expands exhaustively (the ball
+        becomes the union of connected components).
         """
         source_array = np.fromiter((int(s) for s in sources), dtype=np.int64)
         if source_array.size == 0:

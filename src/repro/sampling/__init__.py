@@ -19,11 +19,10 @@ per-pair reference searches it must match live with the parity oracle in
 """
 
 from repro.sampling.engine import MultiSourceSearchEngine
-from repro.sampling.sampler import CandidateGroupSampler, SampleCollection, SamplerConfig
+from repro.sampling.sampler import CandidateGroupSampler, SamplerConfig
 
 __all__ = [
     "MultiSourceSearchEngine",
     "CandidateGroupSampler",
-    "SampleCollection",
     "SamplerConfig",
 ]

@@ -73,14 +73,6 @@ class MultiSourceSearchEngine:
             raise ValueError(f"node {node} is not one of this engine's anchors")
         return row
 
-    def distances(self, source: int) -> np.ndarray:
-        """Hop distances from one engine source to every node (-1 unreached).
-
-        Read-only view into the BFS forest; the streaming subsystem uses it
-        to pair provisional anchors with their nearest scored anchors.
-        """
-        return self.bfs.dist[self._row_of(int(source))]
-
     # ------------------------------------------------------------------
     # Path search
     # ------------------------------------------------------------------

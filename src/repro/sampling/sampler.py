@@ -13,8 +13,8 @@ them live in ``tests/sampler_oracle.py`` (pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -72,41 +72,6 @@ class SamplerConfig:
         return max(self.max_path_length, self.tree_depth, self.max_cycle_length)
 
 
-@dataclass
-class SampleCollection:
-    """Raw per-pair / per-anchor search results, before filter + merge + cap.
-
-    ``pair_groups`` maps each anchor pair ``(u, v)`` to its
-    ``(path_group, tree_group)`` results (either may be None);
-    ``anchor_cycles`` maps each anchor to its cycle groups.  The incremental
-    detector keeps one of these per refit and patches only the dirty
-    entries; :meth:`ordered_candidates` linearises the collection in exactly
-    the order the one-shot sampler emits candidates, so
-    ``finalize(collection.ordered_candidates(...))`` reproduces
-    :meth:`CandidateGroupSampler.sample` bit for bit.
-    """
-
-    pair_groups: Dict[Tuple[int, int], Tuple[Optional[Group], Optional[Group]]] = field(
-        default_factory=dict
-    )
-    anchor_cycles: Dict[int, List[Group]] = field(default_factory=dict)
-
-    def ordered_candidates(
-        self, pairs: Sequence[Tuple[int, int]], anchors: Sequence[int]
-    ) -> List[Group]:
-        """Candidates in canonical order: per-pair path/tree, then cycles."""
-        ordered: List[Group] = []
-        for pair in pairs:
-            path_group, tree_group = self.pair_groups[pair]
-            if path_group is not None:
-                ordered.append(path_group)
-            if tree_group is not None:
-                ordered.append(tree_group)
-        for anchor in anchors:
-            ordered.extend(self.anchor_cycles[anchor])
-        return ordered
-
-
 class CandidateGroupSampler:
     """Sample candidate anomaly groups from anchor nodes (Algorithm 1).
 
@@ -152,13 +117,12 @@ class CandidateGroupSampler:
         rng = self.rng if rng is None else rng
 
         pairs = self.propose_pairs(anchors, rng)
-        collection = self.collect(graph, anchors, pairs)
-        return self.finalize(collection.ordered_candidates(pairs, anchors), rng)
+        return self.finalize(self.collect(graph, anchors, pairs), rng)
 
     # ------------------------------------------------------------------
     # Structured stages (sample == propose_pairs -> collect -> finalize;
-    # the streaming subsystem calls them individually so it can reuse the
-    # unchanged parts of a previous collection).
+    # the streaming subsystem keeps its pairs between refits and calls
+    # collect -> finalize on every tick).
     # ------------------------------------------------------------------
     def propose_pairs(
         self, anchors: Sequence[int], rng: Optional[np.random.Generator] = None
@@ -175,26 +139,30 @@ class CandidateGroupSampler:
 
     def collect(
         self, graph: Graph, anchors: Sequence[int], pairs: Sequence[Tuple[int, int]]
-    ) -> SampleCollection:
-        """Run every pair / cycle search, keeping the per-query structure.
+    ) -> List[Group]:
+        """Run every pair / cycle search; the raw candidates in canonical order.
 
-        One batched BFS from all anchors answers every search.
+        Per pair ``(u, v)`` (``u`` must be an anchor) its path then its tree
+        group, then per anchor its cycle groups; searches that found nothing
+        are skipped.  One batched BFS from all anchors answers every search.
         """
         config = self.config
         engine = MultiSourceSearchEngine(graph, list(anchors), max_depth=config.search_depth)
 
-        collection = SampleCollection()
+        candidates: List[Group] = []
         for u, v in pairs:
             path_group = engine.path_group(u, v, max_length=config.max_path_length)
             tree_group = engine.tree_group(u, v, depth=config.tree_depth, max_nodes=config.max_group_size)
-            collection.pair_groups[(u, v)] = (path_group, tree_group)
+            candidates.extend(group for group in (path_group, tree_group) if group is not None)
         for anchor in anchors:
-            collection.anchor_cycles[anchor] = engine.cycle_groups(
-                anchor,
-                max_cycle_length=config.max_cycle_length,
-                max_cycles=config.max_cycles_per_anchor,
+            candidates.extend(
+                engine.cycle_groups(
+                    anchor,
+                    max_cycle_length=config.max_cycle_length,
+                    max_cycles=config.max_cycles_per_anchor,
+                )
             )
-        return collection
+        return candidates
 
     def finalize(
         self, candidates: Sequence[Group], rng: Optional[np.random.Generator] = None

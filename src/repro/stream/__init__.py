@@ -6,7 +6,8 @@ Layers (bottom up):
   :class:`StreamingGraph` that applies them with sorted-merge edge-index
   updates; each snapshot is a plain :class:`~repro.graph.Graph`.
 * :mod:`repro.stream.incremental` — :class:`IncrementalTPGrGAD`, the
-  dirty-region re-scoring detector with drift-budget refits.
+  detector that re-samples and re-scores every tick between drift-budget
+  refits.
 * :mod:`repro.stream.replay` — the replay driver (one detector tick per
   delta), latency/throughput counters and the ``python -m repro.stream``
   CLI.

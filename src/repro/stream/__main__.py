@@ -69,8 +69,22 @@ def pipeline_config(args: argparse.Namespace) -> TPGrGADConfig:
     )
 
 
+def _stream_config(args: argparse.Namespace) -> StreamConfig:
+    """Check the flags before any stream is generated (ValueError on a bad one)."""
+    if args.ticks < 1:
+        raise ValueError(f"--ticks must be at least 1, got {args.ticks}")
+    if args.scale <= 0:
+        raise ValueError(f"--scale must be positive, got {args.scale}")
+    return StreamConfig(refit_policy=args.policy, drift_budget=args.drift_budget)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        stream_config = _stream_config(args)
+    except ValueError as error:
+        parser.exit(2, f"{parser.prog}: error: {error}\n")
     setup_logging()
     maker = make_burst_stream if args.burst else make_event_stream
     stream = maker(
@@ -94,7 +108,6 @@ def main(argv=None) -> int:
             "from the artifact, not the CLI flags)",
             args.artifact,
         )
-    stream_config = StreamConfig(refit_policy=args.policy, drift_budget=args.drift_budget)
     driver = ReplayDriver(stream.base, config, stream_config, artifact=args.artifact)
     summary = driver.run_stream(stream, finalize=not args.no_finalize)
     print(summary.render())

@@ -16,9 +16,7 @@ features, CSR adjacency and fingerprint — to building the final graph in
 one shot with :meth:`Graph.add_nodes_and_edges`; this equivalence is
 property-tested in ``tests/test_stream.py``.  Deltas are add-only (nodes
 and edges are never removed), matching the append-only ``Graph`` API and
-the monotone arrival semantics of transaction logs; that monotonicity is
-what makes the dirty-region invalidation rule of
-:mod:`repro.stream.incremental` exact.
+the monotone arrival semantics of transaction logs.
 """
 
 from __future__ import annotations
@@ -129,7 +127,7 @@ class GraphDelta:
         feature-updated node; sorted and unique.  Conservative: endpoints
         of edges that turn out to be duplicates still appear here — the
         :class:`DeltaReport` returned by :meth:`StreamingGraph.apply`
-        carries the precise post-dedup sets the dirty-region logic uses.
+        carries the precise post-dedup sets the detector uses.
         """
         parts = [
             np.arange(n_nodes_before, n_nodes_before + self.n_new_nodes, dtype=np.int64),

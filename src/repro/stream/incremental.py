@@ -1,4 +1,4 @@
-"""Incremental TP-GrGAD: dirty-region re-scoring over a graph stream.
+"""Incremental TP-GrGAD: re-scoring over a graph stream between refits.
 
 :class:`IncrementalTPGrGAD` runs the stage functions of
 :mod:`repro.core.pipeline` — :func:`~repro.core.pipeline.fit_stages` for
@@ -13,23 +13,19 @@ what ``detector.save`` exports.
   refit only when the *drift budget* is exceeded — the fraction of the
   graph dirtied since the last refit — or on every tick under
   ``refit_policy="always"`` (the exact-parity oracle mode).  Between
-  refits the anchor set is frozen; optionally, the
+  refits the anchor set is frozen, and the
   :data:`MAX_PROVISIONAL_ANCHORS` most recently arrived nodes are
-  promoted to *provisional* anchors, each paired with its
+  promoted to *provisional* anchors, each paired at arrival with its
   :data:`PROVISIONAL_PAIR_BUDGET` nearest scored anchors, so a burst
-  planted mid-stream can be sampled before the next refit.
-* **Stage 2 (candidate sampling)** is maintained exactly.  All of
-  Algorithm 1's searches from an anchor ``a`` explore at most
-  ``SamplerConfig.search_depth`` hops, so after a delta only anchors
-  inside the **dirty ball** — the ``search_depth``-hop ball around the
-  touched nodes (:meth:`Graph.k_hop_ball`, the union of the
-  :meth:`Graph.multi_source_bfs` balls) — can see any changed edge (so
-  the radius is always ``search_depth``: a smaller one would leave stale
-  candidates).  Their cached per-pair / per-cycle results are recomputed
-  from one batched BFS over just those sources; everything else is
-  reused verbatim.  Because deltas are add-only, a clean anchor's cached
-  result equals a fresh recomputation bit for bit (proved in DESIGN.md,
-  tested in ``tests/test_stream.py``).
+  planted mid-stream can be sampled before the next refit.  A refit
+  discards them.
+* **Stage 2 (candidate sampling)** is re-run every tick: one
+  :meth:`CandidateGroupSampler.collect` over the refit's pairs plus the
+  provisional pairs, and over the anchors plus the provisional anchors.
+  Algorithm 1 is cheap next to the trained stages, and a per-pair cache
+  patched from the dirty region reused too few pairs to pay for itself
+  (DESIGN.md).  The pairs themselves stay frozen between refits: a
+  provisional anchor keeps the pairing chosen when it arrived.
 * **Stage 3 (discrimination)** re-embeds only candidate groups whose
   member nodes were touched (a group's TPGCL embedding depends only on
   its induced subgraph), with the encoder trained at the last refit, and
@@ -47,7 +43,7 @@ import copy
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +60,7 @@ from repro.core.result import GroupDetectionResult
 from repro.obs.tracer import get_tracer
 from repro.gcl import TPGCL
 from repro.graph import Graph, Group
-from repro.sampling import CandidateGroupSampler, MultiSourceSearchEngine, SampleCollection
+from repro.sampling import CandidateGroupSampler
 from repro.seeding import resolve_seed
 from repro.stream.delta import DeltaReport, GraphDelta, StreamingGraph
 
@@ -89,13 +85,6 @@ class StreamConfig:
         Fraction of nodes allowed to change (arrive, gain an edge, have
         features rewritten) since the last refit before a full one is
         forced.
-    promote_new_nodes:
-        Between refits, treat freshly arrived nodes as provisional
-        anchors so anomalies planted mid-stream are sampled before the
-        next refit.  A stream-only augmentation: refits discard
-        provisional anchors.  At most :data:`MAX_PROVISIONAL_ANCHORS`
-        (the most recent) are kept, each paired with its
-        :data:`PROVISIONAL_PAIR_BUDGET` nearest scored anchors.
 
     τ is re-derived as the ``1 - contamination`` quantile every tick, like
     the batch pipeline.
@@ -103,7 +92,6 @@ class StreamConfig:
 
     refit_policy: str = "budget"
     drift_budget: float = 0.25
-    promote_new_nodes: bool = True
 
     def __post_init__(self) -> None:
         if self.refit_policy not in ("budget", "always", "never"):
@@ -114,19 +102,20 @@ class StreamConfig:
 
 @dataclass
 class TickReport:
-    """Everything one :meth:`IncrementalTPGrGAD.update` did."""
+    """Everything one :meth:`IncrementalTPGrGAD.update` did.
+
+    Stage 2 is searched afresh every tick, so ``pairs_reused`` is always 0
+    and ``pairs_recomputed`` counts every searched pair.
+    """
 
     version: int
     mode: str                      # "refit" | "incremental"
     seconds: float
     n_touched: int
-    dirty_ball: int                # nodes in this tick's dirty ball
+    dirty_ball: int                # nodes within search_depth of a topology change
     dirty_fraction: float          # accumulated dirty fraction since last refit
-    n_dirty_anchors: int
     pairs_reused: int
     pairs_recomputed: int
-    cycles_reused: int
-    cycles_recomputed: int
     embeddings_reused: int
     embeddings_recomputed: int
     result: GroupDetectionResult
@@ -175,17 +164,15 @@ class IncrementalTPGrGAD:
         self.n_refits = 0
         self.n_warm_starts = 0
         self.n_incremental_ticks = 0
-        self.pair_hits = 0
-        self.pair_misses = 0
         self.embed_hits = 0
         self.embed_misses = 0
 
         # Per-refit-generation state.
         self._anchors: List[int] = []
         self._pairs: List[Tuple[int, int]] = []
-        self._collection = SampleCollection()
-        self._provisional: List[int] = []
-        self._provisional_pairs: Dict[int, List[Tuple[int, int]]] = {}
+        # Provisional anchor -> its nearest-anchor pairs, chosen at arrival;
+        # insertion-ordered, so the most recent arrival is last.
+        self._provisional: Dict[int, List[Tuple[int, int]]] = {}
         self._embed_rows: Dict[Tuple[int, ...], np.ndarray] = {}
         self._tpgcl: Optional[TPGCL] = None
         self._node_scores: Optional[np.ndarray] = None
@@ -205,15 +192,13 @@ class IncrementalTPGrGAD:
         return self.streaming.graph
 
     def reuse_info(self) -> Dict[str, int]:
-        """Reuse-cache statistics: pair and embedding hits/misses.
+        """Embedding-cache statistics: hits and misses.
 
         The public read surface for the replay driver and operational
         metrics, so monitoring code never reaches into per-generation
         private state.
         """
         return {
-            "pair_hits": self.pair_hits,
-            "pair_misses": self.pair_misses,
             "embed_hits": self.embed_hits,
             "embed_misses": self.embed_misses,
         }
@@ -273,9 +258,7 @@ class IncrementalTPGrGAD:
         candidates = outputs.candidates
         self._anchors = anchors
         self._pairs = outputs.pairs
-        self._collection = outputs.collection
-        self._provisional = []
-        self._provisional_pairs = {}
+        self._provisional = {}
         self._tpgcl = outputs.tpgcl
         self._node_scores = outputs.node_scores
         self._embed_rows = (
@@ -295,11 +278,8 @@ class IncrementalTPGrGAD:
             n_touched=0,
             dirty_ball=0,
             dirty_fraction=0.0,
-            n_dirty_anchors=len(anchors),
             pairs_reused=0,
             pairs_recomputed=len(outputs.pairs),
-            cycles_reused=0,
-            cycles_recomputed=len(anchors),
             embeddings_reused=0,
             embeddings_recomputed=len(candidates),
             result=self._result,
@@ -337,7 +317,6 @@ class IncrementalTPGrGAD:
                 span.set("policy", self.stream_config.refit_policy)
                 span.set("dirty_fraction", round(tick.dirty_fraction, 6))
                 span.add("n_touched", tick.n_touched)
-                span.add("pairs_reused", tick.pairs_reused)
                 span.add("pairs_recomputed", tick.pairs_recomputed)
                 span.add("embeddings_reused", tick.embeddings_reused)
                 span.add("embeddings_recomputed", tick.embeddings_recomputed)
@@ -354,7 +333,7 @@ class IncrementalTPGrGAD:
 
         # Drift accounting counts nodes that actually *changed* (arrived,
         # gained an edge, had features rewritten) — not the much larger
-        # invalidation ball, which on small-world graphs quickly covers
+        # dirty ball, which on small-world graphs quickly covers
         # everything without the trained models having drifted much.
         grown = np.zeros(graph.n_nodes, dtype=bool)
         grown[: self._dirty_mask.shape[0]] = self._dirty_mask
@@ -372,9 +351,8 @@ class IncrementalTPGrGAD:
                 dirty_fraction=dirty_fraction,
             )
 
-        # The dirty ball is only needed (and only paid for) on the
-        # incremental path; topology changes invalidate searches, feature-
-        # only changes don't (paths/trees/cycles are purely structural).
+        # The dirty ball (every node within search_depth of a topology
+        # change) only sizes the tick report; stage 2 is searched afresh.
         ball = graph.k_hop_ball(report.touched_topology, self.config.sampler.search_depth)
         return self._incremental_tick(graph, report, ball, dirty_fraction, start)
 
@@ -387,73 +365,22 @@ class IncrementalTPGrGAD:
         dirty_fraction: float,
         start: float,
     ) -> TickReport:
-        config = self.config
-        sampler_config = config.sampler
-        ball_set: Set[int] = set(int(n) for n in ball)
-        touched_set: Set[int] = set(int(n) for n in report.touched_nodes)
+        sampler_config = self.config.sampler
+        touched_set = set(int(n) for n in report.touched_nodes)
+        if report.n_new_nodes:
+            self._promote(graph, report.n_new_nodes)
 
-        # ---- which sources must be re-searched -------------------------
-        new_provisional: List[int] = []
-        if self.stream_config.promote_new_nodes and report.n_new_nodes:
-            new_provisional = list(range(graph.n_nodes - report.n_new_nodes, graph.n_nodes))
-            self._provisional.extend(new_provisional)
-            dropped = self._provisional[:-MAX_PROVISIONAL_ANCHORS]
-            self._provisional = self._provisional[-MAX_PROVISIONAL_ANCHORS:]
-            for node in dropped:
-                for pair in self._provisional_pairs.pop(node, []):
-                    self._collection.pair_groups.pop(pair, None)
-                self._collection.anchor_cycles.pop(node, None)
-            new_provisional = [p for p in new_provisional if p in set(self._provisional)]
-
-        new_set = set(new_provisional)
-        dirty_anchors = [a for a in self._anchors if a in ball_set]
-        dirty_provisional = [p for p in self._provisional if p in ball_set and p not in new_set]
-        sources = list(dict.fromkeys(dirty_anchors + dirty_provisional + new_provisional))
-        engine: Optional[MultiSourceSearchEngine] = None
-        if sources:
-            engine = MultiSourceSearchEngine(graph, sources, max_depth=sampler_config.search_depth)
-
-        # ---- stage 2: patch the collection -----------------------------
-        pairs_recomputed = 0
-        dirty_set = set(dirty_anchors) | set(dirty_provisional)
-        for pair in self._pairs:
-            if pair[0] in dirty_set:
-                self._collection.pair_groups[pair] = self._search_pair(engine, pair)
-                pairs_recomputed += 1
-        for provisional in self._provisional:
-            if provisional in new_provisional:
-                self._provisional_pairs[provisional] = self._nearest_anchor_pairs(engine, provisional)
-            if provisional in dirty_set or provisional in new_provisional:
-                for pair in self._provisional_pairs.get(provisional, []):
-                    self._collection.pair_groups[pair] = self._search_pair(engine, pair)
-                    pairs_recomputed += 1
-
-        cycles_recomputed = 0
-        for source in sources:
-            self._collection.anchor_cycles[source] = engine.cycle_groups(
-                source,
-                max_cycle_length=sampler_config.max_cycle_length,
-                max_cycles=sampler_config.max_cycles_per_anchor,
-            )
-            cycles_recomputed += 1
-
+        # ---- stage 2: Algorithm 1 over the frozen pairs and anchors -----
         all_pairs = list(self._pairs)
-        for provisional in self._provisional:
-            all_pairs.extend(self._provisional_pairs.get(provisional, []))
-        all_anchors = self._anchors + self._provisional
-        pairs_reused = len(all_pairs) - pairs_recomputed
-        cycles_reused = len(all_anchors) - cycles_recomputed
-        self.pair_hits += pairs_reused
-        self.pair_misses += pairs_recomputed
-
+        for pairs in self._provisional.values():
+            all_pairs.extend(pairs)
+        all_anchors = self._anchors + list(self._provisional)
         sampler = CandidateGroupSampler(sampler_config)
-        # Deterministic per-tick stream for the (rarely hit) candidate cap.
+        # Deterministic per-tick stream for the candidate cap.
         cap_rng = np.random.default_rng(
             (resolve_seed(sampler_config.seed), self.streaming.version)
         )
-        candidates = sampler.finalize(
-            self._collection.ordered_candidates(all_pairs, all_anchors), rng=cap_rng
-        )
+        candidates = sampler.finalize(sampler.collect(graph, all_anchors, all_pairs), rng=cap_rng)
 
         # ---- stage 3: re-embed touched groups, re-score everything ------
         # Drop every cached row whose group intersects the touched nodes —
@@ -490,43 +417,29 @@ class IncrementalTPGrGAD:
             n_touched=int(report.touched_nodes.shape[0]),
             dirty_ball=int(ball.shape[0]),
             dirty_fraction=dirty_fraction,
-            n_dirty_anchors=len(dirty_anchors),
-            pairs_reused=pairs_reused,
-            pairs_recomputed=pairs_recomputed,
-            cycles_reused=cycles_reused,
-            cycles_recomputed=cycles_recomputed,
+            pairs_reused=0,
+            pairs_recomputed=len(all_pairs),
             embeddings_reused=embeddings_reused,
             embeddings_recomputed=embeddings_recomputed,
             result=result,
         )
 
     # ------------------------------------------------------------------
-    def _search_pair(
-        self, engine: Optional[MultiSourceSearchEngine], pair: Tuple[int, int]
-    ) -> Tuple[Optional[Group], Optional[Group]]:
-        assert engine is not None, "a dirty pair implies a dirty source"
-        config = self.config.sampler
-        u, v = pair
-        path_group = engine.path_group(u, v, max_length=config.max_path_length)
-        tree_group = engine.tree_group(u, v, depth=config.tree_depth, max_nodes=config.max_group_size)
-        return (path_group, tree_group)
+    def _promote(self, graph: Graph, n_new: int) -> None:
+        """Make the newest arrivals provisional anchors, keeping the most recent.
 
-    def _nearest_anchor_pairs(
-        self, engine: Optional[MultiSourceSearchEngine], provisional: int
-    ) -> List[Tuple[int, int]]:
-        """Pair a provisional anchor with its nearest reachable scored anchors.
-
-        The provisional node is the *source* of each pair, so one BFS row
-        answers all of its searches — scored anchors never become engine
-        sources on account of a provisional pairing.
+        Each is paired with its :data:`PROVISIONAL_PAIR_BUDGET` nearest
+        reachable scored anchors (ties by anchor rank), read off one BFS
+        from the arrivals.  The provisional node is the *source* of each
+        pair, so its own BFS row in the sampler answers all its searches.
         """
-        assert engine is not None
-        if not self._anchors:
-            return []
-        dist_row = engine.distances(provisional)
-        reachable = [(int(dist_row[a]), i, a) for i, a in enumerate(self._anchors) if dist_row[a] >= 0]
-        reachable.sort()
-        return [(provisional, a) for _, _, a in reachable[:PROVISIONAL_PAIR_BUDGET]]
+        arrivals = list(range(graph.n_nodes - n_new, graph.n_nodes))[-MAX_PROVISIONAL_ANCHORS:]
+        dist = graph.multi_source_bfs(arrivals, depth=self.config.sampler.search_depth).dist
+        for node, row in zip(arrivals, dist):
+            reachable = sorted((int(row[a]), i, a) for i, a in enumerate(self._anchors) if row[a] >= 0)
+            self._provisional[node] = [(node, a) for _, _, a in reachable[:PROVISIONAL_PAIR_BUDGET]]
+        for node in list(self._provisional)[:-MAX_PROVISIONAL_ANCHORS]:
+            del self._provisional[node]
 
     # ------------------------------------------------------------------
     def finalize(self) -> GroupDetectionResult:

@@ -3,11 +3,10 @@
 :class:`ReplayDriver` feeds an event stream (any iterable of
 :class:`GraphDelta`) through an :class:`IncrementalTPGrGAD`, one detector
 *tick* per delta, so tick indices are the stream's own tick grid.  Per
-tick the driver records latency, dirty statistics and reuse counters;
-:meth:`ReplayDriver.run` returns a
-:class:`ReplaySummary` with throughput (events/sec), p50/p95 tick
-latency, refit/incremental split and (when the stream declares a burst
-group) the detection lag in ticks.
+tick the driver records latency, dirty statistics and embedding-cache
+counters; :meth:`ReplayDriver.run` returns a :class:`ReplaySummary` with
+throughput (events/sec), p50/p95 tick latency, refit/incremental split
+and (when the stream declares a burst group) the detection lag in ticks.
 
 ``python -m repro.stream`` is the CLI front end; the pinned performance
 numbers live in ``benchmarks/test_stream_replay.py``.
@@ -44,8 +43,6 @@ class ReplaySummary:
 
     name: str
     total_seconds: float
-    pair_hits: int
-    pair_misses: int
     embed_hits: int
     embed_misses: int
     detection_tick: Optional[int] = None
@@ -188,8 +185,6 @@ class ReplaySummary:
                 "n_incremental_ticks": self.n_incremental,
                 "refit_seconds": round(self.refit_seconds, 4),
                 "incremental_seconds": round(self.incremental_seconds, 4),
-                "pair_cache_hits": self.pair_hits,
-                "pair_cache_misses": self.pair_misses,
                 "embedding_cache_hits": self.embed_hits,
                 "embedding_cache_misses": self.embed_misses,
                 "burst_tick": self.burst_tick,
@@ -211,8 +206,7 @@ class ReplaySummary:
             f"  ticks: {self.n_incremental} incremental ({self.incremental_seconds:.2f}s) "
             f"+ {self.n_refits} refits ({self.refit_seconds:.2f}s) "
             f"+ flush ({self.finalize_seconds:.2f}s)",
-            f"  pair cache: {self.pair_hits} hits / {self.pair_misses} misses; "
-            f"embedding cache: {self.embed_hits} hits / {self.embed_misses} misses",
+            f"  embedding cache: {self.embed_hits} hits / {self.embed_misses} misses",
         ]
         if self.burst_tick is not None:
             if self.detection_tick is not None:
@@ -302,8 +296,6 @@ class ReplayDriver:
         return ReplaySummary(
             name=name,
             total_seconds=total,
-            pair_hits=reuse["pair_hits"],
-            pair_misses=reuse["pair_misses"],
             embed_hits=reuse["embed_hits"],
             embed_misses=reuse["embed_misses"],
             detection_tick=detection_tick,

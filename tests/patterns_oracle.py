@@ -34,10 +34,10 @@ def find_topology_patterns(group_graph: Graph, max_patterns_per_kind: int = 4) -
     nx_graph = graph_to_networkx(group_graph)
 
     for cycle in nx.cycle_basis(nx_graph):
-        if len(cycle) >= 3:
-            patterns.cycles.append([int(n) for n in cycle])
         if len(patterns.cycles) >= max_patterns_per_kind:
             break
+        if len(cycle) >= 3:
+            patterns.cycles.append([int(n) for n in cycle])
 
     for component_nodes in nx.connected_components(nx_graph):
         if len(patterns.paths) >= max_patterns_per_kind and len(patterns.trees) >= max_patterns_per_kind:

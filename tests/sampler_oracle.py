@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph import Graph, Group
-from repro.sampling import CandidateGroupSampler, SampleCollection
+from repro.sampling import CandidateGroupSampler
 
 
 def bfs_tree(graph: Graph, root: int, depth: int) -> Dict[int, int]:
@@ -186,18 +186,20 @@ class PerPairSampler(CandidateGroupSampler):
 
     def collect(
         self, graph: Graph, anchors: Sequence[int], pairs: Sequence[Tuple[int, int]]
-    ) -> SampleCollection:
+    ) -> List[Group]:
         config = self.config
-        collection = SampleCollection()
+        candidates: List[Group] = []
         for u, v in pairs:
             path_group = path_search(graph, u, v, max_length=config.max_path_length)
             tree_group = tree_search(graph, u, v, depth=config.tree_depth, max_nodes=config.max_group_size)
-            collection.pair_groups[(u, v)] = (path_group, tree_group)
+            candidates.extend(group for group in (path_group, tree_group) if group is not None)
         for anchor in anchors:
-            collection.anchor_cycles[anchor] = cycle_search(
-                graph,
-                anchor,
-                max_cycle_length=config.max_cycle_length,
-                max_cycles=config.max_cycles_per_anchor,
+            candidates.extend(
+                cycle_search(
+                    graph,
+                    anchor,
+                    max_cycle_length=config.max_cycle_length,
+                    max_cycles=config.max_cycles_per_anchor,
+                )
             )
-        return collection
+        return candidates

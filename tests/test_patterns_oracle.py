@@ -30,7 +30,7 @@ from repro.graph import Graph
 import patterns_oracle as oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-CAPS = (1, 2, 4)
+CAPS = (0, 1, 2, 4)
 
 
 def assert_same_patterns(graph: Graph, cap: int = 4) -> None:

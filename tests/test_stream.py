@@ -6,9 +6,9 @@ The two contracts the ISSUE pins down:
   :class:`StreamingGraph` yields a graph equal (edge index, features,
   adjacency, fingerprint) to building the final graph in one shot.
 * **Incremental parity** — ``refit_policy="always"`` reproduces the batch
-  ``fit_detect`` on every tick's snapshot exactly, ``finalize()`` does so
-  for any policy, and the dirty-region invalidation of stage 2 is *exact*
-  (cached search results of clean anchors equal a fresh recomputation).
+  ``fit_detect`` on every tick's snapshot exactly, and ``finalize()`` does
+  so for any policy.  The incremental ticks themselves are pinned by the
+  golden fixture of ``tests/test_golden_regression.py``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.stream import (
 )
 from repro.stream.__main__ import main as stream_main
 from repro.stream.incremental import MAX_PROVISIONAL_ANCHORS, PROVISIONAL_PAIR_BUDGET
+from test_golden_regression import arrivals
 
 
 # ----------------------------------------------------------------------------
@@ -253,40 +254,6 @@ class TestIncrementalParity:
             incremental.finalize()
             assert incremental.n_refits == refits
 
-    def test_dirty_region_invalidation_is_exact(self, stream_graph):
-        """Clean anchors' cached searches equal a fresh full recomputation."""
-        # A short search depth keeps the dirty ball local, so some anchors
-        # stay clean and reuse actually happens (asserted below).
-        sampler = SamplerConfig(
-            max_path_length=3, tree_depth=2, max_cycle_length=4, max_anchor_pairs=600
-        )
-        config = TPGrGADConfig.fast(seed=3)
-        config.sampler = sampler
-        incremental = IncrementalTPGrGAD(
-            stream_graph,
-            config,
-            StreamConfig(refit_policy="never", promote_new_nodes=False),
-        )
-        reused_total = 0
-        for delta in _growth_deltas(stream_graph, steps=4, seed=9):
-            tick = incremental.update(delta)
-            assert tick.mode == "incremental"
-            reused_total += tick.pairs_reused
-            fresh = CandidateGroupSampler(sampler).collect(
-                incremental.graph, incremental._anchors, incremental._pairs
-            )
-            for pair in incremental._pairs:
-                cached = incremental._collection.pair_groups[pair]
-                recomputed = fresh.pair_groups[pair]
-                assert tuple(g.node_tuple() if g else None for g in cached) == tuple(
-                    g.node_tuple() if g else None for g in recomputed
-                )
-            for anchor in incremental._anchors:
-                assert [g.node_tuple() for g in incremental._collection.anchor_cycles[anchor]] == [
-                    g.node_tuple() for g in fresh.anchor_cycles[anchor]
-                ]
-        assert reused_total > 0, "dirty ball covered every anchor; test lost its teeth"
-
     def test_feature_only_delta_rescores_touched_groups(self, stream_graph):
         config = TPGrGADConfig.fast(seed=3)
         incremental = IncrementalTPGrGAD(
@@ -301,7 +268,7 @@ class TestIncrementalParity:
             )
         )
         assert tick.mode == "incremental"
-        assert tick.pairs_recomputed == 0  # features never dirty searches
+        assert tick.dirty_ball == 0  # features never touch the topology
         assert tick.embeddings_recomputed >= 1
         assert not np.array_equal(tick.result.scores, before)
 
@@ -314,8 +281,7 @@ class TestIncrementalParity:
         expected = one_shot_sampler.sample(stream_graph, anchors)
         staged = CandidateGroupSampler(config)
         pairs = staged.propose_pairs(anchors)
-        collection = staged.collect(stream_graph, anchors, pairs)
-        got = staged.finalize(collection.ordered_candidates(pairs, anchors))
+        got = staged.finalize(staged.collect(stream_graph, anchors, pairs))
         assert [g.node_tuple() for g in got] == [g.node_tuple() for g in expected]
 
 
@@ -323,12 +289,12 @@ class TestProvisionalAnchors:
     """Between refits, new nodes become capped, nearest-paired provisional anchors."""
 
     @staticmethod
-    def _arrivals(graph: Graph, n_new: int, rng: np.random.Generator) -> GraphDelta:
-        # Each new node links to two existing nodes, so it reaches the anchors.
-        new_ids = np.arange(graph.n_nodes, graph.n_nodes + n_new)
-        old = rng.integers(0, graph.n_nodes, size=(n_new, 2))
-        edges = np.concatenate([np.column_stack([new_ids, old[:, 0]]), np.column_stack([new_ids, old[:, 1]])])
-        return GraphDelta.make(edges=edges, node_features=rng.normal(size=(n_new, graph.n_features)))
+    def _nearest_pairs(incremental: IncrementalTPGrGAD, node: int):
+        """The pairs a fresh nearest-anchor choice on the current graph would give."""
+        anchors = incremental._anchors
+        dist = incremental.graph.multi_source_bfs([node], incremental.config.sampler.search_depth).dist[0]
+        reachable = sorted((int(dist[a]), i) for i, a in enumerate(anchors) if dist[a] >= 0)
+        return [(node, anchors[i]) for _, i in reachable[:PROVISIONAL_PAIR_BUDGET]]
 
     def test_cap_keeps_most_recent_and_pairs_nearest_anchors(self, stream_graph):
         assert (MAX_PROVISIONAL_ANCHORS, PROVISIONAL_PAIR_BUDGET) == (16, 8)
@@ -337,37 +303,49 @@ class TestProvisionalAnchors:
         )
         anchors = list(incremental._anchors)
         assert len(anchors) > PROVISIONAL_PAIR_BUDGET
-        depth = incremental.config.sampler.search_depth
         rng = np.random.default_rng(5)
         base_n = stream_graph.n_nodes
         full_budget = n_dropped = 0
         for _ in range(3):  # 30 arrivals between refits
-            previous = list(incremental._provisional)
-            tick = incremental.update(self._arrivals(incremental.graph, 10, rng))
+            previous = dict(incremental._provisional)
+            tick = incremental.update(arrivals(incremental.graph, 10, rng))
             assert tick.mode == "incremental"
             n = incremental.graph.n_nodes
-            assert incremental._provisional == list(range(max(base_n, n - MAX_PROVISIONAL_ANCHORS), n))
+            provisional = incremental._provisional
+            assert list(provisional) == list(range(max(base_n, n - MAX_PROVISIONAL_ANCHORS), n))
+            n_dropped += len(set(previous) - set(provisional))
 
-            # Dropped provisional anchors leave no pairs or cycles behind.
-            dropped = [p for p in previous if p not in incremental._provisional]
-            n_dropped += len(dropped)
-            collection = incremental._collection
-            assert not any(pair[0] in dropped for pair in collection.pair_groups)
-            assert not any(p in collection.anchor_cycles for p in dropped)
-            assert set(incremental._provisional_pairs) == set(incremental._provisional)
-
-            # This tick's arrivals pair with their nearest scored anchors.
-            for p in range(n - 10, n):
-                pairs = incremental._provisional_pairs[p]
-                assert all(pair in collection.pair_groups for pair in pairs)
-                dist = incremental.graph.multi_source_bfs([p], depth).dist[0]
-                reachable = sorted((int(dist[a]), i) for i, a in enumerate(anchors) if dist[a] >= 0)
-                expected = [anchors[i] for _, i in reachable[:PROVISIONAL_PAIR_BUDGET]]
-                assert pairs == [(p, a) for a in expected]
-                full_budget += len(pairs) == PROVISIONAL_PAIR_BUDGET
+            # The tick searched exactly the refit's pairs plus the memo's, from
+            # the anchors plus the provisional anchors.
+            assert tick.pairs_recomputed == len(incremental._pairs) + sum(map(len, provisional.values()))
+            assert tick.result.anchor_nodes.tolist() == anchors + list(provisional)
+            # Survivors keep their pairs; this tick's arrivals pair with
+            # their nearest scored anchors.
+            for p, pairs in provisional.items():
+                if p in previous:
+                    assert pairs == previous[p]
+                else:
+                    assert p >= n - 10
+                    assert pairs == self._nearest_pairs(incremental, p)
+                    full_budget += len(pairs) == PROVISIONAL_PAIR_BUDGET
         assert full_budget > 0, "no arrival reached the pair budget; test lost its teeth"
         assert n_dropped == 30 - MAX_PROVISIONAL_ANCHORS
         assert incremental.n_refits == 1
+
+    def test_later_edge_keeps_the_arrival_time_pairs(self, stream_graph):
+        incremental = IncrementalTPGrGAD(
+            stream_graph, TPGrGADConfig.fast(seed=3), StreamConfig(refit_policy="never")
+        )
+        incremental.update(arrivals(incremental.graph, 1, np.random.default_rng(5)))
+        node = incremental.graph.n_nodes - 1
+        at_arrival = list(incremental._provisional[node])
+        # A direct edge to an anchor it was not paired with makes that
+        # anchor its nearest one.
+        far = next(a for a in incremental._anchors if (node, a) not in at_arrival)
+        tick = incremental.update(GraphDelta.make(edges=[(node, far)]))
+        assert tick.mode == "incremental"
+        assert self._nearest_pairs(incremental, node) != at_arrival, "the edge changed no pairing"
+        assert incremental._provisional[node] == at_arrival
 
 
 # ----------------------------------------------------------------------------
@@ -435,7 +413,6 @@ class TestEventStreams:
             "p95_refit_tick_latency_seconds",
             "n_refits",
             "n_incremental_ticks",
-            "pair_cache_hits",
             "detection_lag_ticks",
         ):
             assert key in payload
@@ -483,3 +460,30 @@ def test_stream_cli_compare_refit_writes_bench_schema(tmp_path):
         assert not BENCH_STREAM_REPLAY_KEYS - set(replay), replay["name"]
         assert replay["n_events"] == replay["n_ticks"] == 4
     assert replays[1]["n_refits"] == 4
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--ticks", "0", "--ticks"),
+        ("--scale", "0", "--scale"),
+        ("--drift-budget", "0", "drift_budget"),
+    ],
+)
+def test_stream_cli_rejects_bad_flag_before_generating(monkeypatch, capsys, flag, value, message):
+    def no_stream(**kwargs):
+        raise AssertionError("a stream was generated before the flags were checked")
+
+    monkeypatch.setattr("repro.stream.__main__.make_event_stream", no_stream)
+    with pytest.raises(SystemExit) as excinfo:
+        stream_main([flag, value])
+    assert excinfo.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0], lines
+    assert lines[0].startswith("python -m repro.stream: error:"), lines
+
+
+@pytest.mark.parametrize("maker", [make_event_stream, make_burst_stream])
+def test_stream_makers_reject_zero_ticks(maker):
+    with pytest.raises(ValueError, match="at least one tick"):
+        maker(dataset="simml", scale=0.05, seed=2, n_ticks=0)
