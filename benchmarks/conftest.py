@@ -25,15 +25,7 @@ from repro.experiments import ExperimentSettings
 @pytest.fixture(scope="session")
 def quick_settings() -> ExperimentSettings:
     """Small-scale settings shared by all benchmark modules."""
-    return ExperimentSettings(
-        datasets=["ethereum-tsgn", "simml"],
-        scale=0.1,
-        seeds=(0,),
-        mhgae_epochs=30,
-        tpgcl_epochs=6,
-        baseline_epochs=25,
-        max_candidates=100,
-    )
+    return ExperimentSettings.quick()
 
 
 @pytest.fixture(scope="session")

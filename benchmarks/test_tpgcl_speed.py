@@ -18,7 +18,10 @@ Everything else (augmentations, MINE, Adam, pattern search) is shared,
 so the ratio isolates the encoder path.  Each graph is fitted
 ``ROUNDS`` times per arm, alternating which arm goes first, and each arm
 keeps its fastest time per graph, so host drift and a neighbour's burst
-hit both arms alike.
+hit both arms alike.  Because the arms interleave, ``fused_usage`` /
+``oracle_usage`` hold each arm's CPU seconds summed over all its calls
+(every round, not only the fastest) next to the load average around the
+whole comparison (see ``hostinfo.arm_usage``).
 
 Writes ``BENCH_tpgcl.json`` (tracked in git, uploaded by the CI train
 job); ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
@@ -39,7 +42,7 @@ from repro.datasets import make_amlpublic, make_simml
 from repro.gcl import TPGCL, GroupEncoder
 from repro.persist import dump_json
 
-from hostinfo import host_facts
+from hostinfo import arm_usage, host_facts
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from encoder_oracle import AutodiffGroupEncoder  # noqa: E402
@@ -66,30 +69,34 @@ def _fit_embed(encoder_cls, tpgcl_config, graph, candidates):
     original = tpgcl_module.GroupEncoder
     tpgcl_module.GroupEncoder = encoder_cls
     try:
-        start = time.perf_counter()
-        model = TPGCL(tpgcl_config).fit(graph, candidates)
-        embeddings = model.embed_groups(graph, candidates)
-        seconds = time.perf_counter() - start
+        with arm_usage() as usage:
+            start = time.perf_counter()
+            model = TPGCL(tpgcl_config).fit(graph, candidates)
+            embeddings = model.embed_groups(graph, candidates)
+            seconds = time.perf_counter() - start
     finally:
         tpgcl_module.GroupEncoder = original
     assert type(model.encoder) is encoder_cls
-    return embeddings, seconds
+    return embeddings, seconds, usage["cpu_seconds"]
 
 
 def _compare(config, workload):
+    """Per arm: summed fastest seconds per graph, and CPU seconds summed over every call."""
     seconds = {"fused": 0.0, "oracle": 0.0}
+    cpu_seconds = {"fused": 0.0, "oracle": 0.0}
     identical = True
     arms = [("fused", GroupEncoder), ("oracle", AutodiffGroupEncoder)]
     for index, (graph, candidates) in enumerate(workload):
         embeddings, fastest = {}, {name: float("inf") for name in seconds}
         for round_index in range(ROUNDS):
             for name, encoder_cls in arms if (index + round_index) % 2 == 0 else arms[::-1]:
-                embeddings[name], elapsed = _fit_embed(encoder_cls, config.tpgcl, graph, candidates)
+                embeddings[name], elapsed, cpu = _fit_embed(encoder_cls, config.tpgcl, graph, candidates)
                 fastest[name] = min(fastest[name], elapsed)
+                cpu_seconds[name] += cpu
         for name in seconds:
             seconds[name] += fastest[name]
         identical &= bool(np.array_equal(embeddings["fused"], embeddings["oracle"]))
-    return seconds, identical
+    return seconds, cpu_seconds, identical
 
 
 def test_fused_encoder_faster_than_autodiff_oracle(benchmark, bench_json_path):
@@ -103,7 +110,11 @@ def test_fused_encoder_faster_than_autodiff_oracle(benchmark, bench_json_path):
             workload.append((graph, candidates))
     assert len(workload) >= N_GRAPHS - 2
 
-    seconds, identical = benchmark.pedantic(lambda: _compare(config, workload), rounds=1, iterations=1)
+    with arm_usage() as comparison:
+        seconds, cpu_seconds, identical = benchmark.pedantic(
+            lambda: _compare(config, workload), rounds=1, iterations=1
+        )
+    loadavg = {key: comparison[key] for key in ("loadavg_before", "loadavg_after")}
     speedup = seconds["oracle"] / max(seconds["fused"], 1e-12)
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
@@ -119,6 +130,8 @@ def test_fused_encoder_faster_than_autodiff_oracle(benchmark, bench_json_path):
             "rounds": ROUNDS,
             "fused_seconds": round(seconds["fused"], 3),
             "oracle_seconds": round(seconds["oracle"], 3),
+            "fused_usage": {"cpu_seconds": round(cpu_seconds["fused"], 3), **loadavg},
+            "oracle_usage": {"cpu_seconds": round(cpu_seconds["oracle"], 3), **loadavg},
             "speedup": round(speedup, 2),
             "required_speedup": REQUIRED_SPEEDUP,
             "embeddings_identical": identical,

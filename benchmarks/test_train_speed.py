@@ -18,6 +18,11 @@ Three arms are timed:
   stages (TPGCL views go through the same fused encoder kernel as
   float64), in-place everything.
 
+Each arm also records its CPU seconds and the load average around it
+(``seed_loop_usage`` / ``float64_usage`` / ``float32_usage``, see
+``hostinfo.arm_usage``), so a missed ratio shows whether an arm did extra
+work or shared the cores.
+
 Writes ``BENCH_train.json`` (the artifact the CI train job uploads);
 ``BENCH_OUT_DIR`` picks its directory (see ``conftest.py``).
 """
@@ -37,7 +42,7 @@ from repro.persist import dump_json
 from repro.seeding import resolve_seed
 from repro.tensor import Tensor
 
-from hostinfo import host_facts
+from hostinfo import arm_usage, host_facts
 from test_scaling_sparse import _synthetic_graph
 
 REQUIRED_SPEEDUP = 3.0
@@ -122,26 +127,29 @@ def test_fast_mode_at_least_3x_faster_than_seed_loop(benchmark, bench_json_path)
     # Arm 1: the seed training loop (float64, unfused, allocating Adam).
     pipeline_mod.MultiHopGAE = _SeedMultiHopGAE
     try:
-        start = time.perf_counter()
-        seed_detector = TPGrGAD(config)
-        seed_result = seed_detector.fit_detect(graph)
-        seed_seconds = time.perf_counter() - start
+        with arm_usage() as seed_loop_usage:
+            start = time.perf_counter()
+            seed_detector = TPGrGAD(config)
+            seed_result = seed_detector.fit_detect(graph)
+            seed_seconds = time.perf_counter() - start
     finally:
         pipeline_mod.MultiHopGAE = MultiHopGAE
 
     # Arm 2: today's float64 default (fused loss, in-place optimizers) —
     # bit-identical trajectory to the seed loop, so same groups by construction.
-    start = time.perf_counter()
-    f64_detector = TPGrGAD(config)
-    f64_result = f64_detector.fit_detect(graph)
-    f64_seconds = time.perf_counter() - start
+    with arm_usage() as float64_usage:
+        start = time.perf_counter()
+        f64_detector = TPGrGAD(config)
+        f64_result = f64_detector.fit_detect(graph)
+        f64_seconds = time.perf_counter() - start
 
     # Arm 3: fast mode (float32 + everything above).
-    start = time.perf_counter()
-    fast_result = benchmark.pedantic(
-        lambda: TPGrGAD(config.accelerated()).fit_detect(graph), rounds=1, iterations=1
-    )
-    fast_seconds = time.perf_counter() - start
+    with arm_usage() as float32_usage:
+        start = time.perf_counter()
+        fast_result = benchmark.pedantic(
+            lambda: TPGrGAD(config.accelerated()).fit_detect(graph), rounds=1, iterations=1
+        )
+        fast_seconds = time.perf_counter() - start
 
     assert _groups(f64_result) == _groups(seed_result)
     groups_identical = _groups(fast_result) == _groups(seed_result)
@@ -166,6 +174,9 @@ def test_fast_mode_at_least_3x_faster_than_seed_loop(benchmark, bench_json_path)
             "seed_loop_seconds": round(seed_seconds, 3),
             "float64_seconds": round(f64_seconds, 3),
             "float32_seconds": round(fast_seconds, 3),
+            "seed_loop_usage": seed_loop_usage,
+            "float64_usage": float64_usage,
+            "float32_usage": float32_usage,
             "seed_loop_epoch_seconds": round(seed_seconds / epochs, 4),
             "float32_epoch_seconds": round(fast_seconds / epochs, 4),
             "speedup_vs_seed": round(speedup_vs_seed, 2),

@@ -11,7 +11,7 @@ Every generator accepts ``scale`` (shrinks node counts proportionally so the
 full pipeline runs in seconds during tests and benchmarks) and ``seed``.
 """
 
-from repro.datasets.injection import GroupSpec, inject_groups, attach_group_to_background
+from repro.datasets.injection import GroupSpec, inject_groups
 from repro.datasets.background import random_transaction_background, sbm_citation_background
 from repro.datasets.amlsim import make_simml
 from repro.datasets.amlpublic import make_amlpublic
@@ -45,7 +45,6 @@ __all__ = [
     "make_burst_stream",
     "GroupSpec",
     "inject_groups",
-    "attach_group_to_background",
     "random_transaction_background",
     "sbm_citation_background",
     "make_simml",

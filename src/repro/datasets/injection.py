@@ -190,23 +190,6 @@ def assign_group_features(
     return np.vstack([features[node] for node in node_ids])
 
 
-def attach_group_to_background(
-    graph: Graph,
-    group_nodes: Sequence[int],
-    n_attachments: int,
-    rng: np.random.Generator,
-    background_nodes: Optional[Sequence[int]] = None,
-) -> List[Tuple[int, int]]:
-    """Pick attachment edges wiring an injected group into the background."""
-    pool = np.asarray(background_nodes if background_nodes is not None else range(graph.n_nodes))
-    attachments = []
-    for _ in range(n_attachments):
-        group_end = int(rng.choice(np.asarray(group_nodes)))
-        background_end = int(rng.choice(pool))
-        attachments.append((group_end, background_end))
-    return attachments
-
-
 def inject_groups(
     background: Graph,
     specs: Sequence[GroupSpec],

@@ -21,8 +21,9 @@ and neither training nor scoring densifies it.  Both walk row blocks of
 * :meth:`GraphAutoEncoder.score_nodes` encodes once and forms the residual
   row norms block by block.
 
-So neither path allocates an ``n × n`` array.  Only the public
-:meth:`GraphAutoEncoder.reconstruct` still returns the dense ``A'``.
+So neither path allocates an ``n × n`` array.  The dense reconstruction
+``(A', X')`` survives only as the test oracle ``reconstruct`` in
+``tests/gae_oracle.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.graph import Graph, normalized_adjacency
 from repro.nn import Adam, GCNConv, MLP, Module
 from repro.obs.tracer import get_tracer
 from repro.seeding import resolve_seed
-from repro.tensor import Tensor, default_dtype, no_grad, sigmoid_, tape_node_count
+from repro.tensor import Tensor, default_dtype, float_dtype, no_grad, sigmoid_, tape_node_count
 
 Propagation = Union[np.ndarray, sp.spmatrix]
 
@@ -186,6 +187,9 @@ class GAEConfig:
     # None means "unset": standalone use resolves to 0, while a parent
     # TPGrGADConfig fills it with a stream derived from its master seed.
     seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        float_dtype(self.dtype)
 
 
 @dataclass
@@ -373,21 +377,6 @@ class GraphAutoEncoder:
         if self._model is None or self._graph is None:
             raise RuntimeError("call fit() before scoring")
 
-    def reconstruct(self) -> tuple:
-        """Return ``(A', X')``, the reconstructed structure and (scaled) attributes."""
-        self._require_fitted()
-        with no_grad():
-            z = self._model.encode(Tensor(self._scaled_features), self._propagation)
-            structure_hat = self._model.decode_structure(z).numpy()
-            attribute_hat = self._model.decode_attributes(z).numpy()
-        return structure_hat, attribute_hat
-
-    def embed(self) -> np.ndarray:
-        """Node embeddings ``Z`` of the fitted graph."""
-        self._require_fitted()
-        with no_grad():
-            return self._model.encode(Tensor(self._scaled_features), self._propagation).numpy()
-
     @staticmethod
     def _zscore(values: np.ndarray) -> np.ndarray:
         spread = values.std()
@@ -400,8 +389,8 @@ class GraphAutoEncoder:
 
         The structure error ``‖Ã_i − σ(z_i Zᵀ)‖`` is computed one row block
         of ``SCORE_BLOCK_ELEMENTS // n`` rows at a time, with the
-        elementwise ops of :meth:`reconstruct`, so the values equal the
-        dense formula without holding an ``n × n`` array.
+        elementwise ops of the dense decoder ``sigmoid(Z Zᵀ)``, so the
+        values equal the dense formula without holding an ``n × n`` array.
         """
         self._require_fitted()
         with no_grad():

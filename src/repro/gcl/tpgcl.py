@@ -33,7 +33,7 @@ from repro.graph import Graph, Group
 from repro.nn import Adam
 from repro.obs.tracer import get_tracer
 from repro.seeding import resolve_seed
-from repro.tensor import default_dtype, no_grad, tape_node_count
+from repro.tensor import default_dtype, float_dtype, no_grad, tape_node_count
 
 
 @dataclass
@@ -63,6 +63,13 @@ class TPGCLConfig:
     # None means "unset": standalone use resolves to 0, while a parent
     # TPGrGADConfig fills it with a stream derived from its master seed.
     seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # MINE contrasts each group with the others of its batch, so a
+        # batch of one is skipped: batch_size 1 would never train.
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        float_dtype(self.dtype)
 
 
 @dataclass

@@ -8,13 +8,12 @@ undirected graph with optional ground-truth anomaly groups attached.
 from repro.graph.group import Group
 from repro.graph.graph import Graph, InducedSubgraphs, MultiSourceBFS, as_edge_array
 from repro.graph.adjacency import (
-    adjacency_matrix,
     normalized_adjacency,
     k_hop_matrix,
     graphsnn_weighted_adjacency,
     row_normalize,
 )
-from repro.graph.builders import graph_from_networkx, graph_to_networkx, union_of_groups
+from repro.graph.builders import graph_to_networkx
 
 __all__ = [
     "Graph",
@@ -22,12 +21,9 @@ __all__ = [
     "InducedSubgraphs",
     "MultiSourceBFS",
     "as_edge_array",
-    "adjacency_matrix",
     "normalized_adjacency",
     "k_hop_matrix",
     "graphsnn_weighted_adjacency",
     "row_normalize",
-    "graph_from_networkx",
     "graph_to_networkx",
-    "union_of_groups",
 ]

@@ -28,11 +28,6 @@ from repro.graph.graph import Graph
 Matrix = Union[np.ndarray, sp.spmatrix]
 
 
-def adjacency_matrix(graph: Graph, sparse: bool = False) -> Matrix:
-    """Symmetric binary adjacency matrix of ``graph`` (dense by default)."""
-    return graph.adjacency(sparse=sparse)
-
-
 def row_normalize(matrix: Matrix, eps: float = 1e-12) -> Matrix:
     """Scale each row to sum to one (rows of zeros are left untouched).
 

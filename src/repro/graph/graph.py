@@ -5,9 +5,9 @@ A ``Graph`` is an undirected attributed graph with
 * ``n_nodes`` nodes indexed ``0 .. n_nodes - 1``,
 * a canonical ``(2, E)`` integer **edge index** (deduplicated, no self
   loops, each column sorted ``u < v`` and columns in lexicographic order),
-* a cached CSR adjacency matrix derived from the edge index, from which all
-  neighbourhood queries (``neighbors`` / ``degree`` / ``has_edge``) are
-  answered without per-edge Python loops,
+* a cached CSR adjacency matrix derived from the edge index, from which
+  neighbour lists and BFS searches are answered without per-edge Python
+  loops,
 * a dense feature matrix ``X`` of shape ``(n_nodes, n_features)``,
 * optional ground-truth anomaly :class:`~repro.graph.group.Group` objects,
 * optional per-node anomaly labels derived from those groups.
@@ -345,7 +345,7 @@ class Graph:
             cols = np.concatenate([v, u])
             vals = np.ones(rows.shape[0], dtype=np.float64)
             cache = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-            cache.sort_indices()  # sorted rows let has_edge binary-search
+            cache.sort_indices()  # neighbors() and the BFS discovery order read rows in id order
             self._adjacency_cache = cache
         return self._adjacency_cache if sparse else self._adjacency_cache.toarray()
 
@@ -356,22 +356,6 @@ class Graph:
             splits = np.split(csr.indices, csr.indptr[1:-1])
             self._neighbor_cache = [tuple(part.tolist()) for part in splits]
         return self._neighbor_cache[int(node)]
-
-    def degree(self, node: Optional[int] = None):
-        """Degree of one node, or the full degree vector when ``node`` is None."""
-        if node is not None:
-            csr = self.adjacency(sparse=True)
-            node = int(node)
-            return int(csr.indptr[node + 1] - csr.indptr[node])
-        return np.bincount(self._edge_index.ravel(), minlength=self.n_nodes)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge ``(u, v)`` is present (O(log deg(u)))."""
-        csr = self.adjacency(sparse=True)
-        u, v = int(u), int(v)
-        start, end = int(csr.indptr[u]), int(csr.indptr[u + 1])
-        position = start + int(np.searchsorted(csr.indices[start:end], v))
-        return position < end and int(csr.indices[position]) == v
 
     def fingerprint(self) -> str:
         """Stable content hash of ``(n_nodes, edge_index, features)``.
@@ -628,16 +612,11 @@ class Graph:
             sources=tuple(int(s) for s in source_array), dist=dist, parent=parent, order=order
         )
 
-    def k_hop_nodes(self, sources: Sequence[int], k: int) -> List[np.ndarray]:
-        """Nodes within ``k`` hops of each source (sorted, source included)."""
-        bfs = self.multi_source_bfs(sources, depth=int(k))
-        return [np.flatnonzero(row >= 0) for row in bfs.dist]
-
     def k_hop_ball(self, sources: Sequence[int], k: Optional[int]) -> np.ndarray:
         """Union of the ``k``-hop balls around ``sources`` (sorted node ids).
 
-        Equals ``union(self.k_hop_nodes(sources, k))`` — i.e. the union over
-        the per-source forests of :meth:`multi_source_bfs` — but is computed
+        Equals the union over the per-source forests of
+        :meth:`multi_source_bfs` with ``depth=k``, but is computed
         as one joint frontier expansion (``k`` boolean SpMVs over the CSR
         adjacency) instead of one BFS per source, so it stays cheap even
         when a streaming delta touches many nodes at once.  The streaming

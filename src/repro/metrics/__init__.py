@@ -16,7 +16,6 @@ from repro.metrics.classification import (
     group_auc,
     match_groups,
     roc_auc_score,
-    precision_recall_f1,
     average_group_size,
 )
 from repro.metrics.report import EvaluationReport, evaluate_detection
@@ -29,7 +28,6 @@ __all__ = [
     "group_auc",
     "match_groups",
     "roc_auc_score",
-    "precision_recall_f1",
     "average_group_size",
     "EvaluationReport",
     "evaluate_detection",

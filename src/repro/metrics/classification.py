@@ -9,7 +9,7 @@ one ranking example whose label is whether it matches a true group.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,19 +41,6 @@ def match_groups(
                 labels[index] = True
                 break
     return labels
-
-
-def precision_recall_f1(predicted_positive: np.ndarray, labels: np.ndarray) -> Tuple[float, float, float]:
-    """Precision / recall / F1 of boolean predictions against boolean labels."""
-    predicted_positive = np.asarray(predicted_positive, dtype=bool)
-    labels = np.asarray(labels, dtype=bool)
-    true_positive = int((predicted_positive & labels).sum())
-    false_positive = int((predicted_positive & ~labels).sum())
-    false_negative = int((~predicted_positive & labels).sum())
-    precision = true_positive / (true_positive + false_positive) if (true_positive + false_positive) else 0.0
-    recall = true_positive / (true_positive + false_negative) if (true_positive + false_negative) else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
-    return precision, recall, f1
 
 
 def roc_auc_score(labels: np.ndarray, scores: np.ndarray) -> float:

@@ -32,17 +32,6 @@ def glorot_uniform(
     return rng.uniform(-limit, limit, size=shape).astype(_resolve(dtype), copy=False)
 
 
-def uniform(
-    shape: Tuple[int, ...],
-    rng: np.random.Generator,
-    low: float = -0.05,
-    high: float = 0.05,
-    dtype: Optional[np.dtype] = None,
-) -> np.ndarray:
-    """Uniform initialisation in ``[low, high]``."""
-    return rng.uniform(low, high, size=shape).astype(_resolve(dtype), copy=False)
-
-
 def zeros(shape: Tuple[int, ...], dtype: Optional[np.dtype] = None) -> np.ndarray:
     """All-zeros initialisation (used for biases)."""
     return np.zeros(shape, dtype=_resolve(dtype))

@@ -1,13 +1,12 @@
-"""Layers: Linear, MLP, graph convolutions, dropout and decoders.
+"""Layers: Linear, MLP and the GCN graph convolution.
 
 The graph convolution follows Kipf & Welling's GCN rule
 
     H' = act( \\hat{A} H W + b )
 
-where ``\\hat{A}`` is the symmetrically normalised adjacency with self
-loops.  :class:`GraphSNNConv` is the same propagation rule but driven by the
-GraphSNN weighted adjacency ``Ã`` of Eqn. (4) in the paper, which is the
-reconstruction target recommended for MH-GAE.
+where ``\\hat{A}`` is the propagation matrix passed at call time: the
+symmetrically normalised adjacency with self loops, or MH-GAE's mix of it
+with the GraphSNN weighted adjacency ``Ã`` of Eqn. (4) in the paper.
 """
 
 from __future__ import annotations
@@ -28,16 +27,10 @@ Propagation = Union[np.ndarray, sp.spmatrix]
 _ACTIVATIONS: dict = {
     None: lambda x: x,
     "relu": lambda x: x.relu(),
-    "leaky_relu": lambda x: x.leaky_relu(),
-    "sigmoid": lambda x: x.sigmoid(),
-    "tanh": lambda x: x.tanh(),
-    "softplus": lambda x: x.softplus(),
 }
 
 
 def _resolve_activation(name: Activation) -> Callable[[Tensor], Tensor]:
-    if callable(name):
-        return name
     if name not in _ACTIVATIONS:
         raise ValueError(f"unknown activation '{name}'; choose one of {sorted(k for k in _ACTIVATIONS if k)}")
     return _ACTIVATIONS[name]
@@ -63,33 +56,6 @@ class Linear(Module):
         return out
 
 
-class Dropout(Module):
-    """Inverted dropout driven by an explicit random generator."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.dropout(self.rate, self._rng, training=self.training)
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
 class MLP(Module):
     """Multi-layer perceptron with a configurable hidden activation.
 
@@ -102,16 +68,12 @@ class MLP(Module):
         dims: Sequence[int],
         rng: np.random.Generator,
         activation: Activation = "relu",
-        output_activation: Activation = None,
-        dropout: float = 0.0,
     ) -> None:
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dimensions")
         self.linears: List[Linear] = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         self._activation = _resolve_activation(activation)
-        self._output_activation = _resolve_activation(output_activation)
-        self._dropout = Dropout(dropout, rng) if dropout > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -120,9 +82,7 @@ class MLP(Module):
             x = linear(x)
             if index != last:
                 x = self._activation(x)
-                if self._dropout is not None:
-                    x = self._dropout(x)
-        return self._output_activation(x)
+        return x
 
 
 class GCNConv(Module):
@@ -154,48 +114,3 @@ class GCNConv(Module):
             return self._activation(spmm(propagation, support))
         propagated = Tensor(np.asarray(propagation, dtype=support.data.dtype)) @ support
         return self._activation(propagated)
-
-
-class GraphSNNConv(Module):
-    """GCN-style convolution driven by the GraphSNN weighted adjacency ``Ã``.
-
-    GraphSNN (Wijesinghe & Wang, ICLR 2022) augments message passing with
-    overlap-subgraph weights; the paper uses its weighted adjacency as the
-    reconstruction target of MH-GAE.  The layer itself mixes the node's own
-    transformed features with structurally weighted neighbour messages:
-
-        H' = act( (I + Ã_norm) X W )
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        activation: Activation = "relu",
-    ) -> None:
-        super().__init__()
-        self.linear = Linear(in_features, out_features, rng)
-        self._activation = _resolve_activation(activation)
-
-    def forward(self, x: Tensor, weighted_adjacency: Propagation) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        support = self.linear(x)
-        if sp.issparse(weighted_adjacency):
-            mixing = (sp.identity(weighted_adjacency.shape[0], format="csr") + weighted_adjacency).tocsr()
-            return self._activation(spmm(mixing, support))
-        weighted = np.asarray(weighted_adjacency, dtype=support.data.dtype)
-        mixing = np.eye(weighted.shape[0], dtype=weighted.dtype) + weighted
-        return self._activation(Tensor(mixing) @ support)
-
-
-class InnerProductDecoder(Module):
-    """Structure decoder ``sigmoid(Z Z^T)`` used by every GAE variant."""
-
-    def __init__(self, apply_sigmoid: bool = True) -> None:
-        super().__init__()
-        self.apply_sigmoid = apply_sigmoid
-
-    def forward(self, z: Tensor) -> Tensor:
-        logits = z @ z.T
-        return logits.sigmoid() if self.apply_sigmoid else logits

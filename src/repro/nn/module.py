@@ -1,8 +1,7 @@
 """Minimal ``Module`` / ``Parameter`` abstraction.
 
 Modules own named parameters and sub-modules, expose ``parameters()`` for
-optimizers, and carry a ``training`` flag consumed by stochastic layers
-such as :class:`repro.nn.layers.Dropout`.
+optimizers and ``state_dict()`` / ``load_state_dict()`` for artifacts.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ class Module:
     :meth:`named_parameters`.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
     # ------------------------------------------------------------------
     # Parameter discovery
     # ------------------------------------------------------------------
@@ -53,26 +49,6 @@ class Module:
     def parameters(self) -> List[Parameter]:
         """Return the list of trainable parameters (depth-first order)."""
         return [param for _, param in self.named_parameters()]
-
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all sub-modules depth-first."""
-        yield self
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
-    # ------------------------------------------------------------------
-    # Training / evaluation mode
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Set the training flag on this module and all sub-modules."""
-        for module in self.modules():
-            module.training = mode
-        return self
 
     # ------------------------------------------------------------------
     # Gradient helpers and state

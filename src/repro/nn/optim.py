@@ -1,12 +1,12 @@
-"""Gradient-descent optimizers (SGD with momentum, Adam).
+"""The Adam optimizer every model of the paper trains with.
 
-Both optimizers update fully in place: each step writes into preallocated
-scratch buffers (two per parameter for Adam, one for SGD) instead of
-allocating fresh temporaries for the weight-decay term, ``m_hat``/``v_hat``
-and the update itself.  Every in-place expression applies the same scalar
-operations in an order that is bitwise-equivalent to the original
-allocating formulation (only commutative reorderings such as ``g·c`` for
-``c·g``), so parameter trajectories are unchanged to the last bit — see
+Adam updates fully in place: each step writes into two preallocated
+scratch buffers per parameter instead of allocating fresh temporaries for
+the weight-decay term, ``m_hat``/``v_hat`` and the update itself.  Every
+in-place expression applies the same scalar operations in an order that
+is bitwise-equivalent to the original allocating formulation (only
+commutative reorderings such as ``g·c`` for ``c·g``), so parameter
+trajectories are unchanged to the last bit — see
 ``tests/test_train_engine.py`` for the regression oracle.
 """
 
@@ -39,44 +39,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch = [np.empty_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity, scratch in zip(self.parameters, self._velocity, self._scratch):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=scratch)
-                scratch += grad
-                grad = scratch
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            np.multiply(update, self.lr, out=scratch)
-            param.data -= scratch
 
 
 class Adam(Optimizer):

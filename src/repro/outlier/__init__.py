@@ -2,8 +2,8 @@
 
 The paper feeds TPGCL embeddings into ECOD (and mentions SUOD as an
 alternative).  All detectors here follow the same minimal interface:
-``fit(X)``, ``decision_scores(X)`` (larger = more anomalous) and
-``predict(X, contamination)`` returning a boolean anomaly mask.
+``fit(X)`` and ``decision_scores(X)`` (larger = more anomalous); the
+pipeline thresholds those scores itself.
 """
 
 from repro.outlier.base import OutlierDetector

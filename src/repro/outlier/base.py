@@ -20,14 +20,6 @@ class OutlierDetector:
         """Convenience: fit on ``X`` and score the same sample."""
         return self.fit(X).decision_scores(X)
 
-    def predict(self, X: np.ndarray, contamination: float = 0.1) -> np.ndarray:
-        """Boolean anomaly mask for the top-``contamination`` fraction of scores."""
-        if not 0.0 < contamination < 1.0:
-            raise ValueError("contamination must be in (0, 1)")
-        scores = self.decision_scores(X)
-        threshold = np.quantile(scores, 1.0 - contamination)
-        return scores >= threshold
-
     @staticmethod
     def _validate(X: np.ndarray, fitted_dim: Optional[int] = None) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

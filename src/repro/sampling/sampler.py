@@ -57,6 +57,16 @@ class SamplerConfig:
     # TPGrGADConfig fills it with a stream derived from its master seed.
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.min_group_size <= self.max_group_size:
+            raise ValueError(
+                f"need 1 <= min_group_size <= max_group_size, got "
+                f"{self.min_group_size} and {self.max_group_size}"
+            )
+        for name in ("max_candidates", "max_anchor_pairs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     @property
     def search_depth(self) -> Optional[int]:
         """Hop radius a single search can explore from its anchor.

@@ -2,8 +2,8 @@
 
 This subpackage is the neural-network substrate of the reproduction: the
 paper trains small GCN encoders and MLP heads with Adam, which in the
-original implementation relies on PyTorch.  Here we provide a compact but
-complete autodiff engine with exactly the operator set those models need.
+original implementation relies on PyTorch.  Here we provide a compact
+autodiff engine with exactly the operator set those models run.
 
 The public entry point is :class:`Tensor`.  A tensor wraps a numpy array,
 remembers the operation that produced it, and :meth:`Tensor.backward`
@@ -26,10 +26,10 @@ from repro.tensor.tensor import (
     sigmoid_,
     is_grad_enabled,
     default_dtype,
+    float_dtype,
     get_default_dtype,
     set_default_dtype,
     tape_node_count,
-    reset_tape_node_count,
 )
 from repro.tensor import functional
 from repro.tensor.functional import spmm
@@ -40,10 +40,10 @@ __all__ = [
     "sigmoid_",
     "is_grad_enabled",
     "default_dtype",
+    "float_dtype",
     "get_default_dtype",
     "set_default_dtype",
     "tape_node_count",
-    "reset_tape_node_count",
     "functional",
     "spmm",
 ]

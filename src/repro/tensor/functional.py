@@ -1,8 +1,7 @@
 """Functional helpers built on top of :class:`repro.tensor.Tensor`.
 
-These free functions mirror the small subset of ``torch.nn.functional``
-the models in this repository use: a row-wise softmax, concatenation,
-and a sparse-dense matrix product (``spmm``) for GCN propagation with
+The one free function the models use is the sparse-dense matrix
+product :func:`spmm` (``torch.sparse.mm``), for GCN propagation with
 scipy CSR matrices.
 
 The fused training kernels of the fast training engine (DESIGN.md, "Fast
@@ -13,7 +12,7 @@ group encoder in :meth:`repro.gcl.encoder.GroupEncoder.encode_batch`.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,15 +41,3 @@ def spmm(matrix: Union[sp.spmatrix, np.ndarray], x: Tensor) -> Tensor:
         x_t._accumulate(np.asarray(csr.T @ np.asarray(grad)), owned=True)
 
     return Tensor._make(data, (x_t,), backward, "spmm")
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` (thin wrapper for discoverability)."""
-    return Tensor.concatenate(tensors, axis=axis)

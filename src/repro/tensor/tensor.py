@@ -6,9 +6,10 @@ closure that, given the gradient of the output, accumulates gradients into
 the parents.  Calling :meth:`Tensor.backward` performs a topological sort of
 the recorded graph and applies the closures in reverse order.
 
-Only the operations required by the models in this repository are
-implemented (dense matmul, elementwise arithmetic, reductions, activations,
-indexing and concatenation), which keeps the engine small and auditable.
+Only the operations the models in this repository run are implemented:
+matmul, ``+ - * **``, ``sum``/``mean``, ``exp``/``log``/``relu``/
+``sigmoid``/``clip``, transpose, indexing and concatenation.  That keeps
+the engine small and auditable.
 
 Two engine-level properties matter for training throughput (see DESIGN.md,
 "Fast training engine"):
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,12 +72,26 @@ def get_default_dtype() -> np.dtype:
     return getattr(_state, "default_dtype", np.dtype(np.float64))
 
 
+def float_dtype(dtype) -> np.dtype:
+    """``dtype`` as a numpy dtype; ``ValueError`` unless it is float32 or float64.
+
+    ``None`` is refused too, although ``np.dtype(None)`` is float64: a
+    config holding it would train in float64 under another content hash.
+    A name numpy does not know (a hand-edited manifest) is a ``ValueError``
+    as well, not numpy's ``TypeError``.
+    """
+    try:
+        resolved = None if dtype is None else np.dtype(dtype)
+    except TypeError:
+        resolved = None
+    if resolved is None or resolved not in _FLOAT_DTYPES:
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+    return resolved
+
+
 def set_default_dtype(dtype) -> None:
     """Set the thread-local default floating dtype (``float32``/``float64``)."""
-    resolved = np.dtype(dtype)
-    if resolved not in _FLOAT_DTYPES:
-        raise ValueError(f"default dtype must be float32 or float64, got {resolved}")
-    _state.default_dtype = resolved
+    _state.default_dtype = float_dtype(dtype)
 
 
 @contextlib.contextmanager
@@ -107,11 +122,6 @@ def tape_node_count() -> int:
     untouched (see ``tests/test_train_engine.py``).
     """
     return getattr(_state, "tape_nodes", 0)
-
-
-def reset_tape_node_count() -> None:
-    """Reset the thread-local tape node counter to zero."""
-    _state.tape_nodes = 0
 
 
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
@@ -330,19 +340,6 @@ class Tensor:
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return self.__mul__(other)
 
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = self._wrap(other)
-        data = self.data / other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other_t.data, owned=True)
-            other_t._accumulate(-grad * self.data / (other_t.data ** 2), owned=True)
-
-        return Tensor._make(data, (self, other_t), backward, "div")
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._wrap(other).__truediv__(self)
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
@@ -398,17 +395,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward, "transpose")
 
-    def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        original = self.data.shape
-        data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.asarray(grad).reshape(original))
-
-        return Tensor._make(data, (self,), backward, "reshape")
-
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
 
@@ -437,19 +423,6 @@ class Tensor:
 
         return Tensor._make(data, tensors, backward, "concat")
 
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Stack tensors along a new axis with gradient support."""
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            grad = np.asarray(grad)
-            for i, t in enumerate(tensors):
-                t._accumulate(np.take(grad, i, axis=axis), owned=True)
-
-        return Tensor._make(data, tensors, backward, "stack")
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -474,24 +447,6 @@ class Tensor:
             denom = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / denom)
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            grad = np.asarray(grad, dtype=self.data.dtype)
-            if axis is None:
-                mask = (self.data == self.data.max()).astype(self.data.dtype)
-                mask /= mask.sum()
-                self._accumulate(mask * grad, owned=True)
-            else:
-                expanded = data if keepdims else np.expand_dims(data, axis=axis)
-                mask = (self.data == expanded).astype(self.data.dtype)
-                mask /= mask.sum(axis=axis, keepdims=True)
-                g = grad if keepdims else np.expand_dims(grad, axis=axis)
-                self._accumulate(mask * g, owned=True)
-
-        return Tensor._make(data, (self,), backward, "max")
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
@@ -511,17 +466,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward, "log")
 
-    def sqrt(self) -> "Tensor":
-        return self.__pow__(0.5)
-
-    def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.sign(self.data), owned=True)
-
-        return Tensor._make(data, (self,), backward, "abs")
-
     def relu(self) -> "Tensor":
         data = np.maximum(self.data, 0.0)
 
@@ -529,14 +473,6 @@ class Tensor:
             self._accumulate(grad * (self.data > 0.0), owned=True)
 
         return Tensor._make(data, (self,), backward, "relu")
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        data = np.where(self.data > 0.0, self.data, negative_slope * self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.where(self.data > 0.0, 1.0, negative_slope), owned=True)
-
-        return Tensor._make(data, (self,), backward, "leaky_relu")
 
     def sigmoid(self) -> "Tensor":
         data = sigmoid_(np.copy(self.data))
@@ -549,24 +485,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward, "sigmoid")
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2), owned=True)
-
-        return Tensor._make(data, (self,), backward, "tanh")
-
-    def softplus(self) -> "Tensor":
-        clipped = np.clip(self.data, -60.0, 60.0)
-        data = np.log1p(np.exp(-np.abs(clipped))) + np.maximum(clipped, 0.0)
-
-        def backward(grad: np.ndarray) -> None:
-            sig = 1.0 / (1.0 + np.exp(-clipped))
-            self._accumulate(grad * sig, owned=True)
-
-        return Tensor._make(data, (self,), backward, "softplus")
-
     def clip(self, low: float, high: float) -> "Tensor":
         data = np.clip(self.data, low, high)
 
@@ -575,19 +493,6 @@ class Tensor:
             self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(data, (self,), backward, "clip")
-
-    def dropout(self, rate: float, rng: np.random.Generator, training: bool = True) -> "Tensor":
-        """Apply inverted dropout with the given random generator."""
-        if not training or rate <= 0.0:
-            return self
-        keep = 1.0 - rate
-        mask = (rng.random(self.data.shape) < keep).astype(self.data.dtype) / keep
-        data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask, owned=True)
-
-        return Tensor._make(data, (self,), backward, "dropout")
 
     # ------------------------------------------------------------------
     # Backpropagation

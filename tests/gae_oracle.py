@@ -10,7 +10,9 @@ across blocks; ``tests/test_gae_fused_step.py``) and as the parent arm of
 ``benchmarks/test_mhgae_scale.py``.
 
 :class:`AutodiffMultiHopGAE` is a :class:`repro.gae.MultiHopGAE` whose
-``fit`` is the pre-kernel training loop.
+``fit`` is the pre-kernel training loop.  :func:`reconstruct` is the dense
+``(A', X')`` that the row-blocked ``score_nodes`` replaced
+(``tests/test_gae_scoring.py``).
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.gae import MultiHopGAE
+from repro.gae import GraphAutoEncoder, MultiHopGAE
 from repro.gae.autoencoder import GAETrainingResult, _GAEModel
 from repro.nn import Adam
 from repro.seeding import resolve_seed
-from repro.tensor import Tensor, default_dtype
+from repro.tensor import Tensor, default_dtype, no_grad
 
 
 def _workspace_buffer(workspace, key: str, shape, dtype) -> np.ndarray:
@@ -159,3 +161,13 @@ class AutodiffMultiHopGAE(MultiHopGAE):
                 optimizer.step()
                 self.training_result.losses.append(loss.item())
         return self
+
+
+def reconstruct(model: GraphAutoEncoder) -> tuple:
+    """``(A', X')``: the dense structure ``σ(ZZᵀ)`` and (scaled) attributes of a fitted model."""
+    model._require_fitted()
+    with no_grad():
+        z = model._model.encode(Tensor(model._scaled_features), model._propagation)
+        structure_hat = model._model.decode_structure(z).numpy()
+        attribute_hat = model._model.decode_attributes(z).numpy()
+    return structure_hat, attribute_hat

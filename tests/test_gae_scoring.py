@@ -3,7 +3,8 @@
 ``score_nodes`` never forms ``sigmoid(Z Zᵀ)`` or the target as an ``n × n``
 array; it walks row blocks of ``SCORE_BLOCK_ELEMENTS // n`` rows.  The
 oracle below is the dense formula the blocked pass replaced: densify the
-CSR target, subtract the full ``reconstruct()`` output and take row norms.
+CSR target, subtract the full ``reconstruct()`` output (``tests/gae_oracle.py``)
+and take row norms.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.datasets import make_simml
 from repro.gae import GAEConfig, GraphAutoEncoder, MHGAEConfig, MultiHopGAE, select_anchor_nodes
 from repro.graph import Graph
 
+from gae_oracle import reconstruct
+
 BLOCK_ROWS = 16
 SMALL = dict(epochs=4, hidden_dim=16, embedding_dim=8, seed=0)
 MODELS = {
@@ -32,7 +35,7 @@ TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
 
 def dense_oracle_scores(model: GraphAutoEncoder) -> np.ndarray:
     """Eqn. (1) computed on the dense ``n × n`` reconstruction."""
-    structure_hat, attribute_hat = model.reconstruct()
+    structure_hat, attribute_hat = reconstruct(model)
     structure_error = np.linalg.norm(model._structure_target.toarray() - structure_hat, axis=1)
     attribute_error = np.linalg.norm(model._scaled_features - attribute_hat, axis=1)
     if model.config.normalize_errors:

@@ -87,7 +87,7 @@ class TestColumnarViews:
         adjacency = graph.adjacency(sparse=True)
         isolated = []  # pairwise non-adjacent nodes: no internal edges
         for node in range(graph.n_nodes):
-            if not any(graph.has_edge(node, other) for other in isolated):
+            if not any(other in graph.neighbors(node) for other in isolated):
                 isolated.append(node)
             if len(isolated) == 5:
                 break
@@ -281,3 +281,17 @@ class TestTPGCL:
             assert np.array_equal(own.edge_index, shared.edge_index)
             assert np.array_equal(own.features, shared.features)
             assert rng_own.bit_generator.state == rng_shared.bit_generator.state
+
+
+class TestTPGCLConfigValidation:
+    def test_batch_size_below_two_rejected(self):
+        # Every batch of one is skipped, so batch_size=1 fitted nothing.
+        with pytest.raises(ValueError, match="batch_size"):
+            TPGCLConfig(epochs=3, batch_size=1)
+        assert TPGCLConfig(batch_size=2).batch_size == 2
+
+    @pytest.mark.parametrize("dtype", ["float16", None, "bogus"])
+    def test_dtype_other_than_float32_or_float64_rejected(self, dtype):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            TPGCLConfig(dtype=dtype)
+        assert TPGCLConfig(dtype="float32").dtype == "float32"

@@ -16,9 +16,10 @@ The third scan fails on any module under ``src/repro`` that imports a
 (``from repro.graph.graph import _helper`` in ``repro/stream/``): a
 helper two packages share is public and exported as such.
 
-The fourth scan fails on any function or method defined under
-``src/repro`` whose name occurs nowhere in the repository's Python trees
-except in its own ``def``: code nothing calls, tests or documents.
+The fourth scan fails on any function, method or class defined under
+``src/repro`` that no code outside ``tests/`` uses: a definition needs a
+caller.  It parses the sources, so a docstring, a comment, an
+``__all__`` entry or a re-export does not keep a definition alive.
 
 The fifth scan fails on any call to ``fit``, ``fit_detect`` or
 ``fit_detect_many`` in a module under ``repro/serve/`` or ``repro/jobs/``:
@@ -33,17 +34,16 @@ checks that the converters import it lazily).
 from __future__ import annotations
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List, Set
 
 import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
 REPO = Path(__file__).resolve().parent.parent
-#: Every tree whose Python files may reference code under ``src/repro``.
-TREES = ("src", "tests", "benchmarks", "perfbench", "examples")
+#: The trees whose code counts as a caller of code under ``src/repro``.
+#: Tests are not callers: a definition only a test uses is dead code with a test.
+CALLER_TREES = ("src", "benchmarks", "perfbench", "examples")
 
 
 def _is_detector(node: ast.expr) -> bool:
@@ -194,43 +194,66 @@ def test_no_private_imports_across_packages():
     assert not offenders, "\n".join(offenders)
 
 
-def unreferenced_functions(sources: Dict[str, str], package_prefix: str) -> List[str]:
-    """``file:line: name`` for every function under ``package_prefix`` named only by its ``def``.
+def referenced_names(tree: ast.AST) -> Iterator[str]:
+    """Every name ``tree`` uses: a ``Name``, an ``Attribute``, a keyword argument or an identifier string.
 
-    ``sources`` maps a repository-relative path to its text.  A name
-    counts as referenced when it occurs as a word more often than it is
-    defined in ``sources`` outside ``tests/`` — a call, an import, an
-    attribute, a string (``getattr`` dispatch) or a docstring all count.
-    Tests are not callers: a function only a test calls is dead code
-    with a test.  Dunder methods are exempt: Python calls them
-    implicitly.
+    An identifier string (``getattr(layer, "relu")``) counts, because
+    dispatch by name is a use.  Docstrings and other bare string
+    statements do not, nor do the entries of an ``__all__`` assignment;
+    import aliases and comments never appear as such nodes.
     """
-    words: Counter = Counter()
-    defs: Counter = Counter()
+    ignored: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            ignored.add(id(node.value))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                ignored.update(id(entry) for entry in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if id(node) in ignored:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value
+
+
+def unreferenced_definitions(sources: Dict[str, str], package_prefix: str) -> List[str]:
+    """``file:line: name`` for every definition under ``package_prefix`` that no caller uses.
+
+    ``sources`` maps a repository-relative path to its text.  A
+    definition is a function, method or class (dunders are exempt: Python
+    calls them implicitly).  It is used when its name is among the
+    :func:`referenced_names` of a file under :data:`CALLER_TREES`.
+    """
+    used: Set[str] = set()
     candidates = []
     for path, text in sources.items():
-        if path.startswith("tests/"):
-            continue
-        words.update(re.findall(r"\w+", text))
-        for node in ast.walk(ast.parse(text, filename=path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[node.name] += 1
-                if path.startswith(package_prefix):
-                    candidates.append((path, node.lineno, node.name))
-    return [
-        f"{path}:{line}: {name}"
-        for path, line, name in candidates
-        if not (name.startswith("__") and name.endswith("__")) and words[name] == defs[name]
-    ]
+        tree = ast.parse(text, filename=path)
+        if path.startswith(package_prefix):
+            candidates += [
+                (path, node.lineno, node.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            ]
+        if path.split("/")[0] in CALLER_TREES:
+            used.update(referenced_names(tree))
+    return [f"{path}:{line}: {name}" for path, line, name in sorted(candidates) if name not in used]
 
 
 def test_dead_code_scan_flags_only_def_only_names():
     sources = {
         "src/repro/m.py": "def used():\n    pass\n\ndef orphan():\n    pass\n\n"
         "class A:\n    def __len__(self):\n        return 0\n",
-        "src/repro/n.py": "from repro.m import used\n\nused()\n",
+        "src/repro/n.py": "from repro.m import A, used\n\nused()\nA()\n",
     }
-    assert unreferenced_functions(sources, "src/repro/") == ["src/repro/m.py:4: orphan"]
+    assert unreferenced_definitions(sources, "src/repro/") == ["src/repro/m.py:4: orphan"]
 
 
 def test_dead_code_scan_does_not_count_tests_as_callers():
@@ -239,17 +262,44 @@ def test_dead_code_scan_does_not_count_tests_as_callers():
         "tests/test_m.py": "from repro.m import tested_only\n\n"
         "def test_it():\n    tested_only()\n",
     }
-    assert unreferenced_functions(sources, "src/repro/") == ["src/repro/m.py:1: tested_only"]
+    assert unreferenced_definitions(sources, "src/repro/") == ["src/repro/m.py:1: tested_only"]
+
+
+def test_dead_code_scan_ignores_docstrings_all_entries_and_reexports():
+    sources = {
+        "src/repro/m.py": "def documented():\n    pass\n\ndef exported():\n    pass\n\n"
+        "def reexported():\n    pass\n\nclass Unused:\n    pass\n",
+        "src/repro/__init__.py": '"""Call documented() first."""\n\n'
+        "from repro.m import reexported as reexported  # Unused stays out\n\n"
+        '__all__ = ["exported", "reexported"]\n__all__ += ["Unused"]\n',
+    }
+    assert unreferenced_definitions(sources, "src/repro/") == [
+        "src/repro/m.py:1: documented",
+        "src/repro/m.py:4: exported",
+        "src/repro/m.py:7: reexported",
+        "src/repro/m.py:10: Unused",
+    ]
+
+
+def test_dead_code_scan_counts_name_dispatch_and_every_caller_tree():
+    sources = {
+        "src/repro/m.py": "def dispatched():\n    pass\n\ndef benched():\n    pass\n\n"
+        "def demoed():\n    pass\n\nclass Layer:\n    pass\n",
+        "src/repro/n.py": 'step = getattr(m, "dispatched")\n',
+        "benchmarks/test_speed.py": "from repro.m import benched\n\nbenched()\n",
+        "examples/demo.py": "import repro.m\n\nrepro.m.demoed()\nlayer: repro.m.Layer\n",
+    }
+    assert unreferenced_definitions(sources, "src/repro/") == []
 
 
 def test_no_unreferenced_functions_in_src():
     sources = {
         str(path.relative_to(REPO)): path.read_text()
-        for tree in TREES
+        for tree in CALLER_TREES
         for path in sorted((REPO / tree).rglob("*.py"))
     }
-    offenders = unreferenced_functions(sources, "src/repro/")
-    assert not offenders, "unreferenced functions (delete them):\n" + "\n".join(offenders)
+    offenders = unreferenced_definitions(sources, "src/repro/")
+    assert not offenders, "definitions with no caller outside tests/ (delete them):\n" + "\n".join(offenders)
 
 
 #: Calls that train; the serving surfaces must make none of them.

@@ -17,7 +17,6 @@ from repro.metrics import (
     group_detection_f1,
     group_f1_score,
     match_groups,
-    precision_recall_f1,
     roc_auc_score,
 )
 
@@ -96,17 +95,6 @@ class TestMatching:
 
 
 class TestClassificationMetrics:
-    def test_precision_recall_f1_perfect(self):
-        predictions = np.array([True, False, True])
-        labels = np.array([True, False, True])
-        assert precision_recall_f1(predictions, labels) == (1.0, 1.0, 1.0)
-
-    def test_precision_recall_f1_zero_cases(self):
-        predictions = np.array([False, False])
-        labels = np.array([True, False])
-        precision, recall, f1 = precision_recall_f1(predictions, labels)
-        assert precision == 0.0 and recall == 0.0 and f1 == 0.0
-
     def test_roc_auc_perfect_ranking(self):
         labels = np.array([False, False, True, True])
         scores = np.array([0.1, 0.2, 0.8, 0.9])

@@ -5,22 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Adam,
-    Dropout,
-    GCNConv,
-    GraphSNNConv,
-    InnerProductDecoder,
-    Linear,
-    MLP,
-    Module,
-    Parameter,
-    SGD,
-    Sequential,
-    glorot_uniform,
-    uniform,
-    zeros,
-)
+from repro.nn import Adam, GCNConv, Linear, MLP, Parameter, glorot_uniform, zeros
 from repro.tensor import Tensor
 
 
@@ -30,10 +15,6 @@ class TestInitializers:
         limit = np.sqrt(6.0 / 110)
         assert weights.shape == (50, 60)
         assert np.abs(weights).max() <= limit
-
-    def test_uniform_range(self, rng):
-        weights = uniform((100,), rng, low=-0.1, high=0.1)
-        assert np.abs(weights).max() <= 0.1
 
     def test_zeros(self):
         assert zeros((3, 2)).sum() == 0.0
@@ -65,13 +46,6 @@ class TestModule:
         with pytest.raises((KeyError, ValueError)):
             target.load_state_dict(source.state_dict())
 
-    def test_train_eval_propagates(self, rng):
-        model = Sequential(Linear(2, 2, rng), Dropout(0.5, rng))
-        model.train(False)
-        assert all(not module.training for module in model.modules())
-        model.train()
-        assert all(module.training for module in model.modules())
-
     def test_zero_grad_clears_all(self, rng):
         model = MLP([2, 3, 1], rng)
         loss = model(Tensor(np.ones((2, 2)))).sum()
@@ -98,11 +72,6 @@ class TestLinearAndMLP:
     def test_mlp_needs_two_dims(self, rng):
         with pytest.raises(ValueError):
             MLP([4], rng)
-
-    def test_mlp_output_activation(self, rng):
-        mlp = MLP([3, 4, 2], rng, output_activation="sigmoid")
-        outputs = mlp(Tensor(np.random.default_rng(0).normal(size=(6, 3)))).numpy()
-        assert (outputs >= 0).all() and (outputs <= 1).all()
 
     def test_mlp_unknown_activation_raises(self, rng):
         with pytest.raises(ValueError):
@@ -145,32 +114,6 @@ class TestGraphLayers:
         swapped = layer(Tensor(inputs[::-1]), np.eye(2)).numpy()
         assert out == pytest.approx(swapped)
 
-    def test_graphsnn_forward_shape(self, rng):
-        layer = GraphSNNConv(3, 6, rng)
-        weighted = np.ones((4, 4)) - np.eye(4)
-        assert layer(Tensor(np.ones((4, 3))), weighted).shape == (4, 6)
-
-    def test_inner_product_decoder_symmetric_and_bounded(self):
-        decoder = InnerProductDecoder()
-        z = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
-        out = decoder(z).numpy()
-        assert out.shape == (5, 5)
-        assert out == pytest.approx(out.T)
-        assert (out > 0).all() and (out < 1).all()
-
-    def test_inner_product_decoder_logits_mode(self):
-        decoder = InnerProductDecoder(apply_sigmoid=False)
-        z = Tensor(np.eye(3) * 10.0)
-        assert decoder(z).numpy().max() == pytest.approx(100.0)
-
-    def test_dropout_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-
-    def test_sequential_applies_in_order(self, rng):
-        model = Sequential(Linear(2, 3, rng), Linear(3, 1, rng))
-        assert model(Tensor(np.ones((4, 2)))).shape == (4, 1)
-
 
 class TestOptimizers:
     def _quadratic_step(self, optimizer_factory):
@@ -183,18 +126,12 @@ class TestOptimizers:
             optimizer.step()
         return abs(parameter.data[0])
 
-    def test_sgd_converges_on_quadratic(self):
-        assert self._quadratic_step(lambda p: SGD(p, lr=0.1)) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert self._quadratic_step(lambda p: SGD(p, lr=0.05, momentum=0.9)) < 5e-2
-
     def test_adam_converges_on_quadratic(self):
         assert self._quadratic_step(lambda p: Adam(p, lr=0.1)) < 5e-2
 
     def test_weight_decay_shrinks_parameters(self):
         parameter = Parameter(np.array([1.0]))
-        optimizer = SGD([parameter], lr=0.1, weight_decay=0.5)
+        optimizer = Adam([parameter], lr=0.1, weight_decay=0.5)
         optimizer.zero_grad()
         (parameter * 0.0).sum().backward()
         optimizer.step()
@@ -206,7 +143,7 @@ class TestOptimizers:
 
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.ones(1))], lr=0.0)
+            Adam([Parameter(np.ones(1))], lr=0.0)
 
     def test_step_skips_parameters_without_grad(self):
         parameter = Parameter(np.array([1.0]))

@@ -42,13 +42,6 @@ class TestDetectorContract:
         assert len(top5 & set(range(95, 100))) >= 4
 
     @pytest.mark.parametrize("detector_class", ALL_DETECTORS)
-    def test_predict_contamination(self, detector_class, data_with_outliers):
-        detector = detector_class().fit(data_with_outliers)
-        mask = detector.predict(data_with_outliers, contamination=0.05)
-        assert mask.dtype == bool
-        assert 3 <= mask.sum() <= 8
-
-    @pytest.mark.parametrize("detector_class", ALL_DETECTORS)
     def test_score_before_fit_raises(self, detector_class, data_with_outliers):
         with pytest.raises(RuntimeError):
             detector_class().decision_scores(data_with_outliers)
@@ -59,11 +52,6 @@ class TestDetectorContract:
             detector_class().fit(np.ones(10))  # 1-D input
         with pytest.raises(ValueError):
             detector_class().fit(np.array([[np.nan, 1.0]]))
-
-    def test_predict_invalid_contamination(self, data_with_outliers):
-        detector = ECOD().fit(data_with_outliers)
-        with pytest.raises(ValueError):
-            detector.predict(data_with_outliers, contamination=1.5)
 
     def test_feature_dimension_mismatch(self, data_with_outliers):
         detector = ECOD().fit(data_with_outliers)

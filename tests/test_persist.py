@@ -327,6 +327,19 @@ class TestManifest:
         with pytest.raises(ValueError, match="format_version 2"):
             PipelineState.load(path)
 
+    def test_manifest_with_unusable_stage_dtype_refused(self, saved):
+        # A hand-written manifest without the hash and dtype records used
+        # to load a float16 TPGCL config; every score then failed later.
+        _, path, _ = saved
+        with open(path / "manifest.json") as handle:
+            manifest = json.load(handle)
+        manifest["config"]["tpgcl"]["dtype"] = "float16"
+        del manifest["config_hash"], manifest["dtype"]
+        with open(path / "manifest.json", "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValueError, match="float32 or float64"):
+            PipelineState.load(path)
+
     def test_tampered_manifest_config_rejected_by_hash(self, saved):
         _, path, _ = saved
         with open(path / "manifest.json") as handle:

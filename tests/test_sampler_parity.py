@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_example_graph
-from repro.graph import Graph, graph_from_networkx
+from repro.graph import Graph
 from repro.sampling import CandidateGroupSampler, MultiSourceSearchEngine, SamplerConfig
 
 from sampler_oracle import PerPairSampler, bfs_tree, cycle_search, path_search, shortest_path, tree_search
@@ -36,16 +36,21 @@ def _random_graph(seed: int, max_nodes: int = 60, density: float = 2.0) -> Graph
     return Graph(n, edges, np.zeros((n, 1)), name=f"random-{seed}")
 
 
+def _from_networkx(nx_graph: nx.Graph, name: str) -> Graph:
+    """A :class:`Graph` with the edges of a networkx graph whose nodes are ``0 .. n-1``."""
+    return Graph(nx_graph.number_of_nodes(), list(nx_graph.edges), name=name)
+
+
 def _builder_graphs() -> List[Tuple[str, Graph]]:
     ring_plus_chords = Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)])
     return [
         ("ring-chords", ring_plus_chords),
-        ("complete-k7", graph_from_networkx(nx.complete_graph(7), name="k7")),
-        ("barbell", graph_from_networkx(nx.barbell_graph(5, 3), name="barbell")),
-        ("balanced-tree", graph_from_networkx(nx.balanced_tree(2, 3), name="tree")),
-        ("grid-4x5", graph_from_networkx(nx.convert_node_labels_to_integers(nx.grid_2d_graph(4, 5)), name="grid")),
-        ("karate", graph_from_networkx(nx.karate_club_graph(), name="karate")),
-        ("petersen", graph_from_networkx(nx.petersen_graph(), name="petersen")),
+        ("complete-k7", _from_networkx(nx.complete_graph(7), name="k7")),
+        ("barbell", _from_networkx(nx.barbell_graph(5, 3), name="barbell")),
+        ("balanced-tree", _from_networkx(nx.balanced_tree(2, 3), name="tree")),
+        ("grid-4x5", _from_networkx(nx.convert_node_labels_to_integers(nx.grid_2d_graph(4, 5)), name="grid")),
+        ("karate", _from_networkx(nx.karate_club_graph(), name="karate")),
+        ("petersen", _from_networkx(nx.petersen_graph(), name="petersen")),
         ("disconnected", Graph(10, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)])),
         ("example-7", make_example_graph(seed=7)),
         ("example-11", make_example_graph(seed=11)),
@@ -66,7 +71,7 @@ CONFIG_VARIANTS = [
 
 def _anchors(graph: Graph, count: int = 7) -> List[int]:
     """A deterministic mix of high-degree and spread-out anchor nodes."""
-    degrees = graph.degree()
+    degrees = np.diff(graph.adjacency(sparse=True).indptr)
     by_degree = np.argsort(-degrees)[: count // 2]
     spread = np.linspace(0, graph.n_nodes - 1, count).astype(int)
     return sorted({int(a) for a in np.concatenate([by_degree, spread])})

@@ -177,3 +177,19 @@ class TestMergeAndSampler:
         groups = CandidateGroupSampler(SamplerConfig(max_path_length=15)).sample(example_graph, anchors)
         best_overlap = max(len(g.nodes & target.nodes) / len(target.nodes) for g in groups)
         assert best_overlap >= 0.5
+
+
+class TestSamplerConfigValidation:
+    @pytest.mark.parametrize("min_size, max_size", [(10, 5), (0, 5)])
+    def test_group_size_bounds_must_be_ordered_and_positive(self, min_size, max_size):
+        with pytest.raises(ValueError, match="min_group_size"):
+            SamplerConfig(min_group_size=min_size, max_group_size=max_size)
+        assert SamplerConfig(min_group_size=5, max_group_size=5).max_group_size == 5
+
+    def test_max_candidates_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_candidates"):
+            SamplerConfig(max_candidates=0)
+
+    def test_max_anchor_pairs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_anchor_pairs"):
+            SamplerConfig(max_anchor_pairs=0)

@@ -183,12 +183,7 @@ class TestKHopBall:
         sources = rng.choice(graph.n_nodes, size=min(3, graph.n_nodes), replace=False)
         for depth in (0, 1, 2, None):
             ball = graph.k_hop_ball(sources, depth)
-            if depth is None:
-                union = np.unique(
-                    np.concatenate([np.flatnonzero(row >= 0) for row in graph.multi_source_bfs(sources).dist])
-                )
-            else:
-                union = np.unique(np.concatenate(graph.k_hop_nodes(sources, depth)))
+            union = np.flatnonzero((graph.multi_source_bfs(sources, depth).dist >= 0).any(axis=0))
             assert np.array_equal(ball, union)
 
 
@@ -363,7 +358,7 @@ class TestEventStreams:
         stream = make_event_stream(dataset="ethereum-tsgn", scale=0.05, seed=2, n_ticks=4)
         for group in stream.groups:
             for u, v in group.edges:
-                assert stream.final.has_edge(u, v)
+                assert v in stream.final.neighbors(u)
 
     def test_burst_stream_places_burst_group(self):
         stream = make_burst_stream(dataset="simml", scale=0.05, seed=2, n_ticks=6, burst_tick=4)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, functional as F, is_grad_enabled, no_grad, sigmoid_
+from repro.tensor import Tensor, is_grad_enabled, no_grad, sigmoid_
 
 
 def numeric_gradient(fn, value: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -81,25 +81,17 @@ class TestArithmeticGradients:
             ("sub", lambda x: (x - 1.5).sum()),
             ("rsub", lambda x: (1.5 - x).sum()),
             ("mul", lambda x: (x * 2.5).sum()),
-            ("div", lambda x: (x / 2.0).sum()),
-            ("rdiv", lambda x: (2.0 / x).sum()),
             ("neg", lambda x: (-x).sum()),
             ("pow2", lambda x: (x ** 2).sum()),
             ("pow3", lambda x: (x ** 3).mean()),
             ("exp", lambda x: x.exp().sum()),
             ("log", lambda x: x.log().sum()),
-            ("sqrt", lambda x: x.sqrt().sum()),
-            ("abs", lambda x: x.abs().sum()),
             ("relu", lambda x: x.relu().sum()),
-            ("leaky_relu", lambda x: x.leaky_relu().sum()),
             ("sigmoid", lambda x: x.sigmoid().sum()),
-            ("tanh", lambda x: x.tanh().sum()),
-            ("softplus", lambda x: x.softplus().sum()),
             ("mean", lambda x: x.mean()),
             ("sum_axis", lambda x: x.sum(axis=0).sum()),
             ("mean_axis", lambda x: x.mean(axis=1, keepdims=True).sum()),
             ("transpose", lambda x: (x.T * 2.0).sum()),
-            ("reshape", lambda x: x.reshape(6).sum()),
             ("getitem", lambda x: x[0].sum()),
             ("clip", lambda x: x.clip(0.3, 1.5).sum()),
             ("chain", lambda x: ((x * 2 + 1).sigmoid() * x).sum()),
@@ -210,45 +202,3 @@ class TestConcatenationAndStacking:
         combined.sum().backward()
         assert a.grad.shape == (2, 2)
         assert b.grad.shape == (2, 3)
-
-    def test_stack(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        stacked = Tensor.stack([a, b], axis=0)
-        assert stacked.shape == (2, 2)
-        stacked.sum().backward()
-        assert a.grad == pytest.approx([1.0, 1.0])
-        assert b.grad == pytest.approx([1.0, 1.0])
-
-
-class TestMaxAndDropout:
-    def test_max_global_gradient(self):
-        tensor = Tensor([[1.0, 5.0], [3.0, 2.0]], requires_grad=True)
-        tensor.max().backward()
-        expected = np.zeros((2, 2))
-        expected[0, 1] = 1.0
-        assert tensor.grad == pytest.approx(expected)
-
-    def test_max_axis(self):
-        tensor = Tensor([[1.0, 5.0], [3.0, 2.0]], requires_grad=True)
-        tensor.max(axis=1).sum().backward()
-        expected = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert tensor.grad == pytest.approx(expected)
-
-    def test_dropout_eval_mode_is_identity(self, rng):
-        tensor = Tensor(np.ones((4, 4)))
-        out = tensor.dropout(0.5, rng, training=False)
-        assert out.numpy() == pytest.approx(np.ones((4, 4)))
-
-    def test_dropout_preserves_expectation(self, rng):
-        tensor = Tensor(np.ones((200, 200)))
-        out = tensor.dropout(0.3, rng, training=True)
-        assert out.numpy().mean() == pytest.approx(1.0, abs=0.05)
-
-
-class TestFunctional:
-    def test_softmax_rows_sum_to_one(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
-        probabilities = F.softmax(logits).numpy()
-        assert probabilities.sum(axis=1) == pytest.approx(np.ones(5))
-        assert (probabilities >= 0).all()
