@@ -1,7 +1,8 @@
 """Benchmark S-2 — MH-GAE fit and scoring at 5k, 10k and 20k nodes.
 
-MH-GAE training walks ``σ(Z_B Zᵀ)`` in row blocks (``_ReconstructionLoss``),
-so its memory is flat in ``n`` where the previous training step (the
+MH-GAE training and scoring walk the upper-triangle tiles of ``σ(ZZᵀ)``
+(``_TileWalk``), so their memory is flat in ``n`` where the previous
+training step (the
 dense target plus the autodiff decoder, kept as the oracle in
 ``tests/gae_oracle.py``) held several ``n × n`` arrays.  Per graph size
 this records, each stage in its own subprocess at one BLAS thread:
@@ -15,6 +16,9 @@ this records, each stage in its own subprocess at one BLAS thread:
 
 Seconds are the stage's wall time; ``peak_rss_mb`` is the subprocess's
 peak RSS, ``baseline_rss_mb`` the same after imports and graph build.
+Each arm's ``usage`` holds the subprocess's CPU seconds and the load
+average around it (``hostinfo.arm_usage``), so a slow arm shows whether
+the host was busy or the arm did more work.
 Pinned: every change arm completes, and at 5k nodes the change's fit
 peaks under half the parent's.  Writes ``BENCH_scale.json``; ``BENCH_OUT_DIR``
 picks its directory (see ``conftest.py``).
@@ -41,7 +45,7 @@ from repro.persist import dump_json
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 from gae_oracle import AutodiffMultiHopGAE  # noqa: E402
-from hostinfo import host_facts  # noqa: E402
+from hostinfo import arm_usage, host_facts  # noqa: E402
 from test_scaling_sparse import _synthetic_graph  # noqa: E402
 
 SIZES = (5_000, 10_000, 20_000)
@@ -88,12 +92,15 @@ def run_arm(stage: str, n_nodes: int, workdir: str) -> dict:
 def _spawn(stage: str, n_nodes: int, workdir: str) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(ARM_BLAS_THREADS))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, __file__, stage, str(n_nodes), workdir],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    with arm_usage() as usage:
+        completed = subprocess.run(
+            [sys.executable, __file__, stage, str(n_nodes), workdir],
+            capture_output=True, text=True, env=env, check=False,
+        )
     assert completed.returncode == 0, f"{stage} at {n_nodes} nodes failed:\n{completed.stderr}"
-    return json.loads(completed.stdout.strip().splitlines()[-1])
+    arm = json.loads(completed.stdout.strip().splitlines()[-1])
+    arm["usage"] = usage
+    return arm
 
 
 def _host_memory_gb() -> float:

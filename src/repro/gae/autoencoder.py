@@ -11,15 +11,20 @@ paper:
   attribute reconstruction errors (Eqn. 1).
 
 The structure target is stored only as CSR (it has the sparsity of ``A``)
-and neither training nor scoring densifies it.  Both walk row blocks of
-``SCORE_BLOCK_ELEMENTS // n`` rows (:func:`_row_blocks`):
+and neither training nor scoring densifies it.  ``σ(ZZᵀ)`` and the target
+are both symmetric, so both passes walk only the tiles on and above the
+diagonal (:class:`_TileWalk`), which covers every unordered node pair once:
 
+* :meth:`GraphAutoEncoder.score_nodes` encodes once and, per tile of side
+  ``TILE_SIDE`` (512 KB in float64, so it stays in L2), squares the
+  residual in one reused buffer and adds its row sums to the tile's rows
+  and, off the diagonal, its column sums to the tile's columns;
 * each training step records the whole objective as one tape node
-  (:class:`_ReconstructionLoss`) that forms ``sigmoid(Z_B Zᵀ)``, the
-  residual, its squared sum and the gradient ``∂L/∂Z`` block by block in
-  three block buffers allocated once per fit;
-* :meth:`GraphAutoEncoder.score_nodes` encodes once and forms the residual
-  row norms block by block.
+  (:class:`_ReconstructionLoss`) that forms the residual, its squared sum
+  and the gradient ``∂L/∂Z`` tile by tile in three tile buffers allocated
+  once per fit.  Up to ``n = 1024`` (``n² ≤ ONE_TILE_ELEMENTS``) the step
+  takes the whole matrix as one tile, which keeps it bitwise equal to the
+  autodiff chain; larger graphs take ``TILE_SIDE`` tiles.
 
 So neither path allocates an ``n × n`` array.  The dense reconstruction
 ``(A', X')`` survives only as the test oracle ``reconstruct`` in
@@ -29,7 +34,7 @@ So neither path allocates an ``n × n`` array.  The dense reconstruction
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,57 +47,110 @@ from repro.tensor import Tensor, default_dtype, float_dtype, no_grad, sigmoid_, 
 
 Propagation = Union[np.ndarray, sp.spmatrix]
 
-# Elements of one ``sigmoid(Z_B Zᵀ)`` row block in training and scoring
-# (8 MB in float64); the block holds ``max(1, budget // n)`` rows.
-SCORE_BLOCK_ELEMENTS = 1 << 20
+# Side of one square tile of ``σ(ZZᵀ)`` in the structure walk: 256² float64
+# elements are 512 KB, so a tile stays in L2 while it is reused.
+TILE_SIDE = 256
+# Training takes the whole ``n × n`` matrix as one tile while ``n²`` fits
+# this budget (n ≤ 1024 nodes).
+ONE_TILE_ELEMENTS = 1 << 20
 
 
-def _row_blocks(n: int) -> List[slice]:
-    """Row slices of ``SCORE_BLOCK_ELEMENTS // n`` rows covering ``range(n)``."""
-    rows = max(1, SCORE_BLOCK_ELEMENTS // max(n, 1))
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+class _TileWalk:
+    """The tiles on and above the diagonal of a symmetric ``n × n`` CSR target.
+
+    Square tiles ``(I, J)``, ``J ≥ I``, of side ``side`` cover each
+    unordered node pair once (a diagonal tile holds both orders of its own
+    pairs).  :meth:`products` forms ``σ(Z_I Z_Jᵀ)`` per tile in one
+    caller-owned buffer; :meth:`subtract_target` subtracts the target's
+    nonzeros inside a tile at their precomputed flat positions, so the CSR
+    is never densified.  The target must equal its transpose: the walk
+    reads each off-diagonal pair from the upper tile only.
+    """
+
+    def __init__(self, target: sp.csr_matrix, side: int) -> None:
+        if not target.has_canonical_format:
+            target = target.copy()
+            target.sum_duplicates()
+        n = target.shape[0]
+        side = max(1, min(side, n))
+        starts = range(0, n, side)
+        self.side = side
+        self.tiles: List[Tuple[slice, slice]] = [
+            (slice(i, min(i + side, n)), slice(j, min(j + side, n)))
+            for i in starts
+            for j in starts
+            if j >= i
+        ]
+        rows = np.repeat(np.arange(n), np.diff(target.indptr))
+        cols = target.indices
+        tile_row, tile_col = rows // side, cols // side
+        upper = tile_col >= tile_row
+        rows, cols, tile_row, tile_col = rows[upper], cols[upper], tile_row[upper], tile_col[upper]
+        # Position of tile (I, J) in the row-major walk of the upper triangle.
+        n_blocks = len(starts)
+        key = tile_row * n_blocks - tile_row * (tile_row - 1) // 2 + (tile_col - tile_row)
+        order = np.argsort(key, kind="stable")
+        width = np.minimum(side, n - tile_col * side)
+        flat = (rows - tile_row * side) * width + (cols - tile_col * side)
+        self._flat = flat[order]
+        self._values = target.data[upper][order]
+        self._bounds = np.searchsorted(key[order], np.arange(len(self.tiles) + 1))
+
+    def buffer(self, dtype: np.dtype) -> np.ndarray:
+        """A flat buffer that holds the largest tile."""
+        return np.empty(self.side * self.side, dtype=dtype)
+
+    def products(self, z: np.ndarray, buffer: np.ndarray) -> Iterator[Tuple[int, slice, slice, np.ndarray]]:
+        """``(k, I, J, σ(Z_I Z_Jᵀ))`` for each tile, formed in ``buffer``."""
+        for k, (rows, cols) in enumerate(self.tiles):
+            product = _tile_view(buffer, rows, cols)
+            yield k, rows, cols, sigmoid_(np.matmul(z[rows], z[cols].T, out=product))
+
+    def subtract_target(self, k: int, tile: np.ndarray) -> None:
+        """``tile −= Ã`` restricted to tile ``k``, in place."""
+        nonzeros = slice(self._bounds[k], self._bounds[k + 1])
+        tile.reshape(-1)[self._flat[nonzeros]] -= self._values[nonzeros]
+
+
+def _tile_view(buffer: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """The leading elements of a flat buffer as a C-contiguous ``rows × cols`` tile."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    return buffer[: shape[0] * shape[1]].reshape(shape)
 
 
 class _ReconstructionLoss:
     """The GAE objective ``λ·mean((Ã − σ(ZZᵀ))²) + (1−λ)·mean((X − X̂)²)``.
 
     Calling it records one tape node whose parents are ``Z`` and ``X̂``.
-    The forward pass walks row blocks ``B`` and, per block, forms
-    ``S_B = σ(Z_B Zᵀ)``, the residual ``D_B = S_B − Ã_B`` (``Ã``'s nonzeros
-    are subtracted in place, the CSR is never densified), adds ``ΣD_B²`` to
-    the loss and, when ``Z`` needs a gradient, turns ``D_B`` in place into
-    ``G_B = ∂L/∂(Z_B Zᵀ) = c·D_B ⊙ S_B ⊙ (1 − S_B)`` and adds ``G_B Z`` to
-    ``dZ_B`` and ``(Z_Bᵀ G_B)ᵀ`` to ``dZ``.  The three block buffers are
-    allocated once, by the constructor.
+    The forward pass walks the upper-triangle tiles ``(I, J)`` of
+    :class:`_TileWalk` and, per tile, forms ``S = σ(Z_I Z_Jᵀ)``, the
+    residual ``D = S − Ã_IJ`` (``Ã``'s nonzeros are subtracted in place,
+    the CSR is never densified) and adds ``ΣD²`` to the loss.  When ``Z``
+    needs a gradient it turns ``D`` in place into
+    ``G = ∂L/∂(Z_I Z_Jᵀ) = c·D ⊙ S ⊙ (1 − S)`` and adds ``G Z_J`` to
+    ``dZ_I`` and ``(Z_Iᵀ G)ᵀ`` to ``dZ_J``.  An off-diagonal tile stands
+    for its mirror ``(J, I)`` too, so it adds ``ΣD²`` twice and forms ``G``
+    with ``2c``.  The three tile buffers are allocated once, by the
+    constructor.
 
     These are the ops of the autodiff chain ``(Z Zᵀ).sigmoid()`` → squared
-    error mean, in the same order.  With one block (``n ≤ 1024`` at the
-    default budget) the float64 loss and gradients are therefore bitwise
-    equal to it; across blocks only the loss sum and the ``Zᵀ G`` products
-    are split, which moves the result by rounding (≤1e-10).  The gradient
-    is formed for an upstream gradient of 1, which is what ``backward()``
-    on the loss passes; any other upstream gradient walks the blocks again.
+    error mean, in the same order.  While ``n² ≤ ONE_TILE_ELEMENTS`` the
+    walk is one tile, so the float64 loss and gradients are bitwise equal
+    to it; past that the loss sum and the ``dZ`` products are split per
+    tile, which moves the result by rounding (≤1e-10).  The gradient is
+    formed for an upstream gradient of 1, which is what ``backward()`` on
+    the loss passes; any other upstream gradient walks the tiles again.
     """
 
     def __init__(self, target: sp.csr_matrix, features: np.ndarray, structure_weight: float) -> None:
-        if not target.has_canonical_format:
-            target = target.copy()
-            target.sum_duplicates()
         n = target.shape[0]
         self._n = n
-        self._blocks = _row_blocks(n)
+        self._tiles = _TileWalk(target, n if n * n <= ONE_TILE_ELEMENTS else TILE_SIDE)
         self._features = features
         self._lam = float(structure_weight)
-        rows = self._blocks[0].stop if self._blocks else 0
-        shape = (rows, n)
-        self._product = np.empty(shape, dtype=features.dtype)
-        self._residual = np.empty(shape, dtype=features.dtype)
-        self._square = np.empty(shape, dtype=features.dtype)
-        # Ã's nonzeros as flat positions inside their row block.
-        row_of = np.repeat(np.arange(n), np.diff(target.indptr))
-        self._flat = (row_of % max(rows, 1)) * n + target.indices
-        self._values = target.data
-        self._indptr = target.indptr
+        self._product = self._tiles.buffer(features.dtype)
+        self._residual = self._tiles.buffer(features.dtype)
+        self._square = self._tiles.buffer(features.dtype)
 
     @staticmethod
     def _coefficient(grad: np.ndarray, weight: float, size: int) -> np.ndarray:
@@ -100,28 +158,23 @@ class _ReconstructionLoss:
         return ((grad * weight) * (1.0 / size)) * 2
 
     def _walk(self, z: np.ndarray, coefficient: Optional[np.ndarray]):
-        """``(ΣD², dZ)`` over all row blocks; ``dZ`` is None without a coefficient."""
+        """``(ΣD², dZ)`` over all tiles; ``dZ`` is None without a coefficient."""
         total = z.dtype.type(0)
         dz = None if coefficient is None else np.zeros_like(z)
-        for block in self._blocks:
-            rows = block.stop - block.start
-            product = np.matmul(z[block], z.T, out=self._product[:rows])
-            sigmoid_(product)
-            residual = self._residual[:rows]
+        for k, rows, cols, product in self._tiles.products(z, self._product):
+            mirrored = cols.start != rows.start
+            residual = _tile_view(self._residual, rows, cols)
             np.copyto(residual, product)
-            nonzeros = slice(self._indptr[block.start], self._indptr[block.stop])
-            residual.reshape(-1)[self._flat[nonzeros]] -= self._values[nonzeros]
-            total = total + np.multiply(residual, residual, out=self._square[:rows]).sum()
+            self._tiles.subtract_target(k, residual)
+            square_sum = np.multiply(residual, residual, out=_tile_view(self._square, rows, cols)).sum()
+            total = total + (square_sum * 2 if mirrored else square_sum)
             if dz is None:
                 continue
-            residual *= coefficient
+            residual *= coefficient * 2 if mirrored else coefficient
             residual *= product
             residual *= np.subtract(1.0, product, out=product)
-            if block.start == 0:
-                np.matmul(residual, z, out=dz[block])
-            else:
-                dz[block] += residual @ z
-            dz += (z[block].T @ residual).T
+            dz[rows] += residual @ z[cols]
+            dz[cols] += (z[rows].T @ residual).T
         return total, dz
 
     def __call__(self, z: Tensor, attribute_hat: Tensor) -> Tensor:
@@ -166,7 +219,7 @@ class GAEConfig:
     ``sparse_propagation`` keeps the GCN propagation matrix in CSR form so
     message passing runs as sparse-dense products and never materialises a
     dense ``n × n`` matrix.  (The reconstruction target is always CSR, and
-    training and scoring read it one row block at a time.)
+    training and scoring read it one tile at a time.)
 
     ``dtype`` selects the training precision: ``"float64"`` (default) is
     the bit-reproducible reference path; ``"float32"`` is the fast mode —
@@ -387,21 +440,30 @@ class GraphAutoEncoder:
     def score_nodes(self) -> np.ndarray:
         """Per-node anomaly scores: weighted structure + attribute errors (Eqn. 1).
 
-        The structure error ``‖Ã_i − σ(z_i Zᵀ)‖`` is computed one row block
-        of ``SCORE_BLOCK_ELEMENTS // n`` rows at a time, with the
-        elementwise ops of the dense decoder ``sigmoid(Z Zᵀ)``, so the
-        values equal the dense formula without holding an ``n × n`` array.
+        The structure error ``‖Ã_i − σ(z_i Zᵀ)‖`` is summed over the
+        upper-triangle tiles of :class:`_TileWalk` (side ``TILE_SIDE``):
+        each tile's squared residual adds its row sums to its rows and, off
+        the diagonal, its column sums to its columns, so every node pair is
+        computed once and no ``n × n`` array is held.  The elementwise ops
+        are those of the dense decoder ``sigmoid(Z Zᵀ)``; only the
+        summation order differs from the dense formula.
         """
         self._require_fitted()
         with no_grad():
             z = self._model.encode(Tensor(self._scaled_features), self._propagation)
             attribute_hat = self._model.decode_attributes(z).numpy()
         z = z.numpy()
-        structure_error = np.empty(z.shape[0], dtype=z.dtype)
-        for block in _row_blocks(z.shape[0]):
-            residual = self._structure_target[block].toarray()
-            residual -= sigmoid_(z[block] @ z.T)
-            structure_error[block] = np.linalg.norm(residual, axis=1)
+        tiles = _TileWalk(self._structure_target, TILE_SIDE)
+        # A node collects up to 2n / TILE_SIDE tile sums; adding them in
+        # float64 keeps a float32 run's rounding from growing with n.
+        squares = np.zeros(z.shape[0])
+        for k, rows, cols, residual in tiles.products(z, tiles.buffer(z.dtype)):
+            tiles.subtract_target(k, residual)
+            np.multiply(residual, residual, out=residual)
+            squares[rows] += residual.sum(axis=1)
+            if cols.start != rows.start:
+                squares[cols] += residual.sum(axis=0)
+        structure_error = np.sqrt(squares).astype(z.dtype, copy=False)
         lam = self.config.structure_weight
         attribute_error = np.linalg.norm(self._scaled_features - attribute_hat, axis=1)
         if self.config.normalize_errors:

@@ -16,7 +16,7 @@ formed from that CSR directly; only the ``k_hop`` mix, whose reachability
 mass is dense for any connected graph, densifies.  A graph whose dense mix
 or ``k_hop`` target (mixed or not) would exceed ``DENSE_MIX_BUDGET_BYTES``
 is refused before anything is built.  Training and scoring inherit the
-row-blocked structure walk of :class:`GraphAutoEncoder`.
+tiled structure walk of :class:`GraphAutoEncoder`.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ class ServeConfig:
     baseline of the throughput benchmark).  ``queue_size`` bounds
     admission; ``default_timeout_ms`` is the per-request deadline budget
     used when a request does not set its own (``None`` = no deadline).
+    ``retry_after_s`` is the ``Retry-After`` a shed request is sent, and
+    ``max_body_bytes`` the largest request body read.
 
     ``provenance_path`` turns on the per-response provenance log (see
     :mod:`repro.obs.provenance`): every successful ``/score`` response
@@ -87,7 +90,14 @@ class ServeConfig:
     ``job_max_running`` are the *per-tenant* quotas (tenants are
     identified by the ``X-API-Key`` request header), and
     ``job_lease_ttl_s`` bounds how long a crashed worker can hold a job
-    before it is requeued.
+    before it is requeued; the idle worker polls the store every
+    ``job_poll_interval_s``.
+
+    A value that would break the server is refused with ``ValueError``:
+    an infinite or NaN ``max_wait_ms`` (a lone request would wait forever),
+    a poll interval that is not a finite positive number (the idle worker
+    would spin on the event loop or never poll), a negative or non-finite
+    ``retry_after_s``, a non-finite lease and ``max_body_bytes < 1``.
     """
 
     max_batch: int = 16
@@ -108,14 +118,20 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
+            raise ValueError("max_wait_ms must be a finite number >= 0")
         if self.queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         if self.default_timeout_ms is not None and not self.default_timeout_ms > 0:
             raise ValueError("default_timeout_ms must be > 0 (None for no deadline)")
-        if self.job_lease_ttl_s <= 0:
-            raise ValueError("job_lease_ttl_s must be > 0")
+        if not (math.isfinite(self.retry_after_s) and self.retry_after_s >= 0):
+            raise ValueError("retry_after_s must be a finite number >= 0")
+        if self.max_body_bytes < 1:
+            raise ValueError("max_body_bytes must be >= 1")
+        if not (math.isfinite(self.job_lease_ttl_s) and self.job_lease_ttl_s > 0):
+            raise ValueError("job_lease_ttl_s must be a finite number > 0")
+        if not (math.isfinite(self.job_poll_interval_s) and self.job_poll_interval_s > 0):
+            raise ValueError("job_poll_interval_s must be a finite number > 0")
         if self.job_max_attempts < 1:
             raise ValueError("job_max_attempts must be >= 1")
 

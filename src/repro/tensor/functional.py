@@ -5,7 +5,7 @@ product :func:`spmm` (``torch.sparse.mm``), for GCN propagation with
 scipy CSR matrices.
 
 The fused training kernels of the fast training engine (DESIGN.md, "Fast
-training engine") live next to the models they serve: the row-blocked GAE
+training engine") live next to the models they serve: the tiled GAE
 objective in :class:`repro.gae.autoencoder._ReconstructionLoss`, the TPGCL
 group encoder in :meth:`repro.gcl.encoder.GroupEncoder.encode_batch`.
 """

@@ -1,14 +1,15 @@
-"""The row-blocked MH-GAE training step against the autodiff oracle, and its memory bound.
+"""The tiled MH-GAE training step against the autodiff oracle, and its memory bound.
 
 ``GraphAutoEncoder.fit`` records each step's objective as one tape node
-(``_ReconstructionLoss``) that walks row blocks of
-``SCORE_BLOCK_ELEMENTS // n`` rows and never forms ``σ(ZZᵀ)`` or the
-target as an ``n × n`` array.  The oracle (``tests/gae_oracle.py``) is the
+(``_ReconstructionLoss``) that walks the tiles on and above the diagonal
+of ``σ(ZZᵀ)`` and never forms it or the target as an ``n × n`` array.  Up
+to ``n² = ONE_TILE_ELEMENTS`` the walk is one tile; past it the tiles have
+side ``TILE_SIDE``.  The oracle (``tests/gae_oracle.py``) is the
 formulation it replaced: the dense target, the autodiff decoder
-``(Z Zᵀ).sigmoid()`` and the dense fused loss.  Within one block the
+``(Z Zᵀ).sigmoid()`` and the dense fused loss.  Within one tile the
 kernel applies the oracle's ops in the oracle's order, so float64 values
-are bitwise equal; across blocks the loss sum and the ``Zᵀ G`` products
-are split, which moves them by rounding only.
+are bitwise equal; across tiles the loss sum and the ``dZ`` products are
+split, which moves them by rounding only.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ MODELS = {
     "adjacency": lambda dtype: MultiHopGAE(MHGAEConfig(target="adjacency", dtype=dtype, **SMALL)),
     "vanilla": lambda dtype: GraphAutoEncoder(GAEConfig(dtype=dtype, **SMALL)),
 }
-# Rows per block: several blocks for 1 and n - 1, one block for n and 2n + 7.
-BLOCK_ROWS = {"1": 1, "n-1": N_NODES - 1, "n": N_NODES, "2n+7": 2 * N_NODES + 7}
+# Tile side: 23, 3 and 2 blocks per side for 1, 8 and n - 1; one tile for n and 2n + 7.
+TILE_SIDES = {"1": 1, "8": 8, "n-1": N_NODES - 1, "n": N_NODES, "2n+7": 2 * N_NODES + 7}
 MULTI_BLOCK_TOLERANCE = 1e-10
 FLOAT32_TOLERANCE = 1e-5
 
@@ -65,6 +66,12 @@ def _step(model: GraphAutoEncoder, graph: Graph, fused: bool, upstream=None):
     return [loss.data, z.grad] + [p.grad for p in net.parameters()]
 
 
+def _force_tiles(monkeypatch, side: int) -> None:
+    """Make training walk tiles of ``side`` whatever the graph size."""
+    monkeypatch.setattr(autoencoder, "ONE_TILE_ELEMENTS", 0)
+    monkeypatch.setattr(autoencoder, "TILE_SIDE", side)
+
+
 def _assert_close(actual, expected, atol):
     for got, want in zip(actual, expected):
         assert got.dtype == want.dtype
@@ -74,17 +81,17 @@ def _assert_close(actual, expected, atol):
 @pytest.mark.parametrize("upstream", [None, 2.5])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("target", sorted(MODELS))
-@pytest.mark.parametrize("block", sorted(BLOCK_ROWS))
+@pytest.mark.parametrize("block", sorted(TILE_SIDES))
 def test_fused_step_matches_autodiff_oracle(monkeypatch, block, target, dtype, upstream):
-    rows = BLOCK_ROWS[block]
-    monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ELEMENTS", rows * N_NODES)
+    side = TILE_SIDES[block]
+    _force_tiles(monkeypatch, side)
     graph = _random_graph()
     fused = _step(MODELS[target](dtype), graph, fused=True, upstream=upstream)
     oracle = _step(MODELS[target](dtype), graph, fused=False, upstream=upstream)
     assert len(fused) == len(oracle)
     if dtype == "float32":
         _assert_close(fused, oracle, FLOAT32_TOLERANCE)
-    elif rows >= N_NODES:
+    elif side >= N_NODES:
         for got, want in zip(fused, oracle):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -111,7 +118,7 @@ def test_multi_block_fit_tracks_the_oracle_loop(monkeypatch):
     graph = _random_graph(60, seed=2)
     config = MHGAEConfig(epochs=5, hidden_dim=16, embedding_dim=8, seed=0)
     oracle = AutodiffMultiHopGAE(config).fit(graph)
-    monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ELEMENTS", 7 * graph.n_nodes)
+    _force_tiles(monkeypatch, 7)
     fused = MultiHopGAE(config).fit(graph)
     np.testing.assert_allclose(
         fused.training_result.losses, oracle.training_result.losses, rtol=0.0, atol=MULTI_BLOCK_TOLERANCE

@@ -1,10 +1,13 @@
-"""Row-blocked ``score_nodes`` against the dense Eqn. (1) oracle, and its memory bound.
+"""Tiled ``score_nodes`` against the dense Eqn. (1) oracle, and its memory bound.
 
 ``score_nodes`` never forms ``sigmoid(Z Zᵀ)`` or the target as an ``n × n``
-array; it walks row blocks of ``SCORE_BLOCK_ELEMENTS // n`` rows.  The
-oracle below is the dense formula the blocked pass replaced: densify the
-CSR target, subtract the full ``reconstruct()`` output (``tests/gae_oracle.py``)
-and take row norms.
+array; it walks the tiles of side ``TILE_SIDE`` on and above the diagonal
+and adds each tile's squared residual to its rows and, off the diagonal,
+to its columns.  That is only right because every structure target equals
+its transpose bit for bit, which is pinned here too.  The oracle below is
+the dense formula the tiled pass replaced: densify the CSR target,
+subtract the full ``reconstruct()`` output (``tests/gae_oracle.py``) and
+take row norms.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.graph import Graph
 
 from gae_oracle import reconstruct
 
-BLOCK_ROWS = 16
+TILE = 16
 SMALL = dict(epochs=4, hidden_dim=16, embedding_dim=8, seed=0)
 MODELS = {
     "graphsnn": lambda dtype: MultiHopGAE(MHGAEConfig(target="graphsnn", dtype=dtype, **SMALL)),
@@ -53,20 +56,47 @@ def _random_graph(n_nodes: int, seed: int = 0) -> Graph:
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("target", sorted(MODELS))
-@pytest.mark.parametrize("n_nodes", [1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 7])
+@pytest.mark.parametrize("n_nodes", [1, TILE - 1, TILE, 2 * TILE + 7])
 def test_blocked_scores_match_dense_oracle(monkeypatch, n_nodes, target, dtype):
-    # A budget of BLOCK_ROWS * n elements makes every block BLOCK_ROWS rows.
-    monkeypatch.setattr(autoencoder, "SCORE_BLOCK_ELEMENTS", BLOCK_ROWS * n_nodes)
     model = MODELS[target](dtype).fit(_random_graph(n_nodes))
-    scores = model.score_nodes()
-    expected = dense_oracle_scores(model)
-    assert scores.shape == (n_nodes,)
-    assert scores.dtype == np.dtype(dtype)
-    np.testing.assert_allclose(scores, expected, rtol=0.0, atol=TOLERANCE[dtype])
-    assert np.array_equal(
-        select_anchor_nodes(scores, fraction=0.3, minimum=1),
-        select_anchor_nodes(expected, fraction=0.3, minimum=1),
-    )
+    # One tile per pair (side 1), a ragged last tile, one tile short of the
+    # whole matrix, exactly the whole matrix, and a tile larger than it.
+    for side in sorted({1, TILE, max(n_nodes - 1, 1), n_nodes, 4 * n_nodes + 1}):
+        monkeypatch.setattr(autoencoder, "TILE_SIDE", side)
+        # Several tiles sum each node's squares in another order than the
+        # oracle's row norm.  z-scoring multiplies that rounding by
+        # mean / std of the structure errors (~300 on the 39-node graph),
+        # past 1e-5 in float32, where the oracle itself is 5e-5 from the
+        # exact value; so float32 compares the raw Eqn. (1) sums there.
+        model.config.normalize_errors = dtype == "float64" or side >= n_nodes
+        scores = model.score_nodes()
+        expected = dense_oracle_scores(model)
+        assert scores.shape == (n_nodes,)
+        assert scores.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(scores, expected, rtol=0.0, atol=TOLERANCE[dtype], err_msg=f"side {side}")
+        assert np.array_equal(
+            select_anchor_nodes(scores, fraction=0.3, minimum=1),
+            select_anchor_nodes(expected, fraction=0.3, minimum=1),
+        )
+
+
+@pytest.mark.parametrize("target", sorted(MODELS))
+@pytest.mark.parametrize("seed", range(6))
+def test_structure_target_is_bitwise_symmetric(target, seed):
+    """The walk reads each off-diagonal pair from its upper tile only."""
+    rng = np.random.default_rng(seed)
+    n_nodes = int(rng.integers(2, 90))
+    edges = rng.integers(0, n_nodes - n_nodes // 5, size=(int(rng.integers(0, 4 * n_nodes)), 2))
+    # Repeat a third of the edges, some reversed; the last fifth of the
+    # nodes is isolated.
+    repeats = edges[: len(edges) // 3]
+    edges = np.concatenate([edges, repeats, repeats[:, ::-1]])
+    graph = Graph(n_nodes, edges, rng.normal(size=(n_nodes, 3)))
+    for dtype in ("float64", "float32"):
+        model = MODELS[target](dtype)
+        model._bind_graph(graph)
+        dense = model._structure_target.toarray()
+        assert dense.tobytes() == dense.T.copy().tobytes()
 
 
 def test_default_block_budget_matches_dense_oracle():

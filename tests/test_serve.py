@@ -476,6 +476,34 @@ class TestServeConfigValidation:
         with pytest.raises(ValueError, match="job_max_attempts"):
             ServeConfig(job_max_attempts=0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_max_wait_must_be_finite(self, value):
+        # inf left a lone request waiting until its client gave up.
+        with pytest.raises(ValueError, match="max_wait_ms"):
+            ServeConfig(max_wait_ms=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_job_poll_interval_must_be_finite_and_positive(self, value):
+        # <= 0 turned the idle job worker's sleep into a busy loop.
+        with pytest.raises(ValueError, match="job_poll_interval_s"):
+            ServeConfig(job_poll_interval_s=value)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_retry_after_must_be_finite_and_non_negative(self, value):
+        # A negative value was sent as "Retry-After: -1".
+        with pytest.raises(ValueError, match="retry_after_s"):
+            ServeConfig(retry_after_s=value)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_job_lease_ttl_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="job_lease_ttl_s"):
+            ServeConfig(job_lease_ttl_s=value)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_max_body_bytes_must_be_at_least_one(self, value):
+        with pytest.raises(ValueError, match="max_body_bytes"):
+            ServeConfig(max_body_bytes=value)
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -485,6 +513,9 @@ class TestServeConfigValidation:
             ("--job-max-attempts", "0", "job_max_attempts"),
             ("--timeout-ms", "0", "default_timeout_ms"),
             ("--timeout-ms", "-5", "default_timeout_ms"),
+            ("--max-wait-ms", "inf", "max_wait_ms"),
+            ("--max-wait-ms", "nan", "max_wait_ms"),
+            ("--job-lease-ttl-s", "inf", "job_lease_ttl_s"),
         ],
     )
     def test_cli_rejects_bad_setting_before_loading_artifacts(self, tmp_path, capsys, flag, value, message):
