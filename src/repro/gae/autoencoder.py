@@ -446,7 +446,9 @@ class GraphAutoEncoder:
         the diagonal, its column sums to its columns, so every node pair is
         computed once and no ``n × n`` array is held.  The elementwise ops
         are those of the dense decoder ``sigmoid(Z Zᵀ)``; only the
-        summation order differs from the dense formula.
+        summation order differs from the dense formula.  Each node's sum of
+        squares and its z-score are float64 whatever the model's dtype;
+        the scores are returned in the model's dtype.
         """
         self._require_fitted()
         with no_grad():
@@ -454,22 +456,23 @@ class GraphAutoEncoder:
             attribute_hat = self._model.decode_attributes(z).numpy()
         z = z.numpy()
         tiles = _TileWalk(self._structure_target, TILE_SIDE)
-        # A node collects up to 2n / TILE_SIDE tile sums; adding them in
-        # float64 keeps a float32 run's rounding from growing with n.
+        # Sums and the z-score are float64 in a float32 run too: structure
+        # errors are often nearly equal, and z-scoring them multiplies one
+        # float32 rounding of a sum by mean / std (~300 on a small graph).
         squares = np.zeros(z.shape[0])
         for k, rows, cols, residual in tiles.products(z, tiles.buffer(z.dtype)):
             tiles.subtract_target(k, residual)
             np.multiply(residual, residual, out=residual)
-            squares[rows] += residual.sum(axis=1)
+            squares[rows] += residual.sum(axis=1, dtype=np.float64)
             if cols.start != rows.start:
-                squares[cols] += residual.sum(axis=0)
-        structure_error = np.sqrt(squares).astype(z.dtype, copy=False)
+                squares[cols] += residual.sum(axis=0, dtype=np.float64)
+        structure_error = np.sqrt(squares)
         lam = self.config.structure_weight
         attribute_error = np.linalg.norm(self._scaled_features - attribute_hat, axis=1)
         if self.config.normalize_errors:
             structure_error = self._zscore(structure_error)
             attribute_error = self._zscore(attribute_error)
-        return lam * structure_error + (1.0 - lam) * attribute_error
+        return (lam * structure_error + (1.0 - lam) * attribute_error).astype(z.dtype, copy=False)
 
     def score_normalized(self) -> np.ndarray:
         """Anomaly scores min-max scaled into ``[0, 1]``."""

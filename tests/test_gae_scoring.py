@@ -37,9 +37,16 @@ TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
 
 
 def dense_oracle_scores(model: GraphAutoEncoder) -> np.ndarray:
-    """Eqn. (1) computed on the dense ``n × n`` reconstruction."""
+    """Eqn. (1) computed on the dense ``n × n`` reconstruction.
+
+    Each row's sum of squares is accumulated in float64, so in float32 the
+    oracle's z-scores are not moved by the rounding of a float32 row sum,
+    which z-scoring multiplies by mean / std of the structure errors
+    (~300 on the 39-node graph, 3.8e-5 in z there).
+    """
     structure_hat, attribute_hat = reconstruct(model)
-    structure_error = np.linalg.norm(model._structure_target.toarray() - structure_hat, axis=1)
+    residual = model._structure_target.toarray() - structure_hat
+    structure_error = np.sqrt((residual * residual).sum(axis=1, dtype=np.float64))
     attribute_error = np.linalg.norm(model._scaled_features - attribute_hat, axis=1)
     if model.config.normalize_errors:
         structure_error = model._zscore(structure_error)
@@ -63,21 +70,19 @@ def test_blocked_scores_match_dense_oracle(monkeypatch, n_nodes, target, dtype):
     # whole matrix, exactly the whole matrix, and a tile larger than it.
     for side in sorted({1, TILE, max(n_nodes - 1, 1), n_nodes, 4 * n_nodes + 1}):
         monkeypatch.setattr(autoencoder, "TILE_SIDE", side)
-        # Several tiles sum each node's squares in another order than the
-        # oracle's row norm.  z-scoring multiplies that rounding by
-        # mean / std of the structure errors (~300 on the 39-node graph),
-        # past 1e-5 in float32, where the oracle itself is 5e-5 from the
-        # exact value; so float32 compares the raw Eqn. (1) sums there.
-        model.config.normalize_errors = dtype == "float64" or side >= n_nodes
-        scores = model.score_nodes()
-        expected = dense_oracle_scores(model)
-        assert scores.shape == (n_nodes,)
-        assert scores.dtype == np.dtype(dtype)
-        np.testing.assert_allclose(scores, expected, rtol=0.0, atol=TOLERANCE[dtype], err_msg=f"side {side}")
-        assert np.array_equal(
-            select_anchor_nodes(scores, fraction=0.3, minimum=1),
-            select_anchor_nodes(expected, fraction=0.3, minimum=1),
-        )
+        # z-scored, as anchors are picked, and the raw Eqn. (1) sums.
+        for normalize in (True, False):
+            model.config.normalize_errors = normalize
+            scores = model.score_nodes()
+            expected = dense_oracle_scores(model)
+            assert scores.shape == (n_nodes,)
+            assert scores.dtype == np.dtype(dtype)
+            message = f"side {side}, normalize_errors={normalize}"
+            np.testing.assert_allclose(scores, expected, rtol=0.0, atol=TOLERANCE[dtype], err_msg=message)
+            assert np.array_equal(
+                select_anchor_nodes(scores, fraction=0.3, minimum=1),
+                select_anchor_nodes(expected, fraction=0.3, minimum=1),
+            ), message
 
 
 @pytest.mark.parametrize("target", sorted(MODELS))
